@@ -228,8 +228,8 @@ class ExtDecomposition(NamedTuple):
 
 
 class ExtWeylGroup:
-    """Semidirect product of an enumerated Weyl group and a component
-    group acting on its diagram."""
+    """Semidirect product of a Weyl group and a component group acting
+    on its diagram."""
 
     def __init__(self, tables, omega):
         if tables.rs is not omega.rs:
@@ -262,7 +262,7 @@ class ExtWeylGroup:
         rp = self.omega.root_perm(k)
         rpinv = self.omega.root_perm(self.omega.inverse(k))
         perm = tuple(rp[w.perm[rpinv[a]]] for a in range(len(w.perm)))
-        return self.tables._by_perm[perm]
+        return self.tables._intern(perm)
 
     def multiply(self, a, b):
         if a.group is not self or b.group is not self:
@@ -415,9 +415,15 @@ class DiagramAutomorphism:
         return DiagramAutomorphism(self.ext, dp, op)
 
     def power(self, e):
+        """self composed with itself e times, by repeated squaring, so a
+        large field degree costs O(log e) compositions."""
         out = DiagramAutomorphism.identity(self.ext)
-        for _ in range(e):
-            out = self.compose(out)
+        base = self
+        while e > 0:
+            if e & 1:
+                out = base.compose(out)
+            base = base.compose(base)
+            e >>= 1
         return out
 
     def inverse(self):
@@ -436,7 +442,7 @@ class DiagramAutomorphism:
             self._root_perm_inv = tuple(inv)
         rpinv = self._root_perm_inv
         perm = tuple(rp[w.perm[rpinv[a]]] for a in range(len(w.perm)))
-        return self.ext.tables._by_perm[perm]
+        return self.ext.tables._intern(perm)
 
     def apply_omega(self, k):
         return self.omega_perm[k]

@@ -6,8 +6,12 @@ equals the length of any reduced word for it.  The canonical word of an
 element is its ShortLex-least reduced word, obtained by repeatedly
 stripping the left descent with the least simple index.
 
-CosetTables wraps the fully enumerated group and memoizes minimal coset
-representatives and the two descent-stripping decompositions:
+CosetTables builds only what it is asked for.  Elements are interned the
+first time they are reached, so each has one shared copy; the group
+order comes from the root heights; the minimal left coset
+representatives of a parabolic type come from a search over that set
+alone, never over the whole group.  The tables memoize words, minimal
+coset representatives and the two descent-stripping decompositions:
 
   * for w minimal in W_I w, the split w = x * w_J with x minimal in its
     double coset and w_J inside W_J;
@@ -15,9 +19,16 @@ representatives and the two descent-stripping decompositions:
 
 Both are unique and length-additive; the code asserts this against the
 definitions on every call.
+
+enumerate_group additionally lists the whole group.  The library never
+needs that; tests use it as the reference the on-demand search is
+compared against.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from operator import itemgetter
 
 from .errors import GroupTooLarge, MixedGroups, NotMinimalRep
 from .rootsystem import RootSystem
@@ -60,8 +71,8 @@ class WeylElement:
             return NotImplemented
         if self.rs is not other.rs:
             raise MixedGroups("elements live over different root systems")
-        sp = self.perm
-        return WeylElement(self.rs, tuple(sp[k] for k in other.perm))
+        return WeylElement(self.rs,
+                           tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self):
         w = WeylElement(self.rs, self.inv_perm)
@@ -90,80 +101,120 @@ def _identity_perm(rs):
     return tuple(range(2 * rs.n_positive))
 
 
-def enumerate_group(rs, cap=DEFAULT_GROUP_CAP):
-    """Enumerate the full group by breadth-first closure of the simple
-    reflections, and return its CosetTables.
+def _degree_product(heights):
+    """Order of the Weyl group whose positive roots have these heights.
 
-    Raises GroupTooLarge past cap elements.  Elements are ordered by
-    (length, canonical word).
+    By Kostant, the number of exponents equal to k is n_k - n_(k+1),
+    where n_k counts the positive roots of height k.  Each degree is an
+    exponent plus one, and the order is the product of the degrees.
     """
-    identity = WeylElement(rs, _identity_perm(rs))
-    simples = {i: WeylElement(rs, rs.reflection_perm(i))
-               for i in range(1, rs.rank + 1)}
+    counts = Counter(heights)
+    order = 1
+    for k, n in counts.items():
+        order *= (k + 1) ** (n - counts.get(k + 1, 0))
+    return order
+
+
+def enumerate_group(rs, cap=DEFAULT_GROUP_CAP):
+    """CosetTables that also list the whole group, found by breadth-first
+    closure under the simple reflections and ordered by (length,
+    canonical word).
+
+    A test oracle: the library never needs all of W.  Raises
+    GroupTooLarge, before any work, when |W| exceeds cap.
+    """
+    tables = CosetTables(rs)
+    order = len(tables)
+    if order > cap:
+        raise GroupTooLarge(
+            f"group has {order} elements, over the cap of {cap}")
+    identity = tables.identity
     seen = {identity.perm: identity}
     frontier = [identity]
     while frontier:
         next_frontier = []
         for w in frontier:
             wp = w.perm
-            for s in simples.values():
+            for s in tables._simples.values():
                 prod = tuple(wp[k] for k in s.perm)
                 if prod not in seen:
-                    u = WeylElement(rs, prod)
+                    u = tables._intern(prod)
                     seen[prod] = u
                     next_frontier.append(u)
-                    if len(seen) > cap:
-                        raise GroupTooLarge(
-                            f"group has more than {cap} elements")
         frontier = next_frontier
-    tables = CosetTables(rs, list(seen.values()), simples)
-    tables._sort_elements()
+    assert len(seen) == order
+    tables.elements = sorted(
+        seen.values(), key=lambda w: (len(tables.word(w)), tables.word(w)))
     return tables
 
 
 class CosetTables:
-    """The enumerated group with memoized words and coset filters."""
+    """Memoized words, coset representatives and decompositions of the
+    Weyl group of rs, with elements interned on first use."""
 
-    def __init__(self, rs, elements, simples):
+    def __init__(self, rs):
         self.rs = rs
-        self.elements = elements
-        self._simples = simples
-        self._by_perm = {w.perm: w for w in elements}
+        self.elements = None
+        self._by_perm = {}
+        self._simples = {i: self._intern(rs.reflection_perm(i))
+                         for i in range(1, rs.rank + 1)}
         self._words = {_identity_perm(rs): ()}
         self._min_left = {}
         self._min_right = {}
         self._min_double = {}
         self._longest = None
 
-    def _sort_elements(self):
-        self.elements.sort(key=lambda w: (len(self.word(w)), self.word(w)))
+    def _intern(self, perm):
+        """The table's one copy of the element with this permutation."""
+        w = self._by_perm.get(perm)
+        if w is None:
+            w = self._by_perm[perm] = WeylElement(self.rs, perm)
+        return w
 
     def __len__(self):
-        return len(self.elements)
+        """|W|, as the product of the degrees; nothing is enumerated."""
+        return _degree_product(r.height for r in self.rs.positive_roots)
+
+    def min_left_count(self, I):
+        """|W| / |W_I|, the number of minimal left coset
+        representatives, predicted without building them."""
+        rs = self.rs
+        inside = _degree_product(rs.roots[k].height
+                                 for k in rs.subsystem_ordinals(I)
+                                 if k < rs.n_positive)
+        return len(self) // inside
+
+    def _enumerated(self):
+        if self.elements is None:
+            raise TypeError("only tables built by enumerate_group list "
+                            "the whole group")
+        return self.elements
 
     def __iter__(self):
-        return iter(self.elements)
+        return iter(self._enumerated())
 
     def __contains__(self, w):
-        return isinstance(w, WeylElement) and w.perm in self._by_perm
+        return isinstance(w, WeylElement) and w.rs is self.rs
 
     @property
     def identity(self):
-        return self._by_perm[_identity_perm(self.rs)]
+        return self._intern(_identity_perm(self.rs))
 
     def simple_reflection(self, i):
         return self._simples[i]
 
     def _check(self, w):
-        if w.perm not in self._by_perm:
+        if w.rs is not self.rs:
             raise MixedGroups("element does not belong to this group")
 
     def word(self, w):
         """ShortLex-least reduced word, as a tuple of simple indices.
 
         Stripping the least left descent at every step yields exactly the
-        lexicographically least reduced word; intermediate results are
-        memoized, so amortized cost over the group is linear.
+        lexicographically least reduced word.  The words of intermediate
+        results are memoized, so the words of a set of elements cost at
+        most the sum of their lengths in steps, and one step per element
+        over the whole group.
         """
         self._check(w)
         m = self.rs.n_positive
@@ -171,16 +222,14 @@ class CosetTables:
         chain = []
         cur = w.perm
         while cur not in self._words:
-            element = self._by_perm[cur]
-            inv = element.inv_perm
+            # i is a left descent when the preimage of alpha_i is negative.
             for i in range(1, rank + 1):
-                if inv[i - 1] >= m:
+                if cur.index(i - 1) >= m:
                     break
             else:
                 raise AssertionError("non-identity element with no descent")
             chain.append((cur, i))
-            sperm = self._simples[i].perm
-            cur = tuple(sperm[p] for p in cur)
+            cur = tuple(map(self._simples[i].perm.__getitem__, cur))
         suffix = self._words[cur]
         for perm, i in reversed(chain):
             suffix = (i,) + suffix
@@ -191,18 +240,27 @@ class CosetTables:
         w = self.identity
         for i in word:
             w = w * self._simples[i]
-        return self._by_perm[w.perm]
+        return self._intern(w.perm)
 
     def canonical(self, w):
         """The table's own copy of w, so caches are shared."""
         self._check(w)
-        return self._by_perm[w.perm]
+        return self._intern(w.perm)
 
     def longest_element(self):
+        """w0, reached from the identity by climbing right ascents: one
+        step per positive root."""
         if self._longest is None:
-            top = [w for w in self.elements if w.length == self.rs.n_positive]
-            assert len(top) == 1
-            self._longest = top[0]
+            m = self.rs.n_positive
+            perm = _identity_perm(self.rs)
+            ascents = [(j - 1, s.perm) for j, s in self._simples.items()]
+            while True:
+                step = next((sp for a, sp in ascents if perm[a] < m), None)
+                if step is None:
+                    break
+                perm = tuple(perm[k] for k in step)
+            self._longest = self._intern(perm)
+            assert self._longest.length == m
         return self._longest
 
     def is_min_left(self, w, I):
@@ -218,10 +276,39 @@ class CosetTables:
         return all(w.perm[j - 1] < m for j in J)
 
     def min_left(self, I):
+        """The minimal left coset representatives of W_I, in (length,
+        word) order.
+
+        They are closed under prefixes of reduced words, a lower ideal of
+        the right weak order (Bjorner-Brenti, GTM 231, ch. 2), so a
+        breadth-first search from the identity builds them level by
+        level without visiting anything else.  For w in the set and
+        w(alpha_j) positive, w * s_j is one level up, and by Deodhar's
+        lemma it stays in the set unless w(alpha_j) is a simple root
+        alpha_i with i in I, when w * s_j = s_i * w.
+        """
         key = frozenset(I)
         got = self._min_left.get(key)
         if got is None:
-            got = [w for w in self.elements if self.is_min_left(w, key)]
+            m = self.rs.n_positive
+            blocked = {i - 1 for i in key}
+            steps = [(j - 1, itemgetter(*s.perm))
+                     for j, s in self._simples.items()]
+            got = []
+            level = [self.identity]
+            while level:
+                level.sort(key=self.word)
+                got.extend(level)
+                above = {}
+                for w in level:
+                    wp = w.perm
+                    for a, step in steps:
+                        img = wp[a]
+                        if img < m and img not in blocked:
+                            prod = step(wp)
+                            if prod not in above:
+                                above[prod] = self._intern(prod)
+                level = list(above.values())
             self._min_left[key] = got
         return got
 
@@ -229,7 +316,8 @@ class CosetTables:
         key = frozenset(J)
         got = self._min_right.get(key)
         if got is None:
-            got = [w for w in self.elements if self.is_min_right(w, key)]
+            got = [w for w in self._enumerated()
+                   if self.is_min_right(w, key)]
             self._min_right[key] = got
         return got
 
@@ -237,7 +325,7 @@ class CosetTables:
         key = (frozenset(I), frozenset(J))
         got = self._min_double.get(key)
         if got is None:
-            got = [w for w in self.elements
+            got = [w for w in self._enumerated()
                    if self.is_min_left(w, key[0]) and self.is_min_right(w, key[1])]
             self._min_double[key] = got
         return got

@@ -19,23 +19,25 @@ a model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
-                     FrobeniusDoesNotFixTheta, ThetaActionLeaks,
-                     ThetaDoesNotPreserveI, ThetaNotSubgroup)
+                     FrobeniusDoesNotFixTheta, GroupTooLarge,
+                     ThetaActionLeaks, ThetaDoesNotPreserveI,
+                     ThetaNotSubgroup)
 from .extweyl import DiagramAutomorphism, ExtWeylGroup, OmegaGroup
 from .rootsystem import CartanMatrix, DEFAULT_ROOT_CAP, build_root_system
-from .weyl import DEFAULT_GROUP_CAP, enumerate_group
+from .weyl import DEFAULT_GROUP_CAP, CosetTables
 from .zetafn import QLaurent
 
 
 def _prime_power(q0):
     if not isinstance(q0, int) or isinstance(q0, bool) or q0 < 2:
         raise BadPrimePower(f"{q0!r} is not a prime power")
-    p = None
-    for cand in range(2, q0 + 1):
+    p = q0
+    for cand in range(2, math.isqrt(q0) + 1):
         if q0 % cand == 0:
             p = cand
             break
@@ -51,7 +53,11 @@ def _prime_power(q0):
 
 class ZipDatum:
     """Validated input datum.  Construction performs every consistency
-    check; a constructed datum is safe to classify."""
+    check; a constructed datum is safe to classify.
+
+    group_cap bounds the number of minimal coset representatives,
+    |W| / |W_I|, which is predicted before any of them is built.
+    """
 
     def __init__(self, cartan, parabolic_type, *, omega=None, phi0=None,
                  q0=2, e=1, theta=None, root_cap=DEFAULT_ROOT_CAP,
@@ -66,7 +72,7 @@ class ZipDatum:
         if not isinstance(cartan, CartanMatrix):
             cartan = CartanMatrix(cartan)
         self.rs = build_root_system(cartan, cap=root_cap)
-        self.tables = enumerate_group(self.rs, cap=group_cap)
+        self.tables = CosetTables(self.rs)
 
         if omega is None:
             self.omega = OmegaGroup.trivial(self.rs)
@@ -88,6 +94,11 @@ class ZipDatum:
             if not isinstance(i, int) or not 1 <= i <= self.rs.rank:
                 raise ValueError(f"parabolic index {i!r} out of range")
         self.parabolic_type = I
+        size = self.tables.min_left_count(I)
+        if size > group_cap:
+            raise GroupTooLarge(
+                f"the parabolic type has {size} minimal coset "
+                f"representatives, over the cap of {group_cap}")
         self.flag_dim = len(self.rs.positive_outside(I))
 
         if phi0 is None:
@@ -228,9 +239,15 @@ def _theta_orbits(ext, reps, theta_elements, psi_of_theta, membership):
     escape raises ThetaActionLeaks.
     """
     uf = _UnionFind(len(reps))
-    psi_inv = [b.inverse() for b in psi_of_theta]
+    moves = []
+    for t, p in zip(theta_elements, psi_of_theta):
+        if t.is_identity():
+            # psi(1) = 1, so the identity fixes every representative.
+            assert p.is_identity()
+            continue
+        moves.append((t, p.inverse()))
     for idx, a in enumerate(reps):
-        for t, pinv in zip(theta_elements, psi_inv):
+        for t, pinv in moves:
             b = t * a * pinv
             j = membership((b.w.perm, b.omega))
             if j is None:
@@ -270,21 +287,26 @@ def classify(datum):
     for oid, orbit in enumerate(orbits):
         for idx in orbit:
             orbit_of[idx] = oid
-    tau_on_orbit = []
-    for orbit in orbits:
-        images = set()
-        image_ids = set()
-        for idx in orbit:
-            b = datum.tau.apply_ext(reps[idx])
-            j = position.get((b.w.perm, b.omega))
-            if j is None:
-                raise ThetaActionLeaks("Galois action left the minimal set")
-            images.add(j)
-            image_ids.add(orbit_of[j])
-        if len(image_ids) != 1 or images != set(orbits[image_ids.pop()]):
-            raise ThetaActionLeaks(
-                "Galois action does not permute the subgroup orbits")
-        tau_on_orbit.append(orbit_of[next(iter(images))])
+    if datum.tau.is_identity():
+        tau_on_orbit = list(range(len(orbits)))
+    else:
+        tau_on_orbit = []
+        for orbit in orbits:
+            images = set()
+            image_ids = set()
+            for idx in orbit:
+                b = datum.tau.apply_ext(reps[idx])
+                j = position.get((b.w.perm, b.omega))
+                if j is None:
+                    raise ThetaActionLeaks(
+                        "Galois action left the minimal set")
+                images.add(j)
+                image_ids.add(orbit_of[j])
+            if (len(image_ids) != 1
+                    or images != set(orbits[image_ids.pop()])):
+                raise ThetaActionLeaks(
+                    "Galois action does not permute the subgroup orbits")
+            tau_on_orbit.append(orbit_of[next(iter(images))])
 
     seen = set()
     strata = []

@@ -7,6 +7,16 @@ from zipzeta import (OmegaGroup, ExtWeylGroup, build_root_system,
                      cartan_matrix, direct_sum, enumerate_group)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+
+
+def e_cartan(rank):
+    """Type E in Bourbaki labels: the chain 1-3-4-...-rank, with node 2
+    attached to node 4."""
+    m = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, rank)]:
+        m[i - 1][j - 1] = m[j - 1][i - 1] = -1
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -15,6 +25,10 @@ def system(family, rank):
         return build_root_system(direct_sum([[2]], [[2]]))
     if family == "G":
         return build_root_system(G2_CARTAN)
+    if family == "F":
+        return build_root_system(F4_CARTAN)
+    if family == "E":
+        return build_root_system(e_cartan(rank))
     return build_root_system(cartan_matrix(family, rank))
 
 

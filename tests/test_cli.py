@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,17 @@ def test_bt_command(capsys):
     ]
     from_config = run_json(capsys, ["bt", BT212])
     assert from_config == doc
+
+
+def test_bt_cap_bounds_the_strata_count(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, ["bt", "--h", "20", "--d", "10",
+                                  "--p", "2"])
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert "184756" in err and "100000" in err
+    doc = run_json(capsys, ["bt", "--h", "10", "--d", "5", "--p", "2"])
+    assert len(doc["strata"]) == 252
 
 
 def test_oracle_command(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from zipzeta import (GroupTooLarge, MixedGroups, NotMinimalRep,
+from zipzeta import (CosetTables, GroupTooLarge, MixedGroups, NotMinimalRep,
                      build_root_system, cartan_matrix, enumerate_group)
 from helpers import subsets, system, tables
 
@@ -157,3 +157,71 @@ def test_double_cosets_partition_group():
         assert not (coset & union)
         union |= coset
     assert len(union) == len(t)
+
+
+ORACLE_SYSTEMS = ([("A", r) for r in range(1, 6)] +
+                  [("B", r) for r in range(2, 5)] +
+                  [("C", r) for r in range(2, 5)] +
+                  [("D", 4), ("D", 5), ("F", 4), ("G", 2), ("A1xA1", 2)])
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS + [
+    ("A", 6), ("B", 5), ("C", 5)])
+def test_closed_form_order_matches_enumeration(family, rank):
+    full = tables(family, rank)
+    assert len(CosetTables(full.rs)) == len(list(full)) == len(full)
+
+
+@pytest.mark.parametrize("family,rank,order", [
+    ("F", 4, 1152), ("E", 6, 51840), ("E", 7, 2903040),
+    ("E", 8, 696729600)])
+def test_closed_form_order_of_exceptional_groups(family, rank, order):
+    assert len(CosetTables(system(family, rank))) == order
+
+
+def test_quotients_of_groups_too_large_to_enumerate():
+    for rank, size in ((7, 56), (8, 240)):
+        t = CosetTables(system("E", rank))
+        I = range(1, rank)
+        assert t.min_left_count(I) == size
+        reps = t.min_left(I)
+        assert len(reps) == size
+        assert all(t.is_min_left(w, I) for w in reps)
+        assert len(set(w.perm for w in reps)) == size
+        keys = [(len(t.word(w)), t.word(w)) for w in reps]
+        assert keys == sorted(keys)
+        assert t.longest_element().length == t.rs.n_positive
+    with pytest.raises(GroupTooLarge):
+        enumerate_group(system("E", 7))
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
+def test_on_demand_tables_match_enumeration(family, rank):
+    full = tables(family, rank)
+    lazy = CosetTables(full.rs)
+    m = full.rs.n_positive
+    top = [w for w in full if w.length == m]
+    w0 = lazy.longest_element()
+    assert [w0.perm] == [w.perm for w in top]
+    for I in subsets(range(1, rank + 1)):
+        want = [w for w in full if full.is_min_left(w, I)]
+        got = lazy.min_left(I)
+        assert [w.perm for w in got] == [w.perm for w in want]
+        assert [lazy.word(w) for w in got] == [full.word(w) for w in want]
+        assert lazy.min_left_count(I) == len(want)
+        J = frozenset(full.rs.negate_ordinal(w0.perm[i - 1]) + 1 for i in I)
+        assert [w.perm for w in lazy.decompose_double(w0, J, I)] == \
+            [w.perm for w in full.decompose_double(top[0], J, I)]
+
+
+def test_on_demand_tables_do_not_list_the_group():
+    lazy = CosetTables(system("A", 2))
+    with pytest.raises(TypeError):
+        iter(lazy)
+    with pytest.raises(TypeError):
+        lazy.min_double({1}, {2})
+    with pytest.raises(MixedGroups):
+        lazy.word(tables("B", 2).identity)
+    twin = CosetTables(build_root_system([[2, -1], [-1, 2]]))
+    with pytest.raises(MixedGroups):
+        lazy.canonical(twin.identity)

@@ -1,15 +1,17 @@
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from zipzeta import (BadPrimePower, FrobeniusDoesNotFixI,
-                     FrobeniusDoesNotFixTheta, GroupTooLarge,
-                     InvalidFrobenius, InvalidOmegaTable, NotFiniteType,
-                     QLaurent, ThetaActionLeaks, ThetaDoesNotPreserveI,
-                     ThetaNotSubgroup, ZipDatum, classify, compute_twist,
-                     point_count)
+from zipzeta import (BadPrimePower, DiagramAutomorphism,
+                     FrobeniusDoesNotFixI, FrobeniusDoesNotFixTheta,
+                     GroupTooLarge, InvalidFrobenius, InvalidOmegaTable,
+                     NotFiniteType, QLaurent, ThetaActionLeaks,
+                     ThetaDoesNotPreserveI, ThetaNotSubgroup, ZipDatum,
+                     classify, compute_twist, point_count)
 from zipzeta.zipstrata import _theta_orbits
+from helpers import e_cartan
 
 A1xA1 = [[2, 0], [0, 2]]
 A2 = [[2, -1], [-1, 2]]
@@ -63,6 +65,26 @@ def test_rejects_bad_prime_power():
 def test_prime_power_split():
     d = ZipDatum([[2]], [], q0=4, e=3)
     assert (d.p, d.m, d.q0, d.q) == (2, 2, 4, 64)
+    d = ZipDatum([[2]], [], q0=101 ** 2)
+    assert (d.p, d.m) == (101, 2)
+
+
+def test_large_prime_is_checked_quickly():
+    start = time.monotonic()
+    d = ZipDatum([[2]], [], q0=10 ** 7 + 19)
+    assert time.monotonic() - start < 0.5
+    assert (d.p, d.m) == (10 ** 7 + 19, 1)
+    with pytest.raises(BadPrimePower):
+        ZipDatum([[2]], [], q0=3 * (10 ** 7 + 19))
+
+
+def test_large_field_degree_is_reduced_quickly():
+    start = time.monotonic()
+    even = ZipDatum(A2, [], phi0={"diagram_perm": [2, 1]}, e=10 ** 7)
+    odd = ZipDatum(A2, [], phi0={"diagram_perm": [2, 1]}, e=10 ** 7 + 1)
+    assert time.monotonic() - start < 1.0
+    assert even.tau.is_identity()
+    assert odd.tau.diagram_perm == (2, 1)
 
 
 def test_rejects_bad_field_degree():
@@ -123,6 +145,39 @@ def test_construction_errors_propagate():
                                    "diagram_action": {"1": [1], "u": [1]}})
     with pytest.raises(InvalidFrobenius):
         ZipDatum(A2, [], phi0={"diagram_perm": [1, 1]})
+
+
+def test_cap_bounds_the_minimal_set_not_the_group():
+    with pytest.raises(GroupTooLarge, match=r"has 6 .* cap of 3"):
+        ZipDatum(A2, [], group_cap=3)
+    assert len(classify(ZipDatum(A2, [1], group_cap=3))) == 3
+
+
+def test_maximal_parabolic_of_a_group_too_large_to_enumerate():
+    I = range(1, 8)
+    d = ZipDatum(e_cartan(8), I)
+    strata = classify(d)
+    assert len(strata) == 240
+    assert d.flag_dim == max(s.length for s in strata) == 57
+    lengths = Counter(s.length for s in strata)
+    assert lengths == Counter(w.length for w in d.tables.min_left(I))
+    assert lengths == Counter({57 - k: n for k, n in lengths.items()})
+
+
+def test_identity_galois_step_applies_nothing(monkeypatch):
+    calls = []
+    apply_ext = DiagramAutomorphism.apply_ext
+
+    def counted(self, a):
+        calls.append(a)
+        return apply_ext(self, a)
+
+    monkeypatch.setattr(DiagramAutomorphism, "apply_ext", counted)
+    classify(ZipDatum(A2, []))
+    assert len(calls) == 1
+    calls.clear()
+    classify(ZipDatum(A2, [], phi0={"diagram_perm": [2, 1]}))
+    assert len(calls) == 1 + 6
 
 
 def test_worked_twist():
