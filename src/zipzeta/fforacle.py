@@ -14,6 +14,12 @@ invertible group, and reports per-class automorphism counts plus the
 groupoid cardinality (sum of 1/#Aut), the quantity the stratification
 predicts.
 
+Orbits are found by breadth-first search under a small generating set
+of GL_h (adjacent transvections and one diagonal matrix), each generator
+applied as one row and one column operation; #Aut is then |GL_h| over
+the orbit size.  The test suite keeps the full-group stabilizer sweep
+as an oracle for these classes.
+
 Everything is exhaustive and exact, and shares no code with the
 stratification; that is the point.
 """
@@ -303,6 +309,9 @@ def mat_transpose(A):
     return tuple(tuple(row[j] for row in A) for j in range(len(A[0])))
 
 
+# Holds at most GL_CACHE_SIZE groups, evicting the oldest; a census
+# needs one (GL_h for d in {0, h}, else GL_{h-d}).
+GL_CACHE_SIZE = 4
 _gl_cache = {}
 
 
@@ -323,6 +332,8 @@ def enumerate_gl(F, h):
             if mat_rank(F, A) == h:
                 out.append(A)
         got = tuple(out)
+        while len(_gl_cache) >= GL_CACHE_SIZE:
+            del _gl_cache[next(iter(_gl_cache))]
         _gl_cache[key] = got
     return got
 
@@ -364,12 +375,11 @@ class CensusReport:
 
 def _candidates(F, h, d):
     """All admissible pairs (A, B), deterministically ordered."""
-    gl_h = enumerate_gl(F, h)
     zero = tuple(tuple(0 for _ in range(h)) for _ in range(h))
     if d == h:
-        return [(A, zero) for A in gl_h]
+        return [(A, zero) for A in enumerate_gl(F, h)]
     if d == 0:
-        return [(zero, B) for B in gl_h]
+        return [(zero, B) for B in enumerate_gl(F, h)]
     out = []
     gl_small = enumerate_gl(F, h - d)
     for code in range(F.q ** (h * h)):
@@ -410,8 +420,90 @@ def twisted_action(F, g, pair, g_frob_inv=None, g_frob_inv2=None):
             mat_mul(F, mat_mul(F, g, B), g_frob_inv2))
 
 
+def primitive_element(F):
+    """The least generator of the multiplicative group F_q^x."""
+    for z in range(1, F.q):
+        x, order = z, 1
+        while x != 1:
+            x = F.mul(x, z)
+            order += 1
+        if order == F.q - 1:
+            return z
+    raise AssertionError("no primitive element found")
+
+
+def gl_generators(F, h):
+    """Generators of GL_h(F_q), each of the form I + b e_ij.
+
+    The adjacent transvections E_{i,i+1}(1) and E_{i+1,i}(1) generate
+    SL_h(F_p); conjugating by diag(z, 1, ..., 1), z primitive, spreads
+    the scalars to every E_ij(lambda), and its determinant reaches all
+    of F_q^x.  Over F_2 that diagonal is the identity and is dropped.
+    """
+    def elementary(i, j, b):
+        return tuple(tuple(int(r == c) if (r, c) != (i, j)
+                           else F.add(int(r == c), b)
+                           for c in range(h)) for r in range(h))
+
+    out = []
+    for i in range(h - 1):
+        out.append(elementary(i, i + 1, 1))
+        out.append(elementary(i + 1, i, 1))
+    if F.q > 2:
+        out.append(elementary(0, 0, F.sub(primitive_element(F), 1)))
+    return out
+
+
+def _elementary_entry(F, g):
+    """(i, j, b) with g = I + b e_ij."""
+    off = [(i, j, F.sub(x, int(i == j)))
+           for i, row in enumerate(g) for j, x in enumerate(row)
+           if x != int(i == j)]
+    assert len(off) == 1
+    return off[0]
+
+
+def generator_move(F, g):
+    """The twisted action of g = I + r e_ij as row and column moves.
+
+    Returns (i, j, r, c_A, c_B) with (g^[p])^-1 = I + c_A e_ij and
+    (g^[1/p])^-1 = I + c_B e_ij, so g sends A to
+    (I + r e_ij) A (I + c_A e_ij) and B likewise with c_B.
+    """
+    i, j, r = _elementary_entry(F, g)
+    i_a, j_a, c_a = _elementary_entry(F, mat_inv(F, mat_frob(F, g)))
+    i_b, j_b, c_b = _elementary_entry(F, mat_inv(F, mat_frob_inv(F, g)))
+    assert (i_a, j_a) == (i_b, j_b) == (i, j)
+    return (i, j, r, c_a, c_b)
+
+
+def _move(F, M, i, j, r, c):
+    """(I + r e_ij) M (I + c e_ij): row_i += r row_j, then
+    col_j += c col_i.  O(h) field operations."""
+    add, mul = F._add, F._mul
+    rows = list(M)
+    mr = mul[r]
+    rows[i] = tuple(add[x][mr[y]] for x, y in zip(rows[i], rows[j]))
+    mc = mul[c]
+    return tuple(row[:j] + (add[row[j]][mc[row[i]]],) + row[j + 1:]
+                 if row[i] else row for row in rows)
+
+
+def apply_move(F, move, pair):
+    """Image of the pair (A, B) under the generator behind move."""
+    i, j, r, c_a, c_b = move
+    A, B = pair
+    return (_move(F, A, i, j, r, c_a), _move(F, B, i, j, r, c_b))
+
+
 def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
-    """Exhaustive classification for the given height and rank."""
+    """Exhaustive classification for the given height and rank.
+
+    Each orbit is found by breadth-first search from its least
+    unvisited pair under the generators of GL_h; since the group is
+    finite, closure under the generators is the orbit.  Then
+    #Aut = |GL_h| / |orbit|.
+    """
     if not isinstance(h, int) or h < 1:
         raise ValueError("height must be a positive integer")
     if not isinstance(d, int) or not 0 <= d <= h:
@@ -429,28 +521,28 @@ def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
     for A, B in candidates:
         _verify_admissible(F, h, d, A, B)
 
-    gl = enumerate_gl(F, h)
-    gl_data = [(g, mat_inv(F, mat_frob(F, g)), mat_inv(F, mat_frob_inv(F, g)))
-               for g in gl]
-    group_order = len(gl)
-    assert group_order == gl_order(q, h)
-
+    group_order = gl_order(q, h)
+    moves = [generator_move(F, g) for g in gl_generators(F, h)]
     candidate_set = set(candidates)
     unvisited = set(candidates)
     classes = []
     while unvisited:
         seed = min(unvisited)
-        orbit = set()
-        stab = 0
-        for g, gfi, gfi2 in gl_data:
-            image = twisted_action(F, g, seed, gfi, gfi2)
-            assert image in candidate_set
-            orbit.add(image)
-            if image == seed:
-                stab += 1
-        assert stab * len(orbit) == group_order
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            reached = []
+            for pair in frontier:
+                for move in moves:
+                    image = apply_move(F, move, pair)
+                    assert image in candidate_set
+                    if image not in orbit:
+                        orbit.add(image)
+                        reached.append(image)
+            frontier = reached
+        assert group_order % len(orbit) == 0
         classes.append(CensusClass(rep=min(orbit), orbit_size=len(orbit),
-                                   aut_count=stab))
+                                   aut_count=group_order // len(orbit)))
         unvisited -= orbit
 
     total_orbit = sum(c.orbit_size for c in classes)

@@ -10,14 +10,15 @@ by subtracting (sum_j a_j * c[i][j]) from the i-th coordinate.  Simple
 roots are indexed 1..rank in the public interface.
 
 A system is built by closing the simple roots under all simple
-reflections.  The closure either terminates with every root having
-uniform coordinate sign (finite type) or it does not; non-finite input
-is detected rather than classified.
+reflections.  Non-finite input is rejected before the closure starts,
+by the definiteness of the symmetrized matrix; the closure still checks
+that every root has uniform coordinate sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidCartan, NotFiniteType, RootNotInSystem
 
@@ -28,7 +29,7 @@ class CartanMatrix:
     """Square integer matrix with the sign pattern of a Cartan matrix.
 
     Accepts any generalized Cartan matrix; finiteness is checked later by
-    the root-system closure.  The empty matrix is allowed and gives the
+    `build_root_system`.  The empty matrix is allowed and gives the
     rank-zero system.
     """
 
@@ -241,15 +242,58 @@ class RootSystem:
         return f"RootSystem(rank={self.rank}, positive={self.n_positive})"
 
 
+def _check_finite_type(cartan):
+    """Raise NotFiniteType unless the matrix is of finite type.
+
+    Finite type means symmetrizable, diag(eps) * C symmetric for some
+    positive eps, with a positive definite symmetrization (Kac,
+    Infinite-dimensional Lie algebras, ch. 4).  eps is propagated along
+    the edges of each component; definiteness is read off the pivots of
+    exact elimination, whose products are the leading minors.
+    """
+    c = cartan.entries
+    n = cartan.rank
+    eps = [None] * n
+    for start in range(n):
+        if eps[start] is not None:
+            continue
+        eps[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or c[i][j] == 0:
+                    continue
+                want = eps[i] * c[i][j] / c[j][i]
+                if eps[j] is None:
+                    eps[j] = want
+                    stack.append(j)
+                elif eps[j] != want:
+                    raise NotFiniteType("the Cartan matrix is not "
+                                        "symmetrizable")
+    m = [[eps[i] * c[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            raise NotFiniteType(
+                f"the symmetrized Cartan matrix is not positive definite "
+                f"(leading minor {k + 1})")
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            if factor:
+                for j in range(k, n):
+                    m[i][j] -= factor * m[k][j]
+
+
 def build_root_system(cartan, cap=DEFAULT_ROOT_CAP):
     """Close the simple roots under simple reflections.
 
-    Raises NotFiniteType if the closure produces a mixed-sign vector or
-    more than cap positive roots; both happen exactly when the matrix is
-    not of finite type.
+    Raises NotFiniteType before any closure if the matrix is not of
+    finite type, and from the closure if it produces a mixed-sign
+    vector or more than cap positive roots.
     """
     if not isinstance(cartan, CartanMatrix):
         cartan = CartanMatrix(cartan)
+    _check_finite_type(cartan)
     simples = [
         Root(tuple(1 if j == i else 0 for j in range(cartan.rank)))
         for i in range(cartan.rank)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
                      FrobeniusDoesNotFixTheta, GroupTooLarge,
@@ -67,7 +68,6 @@ class ZipDatum:
         if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise ValueError("e must be a positive integer")
         self.e = e
-        self.q = q0 ** e
 
         if not isinstance(cartan, CartanMatrix):
             cartan = CartanMatrix(cartan)
@@ -146,6 +146,11 @@ class ZipDatum:
                 self.theta_indices):
             raise FrobeniusDoesNotFixTheta(
                 "the Galois generator moves the component subgroup")
+
+    @cached_property
+    def q(self):
+        """q0^e, built only when asked for: its size grows with e."""
+        return self.q0 ** self.e
 
     @property
     def theta_labels(self):

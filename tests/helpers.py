@@ -5,6 +5,9 @@ from functools import lru_cache
 
 from zipzeta import (OmegaGroup, ExtWeylGroup, build_root_system,
                      cartan_matrix, direct_sum, enumerate_group)
+from zipzeta.fforacle import (CensusClass, _candidates, enumerate_gl,
+                              gl_order, mat_frob, mat_frob_inv, mat_inv,
+                              twisted_action)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
@@ -74,3 +77,32 @@ def subsets(indices):
     for i in indices:
         out += [s | {i} for s in out]
     return out
+
+
+def census_by_sweep(F, h, d):
+    """The census classes found the slow way: every element of GL_h(F_q)
+    applied to one seed per class, counting the stabilizer directly, so
+    that orbit-stabilizer is a check rather than a definition."""
+    candidates = _candidates(F, h, d)
+    gl = enumerate_gl(F, h)
+    assert len(gl) == gl_order(F.q, h)
+    gl_data = [(g, mat_inv(F, mat_frob(F, g)), mat_inv(F, mat_frob_inv(F, g)))
+               for g in gl]
+    candidate_set = set(candidates)
+    unvisited = set(candidates)
+    classes = []
+    while unvisited:
+        seed = min(unvisited)
+        orbit = set()
+        stab = 0
+        for g, gfi, gfi2 in gl_data:
+            image = twisted_action(F, g, seed, gfi, gfi2)
+            assert image in candidate_set
+            orbit.add(image)
+            if image == seed:
+                stab += 1
+        assert stab * len(orbit) == len(gl)
+        classes.append(CensusClass(rep=min(orbit), orbit_size=len(orbit),
+                                   aut_count=stab))
+        unvisited -= orbit
+    return tuple(sorted(classes, key=lambda c: c.rep))

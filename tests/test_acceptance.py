@@ -104,6 +104,7 @@ def test_criterion_5_census_oracle():
         (3, 2, 2, 1, Fraction(7, 4)),
         (2, 2, 2, 1, Fraction(1)),
         (2, 0, 3, 1, Fraction(1)),
+        (3, 1, 3, 1, Fraction(13, 9)),
     ]
     for h, d, p, k, expected in cases:
         with within(60.0):

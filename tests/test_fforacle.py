@@ -6,9 +6,12 @@ import pytest
 from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, crosscheck,
                      enumerate_census)
-from zipzeta.fforacle import (_candidates, enumerate_gl, gl_order,
+from zipzeta import fforacle
+from zipzeta.fforacle import (_candidates, apply_move, enumerate_gl,
+                              generator_move, gl_generators, gl_order,
                               mat_identity, mat_inv, mat_mul, mat_rank,
-                              twisted_action)
+                              primitive_element, twisted_action)
+from helpers import census_by_sweep
 
 
 def test_field_construction_errors():
@@ -99,6 +102,7 @@ def test_census_frozen_values():
         (3, 2, 2, 1, Fraction(7, 4), 294, 168),
         (2, 2, 2, 1, Fraction(1), 6, 6),
         (2, 0, 3, 1, Fraction(1), 48, 48),
+        (3, 1, 3, 1, Fraction(13, 9), 16224, 11232),
     ]
     for h, d, p, k, groupoid, cands, order in cases:
         rep = enumerate_census(FqField(p, k), h, d)
@@ -106,6 +110,68 @@ def test_census_frozen_values():
         assert rep.candidate_count == cands
         assert rep.group_order == order
         assert rep.groupoid_cardinality == Fraction(cands, order)
+
+
+@pytest.mark.parametrize("h,d,p,k,modulus", [
+    (2, 1, 2, 1, None), (2, 1, 2, 2, None), (2, 1, 3, 1, None),
+    (3, 1, 2, 1, None), (3, 2, 2, 1, None), (2, 2, 2, 1, None),
+    (2, 0, 3, 1, None), (2, 1, 2, 3, None), (2, 1, 2, 3, (1, 0, 1, 1)),
+    (2, 1, 3, 2, None), (1, 0, 3, 2, None), (1, 1, 3, 2, None),
+])
+def test_census_matches_full_group_sweep(h, d, p, k, modulus):
+    F = FqField(p, k, modulus=modulus)
+    assert enumerate_census(F, h, d).classes == census_by_sweep(F, h, d)
+
+
+@pytest.mark.parametrize("h,p,k", [
+    (1, 2, 1), (1, 2, 2), (1, 3, 2), (2, 2, 1), (2, 3, 1), (2, 2, 2),
+    (2, 2, 3), (2, 3, 2), (3, 2, 1),
+])
+def test_generators_generate_gl(h, p, k):
+    F = FqField(p, k)
+    gens = gl_generators(F, h)
+    closure = {mat_identity(F, h)}
+    frontier = list(closure)
+    while frontier:
+        reached = []
+        for x in frontier:
+            for g in gens:
+                y = mat_mul(F, x, g)
+                if y not in closure:
+                    closure.add(y)
+                    reached.append(y)
+        frontier = reached
+    assert closure == set(enumerate_gl(F, h))
+
+
+def test_primitive_element():
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (7, 1)]:
+        F = FqField(p, k)
+        z = primitive_element(F)
+        assert len({F.pow(z, n) for n in range(F.q - 1)}) == F.q - 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_generator_moves_match_twisted_action(p, k):
+    F = FqField(p, k)
+    shapes = [(h, d) for h in (1, 2) for d in range(h + 1)]
+    if F.q == 2:
+        shapes += [(3, d) for d in range(4)]
+    for h, d in shapes:
+        moves = [(g, generator_move(F, g)) for g in gl_generators(F, h)]
+        for X in _candidates(F, h, d):
+            for g, move in moves:
+                assert apply_move(F, move, X) == twisted_action(F, g, X)
+
+
+def test_gl_cache_is_bounded():
+    fields = [FqField(2), FqField(3), FqField(2, 2), FqField(5)]
+    for F in fields:
+        for h in (1, 2):
+            got = enumerate_gl(F, h)
+            assert len(fforacle._gl_cache) <= fforacle.GL_CACHE_SIZE
+            assert len(got) == gl_order(F.q, h)
+    assert len(enumerate_gl(fields[0], 1)) == 1
 
 
 def test_census_class_structure():

@@ -3,7 +3,8 @@ import pytest
 from zipzeta import (CartanMatrix, InvalidCartan, NotFiniteType, Root,
                      RootNotInSystem, build_root_system, cartan_matrix,
                      direct_sum)
-from helpers import G2_CARTAN, system
+from zipzeta import rootsystem
+from helpers import F4_CARTAN, G2_CARTAN, e_cartan, system
 
 
 def test_rejects_non_square():
@@ -39,6 +40,34 @@ def test_affine_matrix_is_not_finite():
 def test_rank_one_affine_like_with_deep_edge():
     with pytest.raises(NotFiniteType):
         build_root_system([[2, -4], [-1, 2]])
+
+
+@pytest.mark.parametrize("matrix,reason", [
+    ([[2, -2], [-2, 2]], "positive definite"),
+    ([[2, -4], [-1, 2]], "positive definite"),
+    ([[2, -3], [-3, 2]], "positive definite"),
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "positive definite"),
+    ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "not symmetrizable"),
+])
+def test_non_finite_matrix_fails_before_the_closure(monkeypatch, matrix,
+                                                    reason):
+    def closure_must_not_run(*args):
+        raise AssertionError("the reflection closure ran")
+
+    monkeypatch.setattr(rootsystem, "_reflect_coords", closure_must_not_run)
+    with pytest.raises(NotFiniteType, match=reason):
+        build_root_system(matrix)
+
+
+def test_every_finite_matrix_still_builds():
+    matrices = [cartan_matrix(f, r) for f, lo in
+                (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for r in range(lo, 8)]
+    matrices += [G2_CARTAN, F4_CARTAN, direct_sum([[2]], [[2]]),
+                 direct_sum(cartan_matrix("B", 3), G2_CARTAN), []]
+    matrices += [e_cartan(r) for r in (6, 7, 8)]
+    for m in matrices:
+        build_root_system(m)
+    assert build_root_system(e_cartan(8)).n_positive == 120
 
 
 def test_cap_exceeded_reports_not_finite():

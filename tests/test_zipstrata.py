@@ -87,6 +87,17 @@ def test_large_field_degree_is_reduced_quickly():
     assert odd.tau.diagram_perm == (2, 1)
 
 
+def test_huge_field_degree_never_builds_q():
+    start = time.monotonic()
+    d = ZipDatum([[2]], [], q0=2, e=10 ** 9)
+    strata = classify(d)
+    assert time.monotonic() - start < 0.5
+    assert "q" not in vars(d)
+    assert sorted(s.length for s in strata) == [0, 1]
+    small = ZipDatum([[2]], [], q0=3, e=4)
+    assert small.q == 81 and isinstance(small.q, int)
+
+
 def test_rejects_bad_field_degree():
     for e in (0, -1, True, "2"):
         with pytest.raises(ValueError):
