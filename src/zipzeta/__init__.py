@@ -17,7 +17,7 @@ from .zipstrata import (Stratum, Twist, ZipDatum, classify, compute_twist,
                         point_count)
 from .zetafn import (QLaurent, SeriesExpansion, ZetaProduct, expand_series,
                      zeta_from_strata)
-from .btgl import BTParams, bt_datum, bt_strata, bt_zeta, kraft_count
+from .btgl import BTParams, bt_datum, bt_strata, bt_zeta
 from .fforacle import (CensusReport, CrosscheckReport, FqField, crosscheck,
                        enumerate_census)
 

@@ -17,18 +17,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NotPrime
 from .zetafn import zeta_from_strata
-from .zipstrata import ZipDatum, classify
+from .zipstrata import ZipDatum, _least_factor, classify
+
+# Level-one stacks kept by _level_one, least recently used first out.
+BT_CACHE_SIZE = 16
 
 
 def _check_prime(p):
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise NotPrime(f"{p!r} is not a prime")
-    for cand in range(2, int(math.isqrt(p)) + 1):
-        if p % cand == 0:
-            raise NotPrime(f"{p} = {cand} * {p // cand} is not a prime")
+    f = _least_factor(p)
+    if f != p:
+        raise NotPrime(f"{p} = {f} * {p // f} is not a prime")
 
 
 @dataclass(frozen=True)
@@ -50,40 +54,32 @@ class BTParams:
             raise ValueError("truncation level must be a positive integer")
 
 
-_datum_cache = {}
-_strata_cache = {}
+@lru_cache(maxsize=BT_CACHE_SIZE)
+def _level_one(h, d, p):
+    """The zip datum and the strata of the level-one stack: type A of
+    rank h-1 with the node d removed from the parabolic type."""
+    rank = h - 1
+    cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
+               for j in range(rank)] for i in range(rank)]
+    parabolic = set(range(1, rank + 1))
+    if 0 < d < h:
+        parabolic.discard(d)
+    datum = ZipDatum(cartan, parabolic, q0=p, e=1)
+    strata = classify(datum)
+    assert len(strata) == math.comb(h, d)
+    assert all(s.degree == 1 for s in strata)
+    assert max((s.length for s in strata), default=0) == d * (h - d)
+    return datum, strata
 
 
 def bt_datum(params):
-    """The zip datum of the level-one stack: type A of rank h-1 with
-    the node d removed from the parabolic type."""
-    key = (params.h, params.d, params.p)
-    got = _datum_cache.get(key)
-    if got is None:
-        h, d = params.h, params.d
-        rank = h - 1
-        cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
-                   for j in range(rank)] for i in range(rank)]
-        parabolic = set(range(1, rank + 1))
-        if 0 < d < h:
-            parabolic.discard(d)
-        got = ZipDatum(cartan, parabolic, q0=params.p, e=1)
-        _datum_cache[key] = got
-    return got
+    """The zip datum of the level-one stack."""
+    return _level_one(params.h, params.d, params.p)[0]
 
 
 def bt_strata(params):
     """Strata of the level-one stack; level independent."""
-    key = (params.h, params.d, params.p)
-    got = _strata_cache.get(key)
-    if got is None:
-        got = classify(bt_datum(params))
-        assert len(got) == math.comb(params.h, params.d)
-        assert all(s.degree == 1 for s in got)
-        assert max((s.length for s in got), default=0) == \
-            params.d * (params.h - params.d)
-        _strata_cache[key] = got
-    return got
+    return _level_one(params.h, params.d, params.p)[1]
 
 
 def bt_zeta(params):
@@ -91,11 +87,3 @@ def bt_zeta(params):
     (h, d, p) alone, one factor 1/(1 - p^-a t) per stratum."""
     return zeta_from_strata(bt_strata(params))
 
-
-def kraft_count(h, d):
-    """Number of level-one classes: the enumerated minimal set must
-    have exactly C(h, d) elements."""
-    params = BTParams(h, d, 2)
-    count = len(bt_strata(params))
-    assert count == math.comb(h, d)
-    return count

@@ -25,6 +25,11 @@ from .zipstrata import ZipDatum, classify, compute_twist, point_count
 ZIP_KEYS = {"schema", "cartan", "I", "omega", "phi0", "q0", "e", "theta"}
 BT_KEYS = {"schema", "h", "d", "p", "n"}
 
+# Largest accepted --series order and --v degree.  Series cost grows about
+# cubically: BT(6,3) to order 20 takes 2 s symbolic, to 100 1 s numeric.
+MAX_SERIES_ORDER = 100
+MAX_COUNT_DEGREE = 100
+
 
 def _load_json(path):
     try:
@@ -158,6 +163,13 @@ def _strata_rows(datum, strata):
     } for s in strata]
 
 
+def _check_range(flag, value, low, high):
+    """ParseError unless value is None or lies in low..high."""
+    if value is not None and not low <= value <= high:
+        raise ParseError(
+            f"--{flag} must lie between {low} and {high}, got {value}")
+
+
 def _require_zip(parsed):
     if not isinstance(parsed, ZipDatum):
         raise ParseError("config: this command needs a stratification "
@@ -178,6 +190,7 @@ def _cmd_strata(args):
     ext = datum.ext
     tables = datum.tables
     I = sorted(datum.parabolic_type)
+    length = {b: s.length for s in strata for b in s.elements}
     minimal = []
     for a in ext.min_reps(I):
         dec = ext.canonical_decomposition(a, I, twist.J)
@@ -187,7 +200,7 @@ def _cmd_strata(args):
             "conjugated_word": _word_json(tables, dec.wpp),
             "double_min_word": _word_json(tables, dec.y),
             "parabolic_word": _word_json(tables, dec.w_J),
-            "length": ext.extended_length(a, I, twist.J),
+            "length": length[a],
         })
     return {
         "schema": 1,
@@ -222,6 +235,7 @@ def _zeta_doc(kind, strata, q, series_order, extra):
 
 
 def _cmd_zeta(args):
+    _check_range("series", args.series, 0, MAX_SERIES_ORDER)
     datum = _require_zip(parse_config(args.config))
     strata = classify(datum)
     return _zeta_doc("zeta", strata, args.q, args.series,
@@ -229,6 +243,7 @@ def _cmd_zeta(args):
 
 
 def _cmd_count(args):
+    _check_range("v", args.v, 1, MAX_COUNT_DEGREE)
     datum = _require_zip(parse_config(args.config))
     strata = classify(datum)
     values = [{"v": v, "count": _coeff_json(point_count(strata, v, args.q))}
@@ -255,6 +270,7 @@ def _bt_params(args):
 
 
 def _cmd_bt(args):
+    _check_range("series", args.series, 0, MAX_SERIES_ORDER)
     params = _bt_params(args)
     strata = bt_strata(params)
     extra = {

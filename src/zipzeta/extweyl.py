@@ -23,6 +23,7 @@ On elements of the plain Weyl group this restricts to the usual length.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (InvalidFrobenius, InvalidOmegaTable, MixedGroups,
@@ -47,6 +48,35 @@ def _invert_signed(action):
 
 def _identity_signed(rank):
     return tuple(range(1, rank + 1))
+
+
+def _preserves_pairing(cartan, action):
+    """True when the signed permutation of the simple indices preserves
+    the Cartan pairing; an unsigned one is the case with no signs."""
+    c = cartan.entries
+    return all(
+        (-1 if (si < 0) != (sj < 0) else 1) * c[abs(si) - 1][abs(sj) - 1]
+        == c[i][j]
+        for i, si in enumerate(action) for j, sj in enumerate(action))
+
+
+def _root_perm(rs, action):
+    """The permutation of root ordinals induced by a pairing-preserving
+    signed permutation of the simple roots."""
+    perm = []
+    for r in rs.roots:
+        coords = [0] * rs.rank
+        for c, s in zip(r.coords, action):
+            coords[abs(s) - 1] = -c if s < 0 else c
+        perm.append(rs.ordinal(type(r)(tuple(coords))))
+    return tuple(perm)
+
+
+def _conjugate(tables, rp, rpinv, w):
+    """rp * w * rp^{-1} for root permutations rp and rpinv = rp^{-1},
+    as the table's copy."""
+    wp = w.perm
+    return tables._intern(tuple([rp[wp[b]] for b in rpinv]))
 
 
 class OmegaGroup:
@@ -107,15 +137,10 @@ class OmegaGroup:
                 raise InvalidOmegaTable(
                     f"action of element {labels[k]!r} is not a signed "
                     "permutation of the simple indices")
-            c = rs.cartan
-            for i in range(1, rank + 1):
-                for j in range(1, rank + 1):
-                    si, sj = act[i - 1], act[j - 1]
-                    sign = (-1 if si < 0 else 1) * (-1 if sj < 0 else 1)
-                    if sign * c.entry(abs(si), abs(sj)) != c.entry(i, j):
-                        raise InvalidOmegaTable(
-                            f"action of element {labels[k]!r} does not "
-                            "preserve the Cartan pairing")
+            if not _preserves_pairing(rs.cartan, act):
+                raise InvalidOmegaTable(
+                    f"action of element {labels[k]!r} does not "
+                    "preserve the Cartan pairing")
         for a in range(n):
             for b in range(n):
                 if _compose_signed(acts[a], acts[b]) != acts[rows[a][b]]:
@@ -130,19 +155,7 @@ class OmegaGroup:
         self.identity_index = identity
         self._inverse = tuple(inverse)
         self._index = {lab: k for k, lab in enumerate(labels)}
-        self._root_perms = [self._build_root_perm(a) for a in acts]
-
-    def _build_root_perm(self, act):
-        rs = self.rs
-        perm = []
-        for r in rs.roots:
-            coords = [0] * rs.rank
-            for i, c in enumerate(r.coords, start=1):
-                s = act[i - 1]
-                coords[abs(s) - 1] = -c if s < 0 else c
-            image = type(r)(tuple(coords))
-            perm.append(rs.ordinal(image))
-        return tuple(perm)
+        self._root_perms = [_root_perm(rs, a) for a in acts]
 
     def __len__(self):
         return len(self.labels)
@@ -259,10 +272,8 @@ class ExtWeylGroup:
 
     def twist_weyl(self, k, w):
         """Conjugate omega_k * w * omega_k^{-1} of a Weyl element."""
-        rp = self.omega.root_perm(k)
-        rpinv = self.omega.root_perm(self.omega.inverse(k))
-        perm = tuple(rp[w.perm[rpinv[a]]] for a in range(len(w.perm)))
-        return self.tables._intern(perm)
+        return _conjugate(self.tables, self.omega.root_perm(k),
+                          self.omega.root_perm(self.omega.inverse(k)), w)
 
     def multiply(self, a, b):
         if a.group is not self or b.group is not self:
@@ -273,16 +284,6 @@ class ExtWeylGroup:
     def inverse(self, a):
         k = self.omega.inverse(a.omega)
         return self.element(self.twist_weyl(k, a.w.inverse()), k)
-
-    def act_ordinal(self, a, ordinal):
-        return a.w.perm[self.omega.root_perm(a.omega)[ordinal]]
-
-    def act_root(self, a, root):
-        return self.rs.root(self.act_ordinal(a, self.rs.ordinal(root)))
-
-    def contains_min(self, a, I):
-        """Membership in the minimal set for the parabolic type I."""
-        return self.tables.is_min_left(a.w, I)
 
     def min_reps(self, I):
         """The minimal set, component-major: for each component in label
@@ -304,7 +305,7 @@ class ExtWeylGroup:
             raise MixedGroups("element belongs to a different extended group")
         I = frozenset(I)
         J = frozenset(J)
-        if not self.contains_min(a, I):
+        if not self.tables.is_min_left(a.w, I):
             raise NotInExtMinSet(
                 "Weyl part has a left descent in the parabolic type")
         kinv = self.omega.inverse(a.omega)
@@ -354,12 +355,9 @@ class DiagramAutomorphism:
         if sorted(dp) != list(range(1, rank + 1)):
             raise InvalidFrobenius(
                 "diagram map is not a permutation of the simple indices")
-        c = rs.cartan
-        for i in range(1, rank + 1):
-            for j in range(1, rank + 1):
-                if c.entry(dp[i - 1], dp[j - 1]) != c.entry(i, j):
-                    raise InvalidFrobenius(
-                        "diagram map does not preserve the Cartan pairing")
+        if not _preserves_pairing(rs.cartan, dp):
+            raise InvalidFrobenius(
+                "diagram map does not preserve the Cartan pairing")
         omega = ext.omega
         n = len(omega)
         op = tuple(omega_perm)
@@ -381,8 +379,6 @@ class DiagramAutomorphism:
         self.ext = ext
         self.diagram_perm = dp
         self.omega_perm = op
-        self._root_perm = None
-        self._root_perm_inv = None
 
     @classmethod
     def identity(cls, ext):
@@ -393,19 +389,13 @@ class DiagramAutomorphism:
         return (self.diagram_perm == _identity_signed(self.ext.rs.rank)
                 and self.omega_perm == tuple(range(len(self.ext.omega))))
 
-    @property
+    @cached_property
     def root_perm(self):
-        if self._root_perm is None:
-            rs = self.ext.rs
-            dp = self.diagram_perm
-            perm = []
-            for r in rs.roots:
-                coords = [0] * rs.rank
-                for i, v in enumerate(r.coords, start=1):
-                    coords[dp[i - 1] - 1] = v
-                perm.append(rs.ordinal(type(r)(tuple(coords))))
-            self._root_perm = tuple(perm)
-        return self._root_perm
+        return _root_perm(self.ext.rs, self.diagram_perm)
+
+    @cached_property
+    def _root_perm_inv(self):
+        return _root_perm(self.ext.rs, _invert_signed(self.diagram_perm))
 
     def compose(self, other):
         """self after other."""
@@ -427,22 +417,16 @@ class DiagramAutomorphism:
         return out
 
     def inverse(self):
+        op = self.omega_perm
         return DiagramAutomorphism(self.ext, _invert_signed(self.diagram_perm),
-                                   _invert_signed_perm0(self.omega_perm))
+                                   tuple(map(op.index, range(len(op)))))
 
     def apply_subset(self, I):
         return frozenset(self.diagram_perm[i - 1] for i in I)
 
     def apply_weyl(self, w):
-        rp = self.root_perm
-        if self._root_perm_inv is None:
-            inv = [0] * len(rp)
-            for a, b in enumerate(rp):
-                inv[b] = a
-            self._root_perm_inv = tuple(inv)
-        rpinv = self._root_perm_inv
-        perm = tuple(rp[w.perm[rpinv[a]]] for a in range(len(w.perm)))
-        return self.ext.tables._intern(perm)
+        return _conjugate(self.ext.tables, self.root_perm,
+                          self._root_perm_inv, w)
 
     def apply_omega(self, k):
         return self.omega_perm[k]
@@ -450,9 +434,3 @@ class DiagramAutomorphism:
     def apply_ext(self, a):
         return self.ext.element(self.apply_weyl(a.w), self.omega_perm[a.omega])
 
-
-def _invert_signed_perm0(perm):
-    out = [0] * len(perm)
-    for i, v in enumerate(perm):
-        out[v] = i
-    return tuple(out)

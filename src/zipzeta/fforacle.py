@@ -30,21 +30,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (FieldTooLarge, MismatchDetected, NotPrime,
-                     SearchSpaceTooLarge)
+from .errors import FieldTooLarge, MismatchDetected, SearchSpaceTooLarge
 
 DEFAULT_SIZE_BOUND = 64
 DEFAULT_SEARCH_BOUND = 2 ** 24
-
-
-def _check_prime(p):
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise NotPrime(f"{p!r} is not a prime")
-    for cand in range(2, p):
-        if cand * cand > p:
-            break
-        if p % cand == 0:
-            raise NotPrime(f"{p} = {cand} * {p // cand} is not a prime")
 
 
 def _poly_trim(f):
@@ -100,12 +89,14 @@ class FqField:
     overridden to check that nothing depends on the choice.
     """
 
-    def __init__(self, p, k=1, modulus=None, size_bound=DEFAULT_SIZE_BOUND):
+    def __init__(self, p, k=1, modulus=None):
+        from .btgl import _check_prime
         _check_prime(p)
         if not isinstance(k, int) or k < 1:
             raise ValueError("degree must be a positive integer")
-        if p ** k > size_bound:
-            raise FieldTooLarge(f"{p}^{k} exceeds the bound {size_bound}")
+        if p ** k > DEFAULT_SIZE_BOUND:
+            raise FieldTooLarge(
+                f"{p}^{k} exceeds the bound {DEFAULT_SIZE_BOUND}")
         self.p = p
         self.k = k
         self.q = p ** k
@@ -568,9 +559,7 @@ class CrosscheckReport:
     census: CensusReport
 
 
-def crosscheck(params, k=1, *, strict=True,
-               search_bound=DEFAULT_SEARCH_BOUND,
-               size_bound=DEFAULT_SIZE_BOUND):
+def crosscheck(params, k=1, *, strict=True):
     """Compare the census against the stratification's prediction.
 
     The prediction for degree k is the groupoid count: over each
@@ -580,9 +569,8 @@ def crosscheck(params, k=1, *, strict=True,
     from .btgl import bt_strata
     from .zipstrata import point_count
 
-    field = FqField(params.p, k, size_bound=size_bound)
-    census = enumerate_census(field, params.h, params.d,
-                              search_bound=search_bound)
+    field = FqField(params.p, k)
+    census = enumerate_census(field, params.h, params.d)
     predicted = point_count(bt_strata(params), k, q=params.p)
     observed = census.groupoid_cardinality
     ok = predicted == observed

@@ -191,9 +191,6 @@ class RootSystem:
     def root(self, k):
         return self.roots[k]
 
-    def contains(self, root):
-        return root in self._ordinal
-
     def is_positive_ordinal(self, k):
         return k < self.n_positive
 

@@ -80,9 +80,6 @@ class WeylElement:
         w._length = self._length
         return w
 
-    def act_ordinal(self, k):
-        return self.perm[k]
-
     def act(self, root):
         return self.rs.root(self.perm[self.rs.ordinal(root)])
 
@@ -160,7 +157,6 @@ class CosetTables:
                          for i in range(1, rs.rank + 1)}
         self._words = {_identity_perm(rs): ()}
         self._min_left = {}
-        self._min_right = {}
         self._min_double = {}
         self._longest = None
 
@@ -192,9 +188,6 @@ class CosetTables:
 
     def __iter__(self):
         return iter(self._enumerated())
-
-    def __contains__(self, w):
-        return isinstance(w, WeylElement) and w.rs is self.rs
 
     @property
     def identity(self):
@@ -310,15 +303,6 @@ class CosetTables:
                                 above[prod] = self._intern(prod)
                 level = list(above.values())
             self._min_left[key] = got
-        return got
-
-    def min_right(self, J):
-        key = frozenset(J)
-        got = self._min_right.get(key)
-        if got is None:
-            got = [w for w in self._enumerated()
-                   if self.is_min_right(w, key)]
-            self._min_right[key] = got
         return got
 
     def min_double(self, I, J):

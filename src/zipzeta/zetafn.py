@@ -19,6 +19,7 @@ used throughout this package.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,14 +149,6 @@ class ZetaProduct:
                 clean[(a, f)] = clean.get((a, f), 0) + mult
         self.factors = clean
 
-    @classmethod
-    def from_strata(cls, strata):
-        factors = {}
-        for s in strata:
-            key = (s.aut_dim, s.degree)
-            factors[key] = factors.get(key, 0) + 1
-        return cls(factors)
-
     def factor_items(self):
         return sorted(self.factors.items())
 
@@ -185,9 +178,7 @@ class ZetaProduct:
                 k += 1
             out = [zero] * (order + 1)
             for i, ci in enumerate(series):
-                if isinstance(ci, Fraction) and not ci:
-                    continue
-                if isinstance(ci, QLaurent) and ci.is_zero():
+                if not ci:
                     continue
                 for j in range(0, order + 1 - i):
                     cj = factor[j]
@@ -248,8 +239,9 @@ class ZetaProduct:
 
 
 def zeta_from_strata(strata):
-    """The zeta function of a stratification, as a factored product."""
-    return ZetaProduct.from_strata(strata)
+    """The zeta function of a stratification, as a factored product:
+    one factor per stratum, keyed by (aut_dim, degree)."""
+    return ZetaProduct(Counter((s.aut_dim, s.degree) for s in strata))
 
 
 @dataclass(frozen=True)
@@ -264,7 +256,9 @@ class SeriesExpansion:
 def expand_series(zeta, order, q=None):
     """Expand to the given order, computing the product form and the
     exponential point-count form independently and insisting they
-    agree."""
+    agree.  Raises ValueError on a negative order."""
+    if order < 0:
+        raise ValueError(f"series order {order} is negative")
     by_product = zeta.series_product(order, q)
     by_exp = zeta.series_exp(order, q)
     assert by_product == by_exp, "series routes disagree"

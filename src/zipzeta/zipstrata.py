@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
@@ -29,19 +28,24 @@ from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
                      ThetaActionLeaks, ThetaDoesNotPreserveI,
                      ThetaNotSubgroup)
 from .extweyl import DiagramAutomorphism, ExtWeylGroup, OmegaGroup
-from .rootsystem import CartanMatrix, DEFAULT_ROOT_CAP, build_root_system
+from .rootsystem import CartanMatrix, build_root_system
 from .weyl import DEFAULT_GROUP_CAP, CosetTables
-from .zetafn import QLaurent
+from .zetafn import zeta_from_strata
+
+
+def _least_factor(n):
+    """The least prime factor of an integer n >= 2, by trial division up
+    to isqrt(n); n itself when n is prime."""
+    for cand in range(2, math.isqrt(n) + 1):
+        if n % cand == 0:
+            return cand
+    return n
 
 
 def _prime_power(q0):
     if not isinstance(q0, int) or isinstance(q0, bool) or q0 < 2:
         raise BadPrimePower(f"{q0!r} is not a prime power")
-    p = q0
-    for cand in range(2, math.isqrt(q0) + 1):
-        if q0 % cand == 0:
-            p = cand
-            break
+    p = _least_factor(q0)
     m = 0
     x = q0
     while x % p == 0:
@@ -61,8 +65,7 @@ class ZipDatum:
     """
 
     def __init__(self, cartan, parabolic_type, *, omega=None, phi0=None,
-                 q0=2, e=1, theta=None, root_cap=DEFAULT_ROOT_CAP,
-                 group_cap=DEFAULT_GROUP_CAP):
+                 q0=2, e=1, theta=None, group_cap=DEFAULT_GROUP_CAP):
         self.p, self.m = _prime_power(q0)
         self.q0 = q0
         if not isinstance(e, int) or isinstance(e, bool) or e < 1:
@@ -71,7 +74,7 @@ class ZipDatum:
 
         if not isinstance(cartan, CartanMatrix):
             cartan = CartanMatrix(cartan)
-        self.rs = build_root_system(cartan, cap=root_cap)
+        self.rs = build_root_system(cartan)
         self.tables = CosetTables(self.rs)
 
         if omega is None:
@@ -347,19 +350,10 @@ def classify(datum):
 
 def point_count(strata, v, q=None):
     """Groupoid cardinality over the degree-v field: each stratum whose
-    degree divides v contributes degree * q^(-aut_dim * v).
+    degree divides v contributes degree * q^(-aut_dim * v): the N_v of
+    their zeta function.
 
     Symbolic in q when q is None (a Laurent polynomial); an exact
     rational when q is an integer.
     """
-    if q is None:
-        total = QLaurent.zero()
-        for s in strata:
-            if v % s.degree == 0:
-                total = total + QLaurent.term(-s.aut_dim * v, s.degree)
-        return total
-    total = Fraction(0)
-    for s in strata:
-        if v % s.degree == 0:
-            total += Fraction(s.degree, 1) / Fraction(q) ** (s.aut_dim * v)
-    return total
+    return zeta_from_strata(strata).n_value(v, q)

@@ -3,8 +3,7 @@ from collections import Counter
 
 import pytest
 
-from zipzeta import (BTParams, NotPrime, bt_datum, bt_strata, bt_zeta,
-                     kraft_count)
+from zipzeta import BTParams, NotPrime, bt_datum, bt_strata, bt_zeta
 
 
 def gaussian_binomial(h, d):
@@ -87,10 +86,8 @@ def test_datum_shape():
 
 
 def test_kraft_count():
-    assert kraft_count(1, 0) == 1
-    assert kraft_count(4, 2) == 6
-    assert kraft_count(5, 2) == 10
-    assert kraft_count(6, 3) == 20
+    for h, d in ((1, 0), (4, 2), (5, 2), (6, 3)):
+        assert len(bt_strata(BTParams(h, d, 2))) == math.comb(h, d)
 
 
 def test_lengths_follow_gaussian_binomial():

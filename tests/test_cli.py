@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from zipzeta import ZetaProduct, ZipDatum, classify, zeta_from_strata
-from zipzeta.cli import main
+from zipzeta.cli import MAX_COUNT_DEGREE, MAX_SERIES_ORDER, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 O4 = str(CONFIGS / "o4.json")
@@ -137,6 +137,39 @@ def test_parse_failures_exit_2(tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith("error:")
         assert out == ""
+
+
+def _no_classification(*args, **kwargs):
+    raise AssertionError("classification ran")
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", O4, "--series", "-1"],
+    ["zeta", O4, "--q", "2", "--series", str(MAX_SERIES_ORDER + 1)],
+    ["bt", "--h", "2", "--d", "1", "--p", "2", "--series", "-2"],
+    ["bt", BT212, "--series", str(MAX_SERIES_ORDER + 1)],
+    ["count", O4, "--v", "0"],
+    ["count", O4, "--v", "-2"],
+    ["count", O4, "--v", str(MAX_COUNT_DEGREE + 1)],
+])
+def test_out_of_range_series_and_degree_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr("zipzeta.cli.classify", _no_classification)
+    monkeypatch.setattr("zipzeta.cli.bt_strata", _no_classification)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    flag = argv[-2]
+    assert err.startswith(f"error: {flag} must lie between ")
+
+
+def test_series_and_degree_caps_are_admitted(capsys):
+    doc = run_json(capsys, ["bt", "--h", "2", "--d", "1", "--p", "2",
+                            "--series", str(MAX_SERIES_ORDER)])
+    assert len(doc["series"]) == MAX_SERIES_ORDER + 1
+    doc = run_json(capsys, ["zeta", O4, "--series", "0"])
+    assert doc["series"] == [{"0": "1"}]
+    doc = run_json(capsys, ["count", O4, "--v", str(MAX_COUNT_DEGREE)])
+    assert [r["v"] for r in doc["values"]] == \
+        list(range(1, MAX_COUNT_DEGREE + 1))
 
 
 def test_validation_failure_exit_2(tmp_path, capsys):

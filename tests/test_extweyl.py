@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from zipzeta import (DiagramAutomorphism, ExtWeylGroup, InvalidFrobenius,
-                     InvalidOmegaTable, MixedGroups, NotInExtMinSet,
-                     OmegaGroup)
-from helpers import (flip_ext, minus_one_ext, subsets, swap_ext, tables,
-                     trivial_ext)
+from zipzeta import (CosetTables, DiagramAutomorphism, ExtWeylGroup,
+                     InvalidFrobenius, InvalidOmegaTable, MixedGroups,
+                     NotInExtMinSet, OmegaGroup)
+from helpers import (flip_ext, minus_one_ext, subsets, swap_ext, system,
+                     tables, trivial_ext)
 
 
 def test_swap_group_acts_on_roots():
@@ -281,3 +282,51 @@ def test_diagram_automorphism_algebra():
     image = flip.apply_ext(a)
     assert image.w == ext.tables.simple_reflection(2)
     assert image.omega == a.omega
+
+
+def cyclic_ext(family, rank, powers):
+    """Component group Z/n acting through the listed diagram actions,
+    powers[j] being the action of the generator's j-th power.  Uses
+    on-demand tables, so no group is enumerated."""
+    t = CosetTables(system(family, rank))
+    n = len(powers)
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    omega = OmegaGroup(t.rs, [str(j) for j in range(n)], table, powers)
+    return ExtWeylGroup(t, omega)
+
+
+CONJUGATION_CASES = {
+    "A2 flip": lambda: (flip_ext(), "f"),
+    "D4 triality": lambda: (cyclic_ext("D", 4, [(1, 2, 3, 4), (3, 2, 4, 1),
+                                               (4, 2, 1, 3)]), "1"),
+    "E6 flip": lambda: (cyclic_ext("E", 6, [(1, 2, 3, 4, 5, 6),
+                                           (6, 2, 5, 4, 3, 1)]), "1"),
+    "A1xA1 swap": lambda: (swap_ext(), "sigma"),
+    "A1 minus one": lambda: (minus_one_ext(), "w"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONJUGATION_CASES))
+def test_conjugation_permutes_reflections_and_is_multiplicative(case):
+    ext, label = CONJUGATION_CASES[case]()
+    t = ext.tables
+    rank = ext.rs.rank
+    k = ext.omega.index(label)
+    action = ext.omega.action(k)
+    diagram = tuple(abs(s) for s in action)
+    gamma = DiagramAutomorphism(ext, diagram, tuple(range(len(ext.omega))))
+    maps = (gamma.apply_weyl, lambda w: ext.twist_weyl(k, w))
+    for f in maps:
+        for i in range(1, rank + 1):
+            assert f(t.simple_reflection(i)) == \
+                t.simple_reflection(diagram[i - 1])
+    rng = random.Random(sum(map(ord, case)))
+    for _ in range(20):
+        u, v = (t.from_word([rng.randint(1, rank)
+                             for _ in range(rng.randint(0, 12))])
+                for _ in range(2))
+        for f in maps:
+            assert f(u * v) == f(u) * f(v)
+        # Signs act by -1 on whole components, which is central, so the
+        # signed and the unsigned action conjugate alike.
+        assert gamma.apply_weyl(u) == ext.twist_weyl(k, u)

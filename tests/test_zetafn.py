@@ -112,6 +112,14 @@ def test_series_multiplicity_expansion():
     assert z.series_product(4, q=2) == [1, 3, 6, 10, 15]
 
 
+def test_expand_series_rejects_negative_order():
+    with pytest.raises(ValueError):
+        expand_series(o4_zeta(), -1)
+    with pytest.raises(ValueError):
+        expand_series(o4_zeta(), -2, q=2)
+    assert expand_series(o4_zeta(), 0).coefficients == (QLaurent.one(),)
+
+
 def test_point_counts():
     z = ZetaProduct({(1, 2): 1})
     assert z.n_value(1, q=2) == 0
