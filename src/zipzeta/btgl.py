@@ -30,7 +30,7 @@ BT_CACHE_SIZE = 16
 def _check_prime(p):
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise NotPrime(f"{p!r} is not a prime")
-    f = _least_factor(p)
+    f = _least_factor(p, NotPrime)
     if f != p:
         raise NotPrime(f"{p} = {f} * {p // f} is not a prime")
 

@@ -31,7 +31,6 @@ from collections import Counter
 from operator import itemgetter
 
 from .errors import GroupTooLarge, MixedGroups, NotMinimalRep
-from .rootsystem import RootSystem
 
 DEFAULT_GROUP_CAP = 100000
 

@@ -5,12 +5,14 @@ A zeta function here is a finite product of factors
     1 / (1 - (q^-a t)^f)
 
 with integer multiplicities, collected from the strata invariants
-(aut_dim a, degree f).  Everything is exact: coefficients are rational
-numbers, and the symbolic-q form is a Laurent polynomial in q with
-rational coefficients.
+(aut_dim a, degree f).  Each t^k coefficient c_k and each point count
+N_v is a polynomial in q^-1 with nonnegative integer coefficients, so one
+integer engine serves both: c_k is carried as z^(top*k) * c_k(1/z), top
+the largest aut_dim, at z = q or, for symbolic q, at a power of two whose
+digits are the coefficients (Kronecker substitution).
 
 The series expansion is computed two independent ways and compared:
-once by multiplying the factor series, and once through the point
+once by dividing by the factors in turn, and once through the point
 counts N_v = sum of degree * q^(-a*v) over factors with f dividing v,
 via exp(sum_v N_v t^v / v).  The t^v / v weighting is the normalization
 used throughout this package.
@@ -33,13 +35,8 @@ class QLaurent:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    clean[int(exp)] = c
-        self.coeffs = clean
+        coeffs = {int(e): Fraction(c) for e, c in (coeffs or {}).items()}
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     @classmethod
     def zero(cls):
@@ -122,22 +119,20 @@ class QLaurent:
         return f"QLaurent({self.to_str()})"
 
 
-def _ring_constants(q):
-    if q is None:
-        return QLaurent.zero(), QLaurent.one()
-    return Fraction(0), Fraction(1)
-
-
-def _q_power(q, exp):
-    """q**exp in the active ring, exp any integer."""
-    if q is None:
-        return QLaurent.term(exp)
-    return Fraction(q) ** exp
+def _decode(code, shift, q, z):
+    """code / z^shift: a Fraction for numeric q; for symbolic q, the
+    QLaurent whose q^(i - shift) coefficient is base-z digit i of code."""
+    if q is not None:
+        return Fraction(code, q ** shift)
+    bits = z.bit_length() - 1
+    return QLaurent({i - shift: (code >> bits * i) & (z - 1)
+                     for i in range(code.bit_length() // bits + 1)})
 
 
 class ZetaProduct:
-    """Finite product of factors 1/(1 - (q^-a t)^f) with
-    multiplicities, keyed by (a, f)."""
+    """Finite product of factors 1/(1 - (q^-a t)^f) with multiplicities,
+    keyed by (a, f).  Point counts and series take q = None (symbolic)
+    or an int; any other q raises ValueError."""
 
     def __init__(self, factors):
         clean = {}
@@ -155,49 +150,53 @@ class ZetaProduct:
     def __eq__(self, other):
         return isinstance(other, ZetaProduct) and self.factors == other.factors
 
+    def _encoding(self, order, q):
+        """(top, z): the largest aut_dim and the radix for t^0..t^order.
+        Symbolic z is a power of two above bound: at q = 1, c_k <=
+        comb(k + M - 1, k) and N_v <= v M (M = sum of multiplicities)."""
+        top = max((a for a, _ in self.factors), default=0)
+        if q is None:
+            bound = order * math.comb(order + sum(self.factors.values()), order)
+            return top, 1 << bound.bit_length() + 1
+        if not isinstance(q, int):
+            raise ValueError(f"numeric q must be an int, got {q!r}")
+        return top, q
+
+    def _n_code(self, v, top, z):
+        return sum(mult * f * z ** ((top - a) * v)
+                   for (a, f), mult in self.factor_items() if v % f == 0)
+
     def n_value(self, v, q=None):
         """Point count N_v: sum of f * q^(-a*v) over factors whose f
-        divides v, with multiplicity."""
-        zero, _ = _ring_constants(q)
-        total = zero
-        for (a, f), mult in self.factor_items():
-            if v % f == 0:
-                total = total + mult * f * _q_power(q, -a * v)
-        return total
+        divides v, with multiplicity; v must be at least 1."""
+        if v < 1:
+            raise ValueError(f"point count degree {v} is below 1")
+        top, z = self._encoding(v, q)
+        return _decode(self._n_code(v, top, z), top * v, q, z)
 
     def series_product(self, order, q=None):
-        """Coefficients of t^0..t^order by expanding each factor."""
-        zero, one = _ring_constants(q)
-        series = [one] + [zero] * order
+        """Coefficients of t^0..t^order, dividing 1 by each factor
+        1 - (q^-a t)^f in turn."""
+        top, z = self._encoding(order, q)
+        series = [1] + [0] * order
         for (a, f), mult in self.factor_items():
-            factor = [zero] * (order + 1)
-            k = 0
-            while f * k <= order:
-                coeff = math.comb(k + mult - 1, mult - 1)
-                factor[f * k] = coeff * _q_power(q, -a * f * k)
-                k += 1
-            out = [zero] * (order + 1)
-            for i, ci in enumerate(series):
-                if not ci:
-                    continue
-                for j in range(0, order + 1 - i):
-                    cj = factor[j]
-                    out[i + j] = out[i + j] + ci * cj
-            series = out
-        return series
+            step = z ** ((top - a) * f)
+            for _ in range(mult):
+                for n in range(f, order + 1):
+                    series[n] += step * series[n - f]
+        return [_decode(c, top * k, q, z) for k, c in enumerate(series)]
 
     def series_exp(self, order, q=None):
         """Coefficients of t^0..t^order via exp of the weighted point
         counts: the coefficient recurrence of exp(sum_v N_v t^v / v)."""
-        zero, one = _ring_constants(q)
-        nv = [zero] + [self.n_value(v, q) for v in range(1, order + 1)]
-        series = [one] + [zero] * order
+        top, z = self._encoding(order, q)
+        nv = [0] + [self._n_code(v, top, z) for v in range(1, order + 1)]
+        series = [1] + [0] * order
         for k in range(1, order + 1):
-            acc = zero
-            for j in range(1, k + 1):
-                acc = acc + nv[j] * series[k - j]
-            series[k] = acc * Fraction(1, k)
-        return series
+            acc = sum(nv[j] * series[k - j] for j in range(1, k + 1))
+            series[k], rem = divmod(acc, k)
+            assert rem == 0, f"t^{k} coefficient is not integral"
+        return [_decode(c, top * k, q, z) for k, c in enumerate(series)]
 
     def evaluate(self, q, t):
         """Exact value at numeric q and t.  Raises PoleEvaluation when a

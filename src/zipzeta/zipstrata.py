@@ -33,19 +33,28 @@ from .weyl import DEFAULT_GROUP_CAP, CosetTables
 from .zetafn import zeta_from_strata
 
 
-def _least_factor(n):
+# Trial division stops at isqrt(FACTOR_LIMIT), about 10^6 divisions: an
+# integer above the limit with no factor that small is refused.
+FACTOR_LIMIT = 10 ** 12
+
+
+def _least_factor(n, error):
     """The least prime factor of an integer n >= 2, by trial division up
-    to isqrt(n); n itself when n is prime."""
-    for cand in range(2, math.isqrt(n) + 1):
+    to isqrt(n); n itself when n is prime.  Raises error when n exceeds
+    FACTOR_LIMIT and has no factor up to isqrt(FACTOR_LIMIT)."""
+    for cand in range(2, math.isqrt(min(n, FACTOR_LIMIT)) + 1):
         if n % cand == 0:
             return cand
+    if n > FACTOR_LIMIT:
+        raise error(f"{n} exceeds the trial-division limit {FACTOR_LIMIT} "
+                    f"and has no factor up to {math.isqrt(FACTOR_LIMIT)}")
     return n
 
 
 def _prime_power(q0):
     if not isinstance(q0, int) or isinstance(q0, bool) or q0 < 2:
         raise BadPrimePower(f"{q0!r} is not a prime power")
-    p = _least_factor(q0)
+    p = _least_factor(q0, BadPrimePower)
     m = 0
     x = q0
     while x % p == 0:

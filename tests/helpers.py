@@ -1,9 +1,11 @@
 """Shared builders for the test suite, cached so repeated tests do not
 re-enumerate the same groups."""
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 
-from zipzeta import (OmegaGroup, ExtWeylGroup, build_root_system,
+from zipzeta import (OmegaGroup, ExtWeylGroup, QLaurent, build_root_system,
                      cartan_matrix, direct_sum, enumerate_group)
 from zipzeta.fforacle import (CensusClass, _candidates, enumerate_gl,
                               gl_order, mat_frob, mat_frob_inv, mat_inv,
@@ -106,3 +108,39 @@ def census_by_sweep(F, h, d):
                                    aut_count=stab))
         unvisited -= orbit
     return tuple(sorted(classes, key=lambda c: c.rep))
+
+
+def reference_series(zeta, order, q=None):
+    """Coefficients of t^0..t^order by the binomial expansion of each
+    factor, multiplied out in Fraction arithmetic for numeric q and in
+    QLaurent arithmetic for symbolic q.  It shares no code with the
+    integer engine of ZetaProduct, which the tests compare against it."""
+    if q is None:
+        zero, one, q_power = QLaurent.zero(), QLaurent.one(), QLaurent.term
+    else:
+        zero, one = Fraction(0), Fraction(1)
+
+        def q_power(exp):
+            return Fraction(q) ** exp
+    series = [one] + [zero] * order
+    for (a, f), mult in zeta.factor_items():
+        factor = [zero] * (order + 1)
+        for k in range(order // f + 1):
+            coeff = math.comb(k + mult - 1, mult - 1)
+            factor[f * k] = coeff * q_power(-a * f * k)
+        out = [zero] * (order + 1)
+        for i, ci in enumerate(series):
+            for j in range(order + 1 - i):
+                out[i + j] = out[i + j] + ci * factor[j]
+        series = out
+    return series
+
+
+def reference_point_counts(series):
+    """N_1..N_order (index 0 unused) recovered from series coefficients
+    by the log-derivative identity k c_k = sum_j N_j c_(k-j)."""
+    nv = [None]
+    for k in range(1, len(series)):
+        rest = sum((nv[j] * series[k - j] for j in range(1, k)), 0 * series[0])
+        nv.append(k * series[k] - rest)
+    return nv

@@ -6,6 +6,7 @@ import pytest
 
 from zipzeta import ZetaProduct, ZipDatum, classify, zeta_from_strata
 from zipzeta.cli import MAX_COUNT_DEGREE, MAX_SERIES_ORDER, main
+from zipzeta.zipstrata import FACTOR_LIMIT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 O4 = str(CONFIGS / "o4.json")
@@ -97,6 +98,15 @@ def test_bt_cap_bounds_the_strata_count(capsys):
     assert len(doc["strata"]) == 252
 
 
+def test_huge_characteristic_is_refused_quickly(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, ["bt", "--h", "2", "--d", "1",
+                                  "--p", str(10 ** 18 + 3)])
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert str(FACTOR_LIMIT) in err
+
+
 def test_oracle_command(capsys):
     doc = run_json(capsys, ["oracle", "--h", "2", "--d", "1", "--p", "2"])
     assert doc["ok"] is True
@@ -139,8 +149,8 @@ def test_parse_failures_exit_2(tmp_path, capsys):
         assert out == ""
 
 
-def _no_classification(*args, **kwargs):
-    raise AssertionError("classification ran")
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the range check")
 
 
 @pytest.mark.parametrize("argv", [
@@ -151,14 +161,20 @@ def _no_classification(*args, **kwargs):
     ["count", O4, "--v", "0"],
     ["count", O4, "--v", "-2"],
     ["count", O4, "--v", str(MAX_COUNT_DEGREE + 1)],
+    ["zeta", O4, "--series", "1", "--q", "0"],
+    ["count", O4, "--v", "1", "--q", "1"],
+    ["zeta", O4, "--q", "-3"],
 ])
 def test_out_of_range_series_and_degree_exit_2(argv, monkeypatch, capsys):
-    monkeypatch.setattr("zipzeta.cli.classify", _no_classification)
-    monkeypatch.setattr("zipzeta.cli.bt_strata", _no_classification)
+    monkeypatch.setattr("zipzeta.cli.parse_config", _no_work)
+    monkeypatch.setattr("zipzeta.cli.classify", _no_work)
+    monkeypatch.setattr("zipzeta.cli.bt_strata", _no_work)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    flag = argv[-2]
-    assert err.startswith(f"error: {flag} must lie between ")
+    flag, value = argv[-2:]
+    bound = "be at least 2" if flag == "--q" else "lie between "
+    assert err.startswith(f"error: {flag} must {bound}")
+    assert err.endswith(f"got {value}\n")
 
 
 def test_series_and_degree_caps_are_admitted(capsys):

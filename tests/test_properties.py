@@ -1,11 +1,12 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zipzeta import QLaurent, ZetaProduct, ZipDatum, classify
 from zipzeta.fforacle import (FqField, _candidates, _verify_admissible,
                               enumerate_gl, mat_mul, twisted_action)
-from helpers import flip_ext, minus_one_ext, swap_ext, tables, trivial_ext
+from helpers import (flip_ext, minus_one_ext, reference_point_counts,
+                     reference_series, swap_ext, tables, trivial_ext)
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
            ("D", 4), ("A1xA1", 2), ("G", 2)]
@@ -79,11 +80,20 @@ def test_qlaurent_ring_axioms(a, b, c):
 
 @settings(deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(1, 4)),
-                       st.integers(1, 3), min_size=1, max_size=4),
-       st.sampled_from([None, 2, 3]))
-def test_series_routes_always_agree(factors, q):
+                       st.integers(1, 60), min_size=1, max_size=4),
+       st.sampled_from([None, 2, 3, 7]), st.integers(0, 8))
+@example({(0, 1): 60}, None, 8)
+@example({(0, 1): 60, (1, 1): 60, (3, 2): 60}, None, 8)
+def test_series_routes_always_agree(factors, q, order):
+    """Both routes and the point counts against the reference expansion:
+    the decoder and the digit width are shared by the routes, so only
+    the reference can catch a fault there."""
     z = ZetaProduct(factors)
-    assert z.series_product(6, q) == z.series_exp(6, q)
+    expected = reference_series(z, order, q)
+    assert z.series_product(order, q) == expected
+    assert z.series_exp(order, q) == expected
+    nv = reference_point_counts(expected)
+    assert [z.n_value(v, q) for v in range(1, order + 1)] == nv[1:]
 
 
 EXT_POOL = [

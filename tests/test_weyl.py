@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from zipzeta import (CosetTables, GroupTooLarge, MixedGroups, NotMinimalRep,
-                     build_root_system, cartan_matrix, enumerate_group)
+                     build_root_system, enumerate_group)
 from helpers import subsets, system, tables
 
 

@@ -1,10 +1,14 @@
+import math
+import time
 from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
-from zipzeta import (PoleEvaluation, QLaurent, ZetaProduct, ZipDatum,
-                     classify, expand_series, zeta_from_strata)
+from zipzeta import (BTParams, PoleEvaluation, QLaurent, ZetaProduct,
+                     ZipDatum, bt_zeta, classify, expand_series,
+                     zeta_from_strata)
+from zipzeta.cli import MAX_SERIES_ORDER
 
 FakeStratum = namedtuple("FakeStratum", "aut_dim degree")
 
@@ -128,6 +132,11 @@ def test_point_counts():
     assert z.n_value(2) == QLaurent.term(-2, 2)
     assert o4_zeta().n_value(1) == QLaurent({0: Fraction(2),
                                              -1: Fraction(2)})
+    for bad_degree in (0, -1):
+        with pytest.raises(ValueError):
+            z.n_value(bad_degree)
+    with pytest.raises(ValueError):
+        z.n_value(2, q=Fraction(2))
 
 
 def test_evaluate_and_poles():
@@ -146,8 +155,21 @@ def test_log_derivative_recurrence():
     z = ZetaProduct({(0, 1): 1, (1, 1): 2, (2, 2): 1})
     order = 7
     series = z.series_product(order, q=3)
-    nv = [z.n_value(v, q=3) for v in range(order + 1)]
+    nv = [None] + [z.n_value(v, q=3) for v in range(1, order + 1)]
     for k in range(1, order + 1):
         lhs = k * series[k]
         rhs = sum(nv[j] * series[k - j] for j in range(1, k + 1))
         assert lhs == rhs
+
+
+def test_symbolic_series_reaches_the_cap_quickly():
+    """BT(6,3) has 20 strata of degree one, so at q = 1 its zeta is
+    1/(1 - t)^20; its one stratum with aut_dim 9 makes q^(-9k) the
+    lowest term of c_k, with coefficient 1."""
+    zeta = bt_zeta(BTParams(6, 3, 2))
+    start = time.monotonic()
+    top = expand_series(zeta, MAX_SERIES_ORDER).coefficients[-1]
+    assert time.monotonic() - start < 10.0
+    assert sum(top.coeffs.values()) == math.comb(MAX_SERIES_ORDER + 19, 19)
+    assert min(top.coeffs) == -9 * MAX_SERIES_ORDER
+    assert top.coeffs[-9 * MAX_SERIES_ORDER] == 1

@@ -7,10 +7,10 @@ import pytest
 from zipzeta import (BadPrimePower, DiagramAutomorphism,
                      FrobeniusDoesNotFixI, FrobeniusDoesNotFixTheta,
                      GroupTooLarge, InvalidFrobenius, InvalidOmegaTable,
-                     NotFiniteType, QLaurent, ThetaActionLeaks,
+                     NotFiniteType, ThetaActionLeaks,
                      ThetaDoesNotPreserveI, ThetaNotSubgroup, ZipDatum,
                      classify, compute_twist, point_count)
-from zipzeta.zipstrata import _theta_orbits
+from zipzeta.zipstrata import FACTOR_LIMIT, _theta_orbits
 from helpers import e_cartan
 
 A1xA1 = [[2, 0], [0, 2]]
@@ -76,6 +76,15 @@ def test_large_prime_is_checked_quickly():
     assert (d.p, d.m) == (10 ** 7 + 19, 1)
     with pytest.raises(BadPrimePower):
         ZipDatum([[2]], [], q0=3 * (10 ** 7 + 19))
+
+
+def test_trial_division_is_bounded():
+    start = time.monotonic()
+    with pytest.raises(BadPrimePower, match=str(FACTOR_LIMIT)):
+        ZipDatum([[2]], [], q0=10 ** 18 + 3)
+    assert time.monotonic() - start < 2.0
+    d = ZipDatum([[2]], [], q0=2 ** 64)
+    assert (d.p, d.m) == (2, 64)
 
 
 def test_large_field_degree_is_reduced_quickly():
