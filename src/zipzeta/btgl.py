@@ -21,14 +21,14 @@ from functools import lru_cache
 
 from .errors import NotPrime
 from .zetafn import zeta_from_strata
-from .zipstrata import ZipDatum, _least_factor, classify
+from .zipstrata import ZipDatum, _is_int, _least_factor, classify
 
 # Level-one stacks kept by _level_one, least recently used first out.
 BT_CACHE_SIZE = 16
 
 
 def _check_prime(p):
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+    if not _is_int(p) or p < 2:
         raise NotPrime(f"{p!r} is not a prime")
     f = _least_factor(p, NotPrime)
     if f != p:
@@ -45,12 +45,12 @@ class BTParams:
     n: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.h, int) or self.h < 1:
+        if not _is_int(self.h) or self.h < 1:
             raise ValueError("height must be a positive integer")
-        if not isinstance(self.d, int) or not 0 <= self.d <= self.h:
+        if not _is_int(self.d) or not 0 <= self.d <= self.h:
             raise ValueError("dimension must lie between 0 and the height")
         _check_prime(self.p)
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError("truncation level must be a positive integer")
 
 

@@ -267,6 +267,9 @@ def _cmd_count(args):
 
 def _bt_params(args):
     if args.config is not None:
+        for key in ("h", "d", "p"):
+            if getattr(args, key) is not None:
+                raise ParseError(f"--{key} cannot be given with a config file")
         return _require_bt(parse_config(args.config))
     for key in ("h", "d", "p"):
         if getattr(args, key) is None:

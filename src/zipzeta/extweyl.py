@@ -181,16 +181,10 @@ class OmegaGroup:
     def root_perm(self, k):
         return self._root_perms[k]
 
-    def act_root(self, k, root):
-        return self.rs.root(self._root_perms[k][self.rs.ordinal(root)])
-
     def conjugate_subset(self, k, I):
         """Image of a set of simple indices, signs dropped."""
         act = self.actions[k]
         return frozenset(abs(act[i - 1]) for i in I)
-
-    def is_based(self, k):
-        return all(s > 0 for s in self.actions[k])
 
     @classmethod
     def trivial(cls, rs):
@@ -264,11 +258,6 @@ class ExtWeylGroup:
 
     def __len__(self):
         return len(self.tables) * len(self.omega)
-
-    def __iter__(self):
-        for k in range(len(self.omega)):
-            for w in self.tables:
-                yield ExtWeylElement(self, w, k)
 
     def twist_weyl(self, k, w):
         """Conjugate omega_k * w * omega_k^{-1} of a Weyl element."""

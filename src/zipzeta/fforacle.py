@@ -92,7 +92,7 @@ class FqField:
     def __init__(self, p, k=1, modulus=None):
         from .btgl import _check_prime
         _check_prime(p)
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValueError("degree must be a positive integer")
         if p ** k > DEFAULT_SIZE_BOUND:
             raise FieldTooLarge(
@@ -206,10 +206,6 @@ class FqField:
         return f"FqField(p={self.p}, k={self.k}, modulus={self.modulus})"
 
 
-def mat_identity(F, h):
-    return tuple(tuple(1 if i == j else 0 for j in range(h)) for i in range(h))
-
-
 def mat_mul(F, A, B):
     n = len(B)
     cols = len(B[0]) if B else 0
@@ -300,33 +296,20 @@ def mat_transpose(A):
     return tuple(tuple(row[j] for row in A) for j in range(len(A[0])))
 
 
-# Holds at most GL_CACHE_SIZE groups, evicting the oldest; a census
-# needs one (GL_h for d in {0, h}, else GL_{h-d}).
-GL_CACHE_SIZE = 4
-_gl_cache = {}
-
-
 def enumerate_gl(F, h):
     """All invertible h-by-h matrices, in integer-encoding order."""
-    key = (F.p, F.k, F.modulus, h)
-    got = _gl_cache.get(key)
-    if got is None:
-        q = F.q
-        out = []
-        for code in range(q ** (h * h)):
-            x = code
-            entries = []
-            for _ in range(h * h):
-                entries.append(x % q)
-                x //= q
-            A = tuple(tuple(entries[i * h:(i + 1) * h]) for i in range(h))
-            if mat_rank(F, A) == h:
-                out.append(A)
-        got = tuple(out)
-        while len(_gl_cache) >= GL_CACHE_SIZE:
-            del _gl_cache[next(iter(_gl_cache))]
-        _gl_cache[key] = got
-    return got
+    q = F.q
+    out = []
+    for code in range(q ** (h * h)):
+        x = code
+        entries = []
+        for _ in range(h * h):
+            entries.append(x % q)
+            x //= q
+        A = tuple(tuple(entries[i * h:(i + 1) * h]) for i in range(h))
+        if mat_rank(F, A) == h:
+            out.append(A)
+    return tuple(out)
 
 
 def gl_order(q, h):
@@ -495,9 +478,9 @@ def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
     finite, closure under the generators is the orbit.  Then
     #Aut = |GL_h| / |orbit|.
     """
-    if not isinstance(h, int) or h < 1:
+    if isinstance(h, bool) or not isinstance(h, int) or h < 1:
         raise ValueError("height must be a positive integer")
-    if not isinstance(d, int) or not 0 <= d <= h:
+    if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= h:
         raise ValueError("rank must lie between 0 and the height")
     F = field
     q = F.q

@@ -222,10 +222,6 @@ class RootSystem:
             self._subsystem_ordinals[key] = got
         return got
 
-    def subsystem(self, subset):
-        """Roots supported on the given set of simple indices."""
-        return frozenset(self.roots[k] for k in self.subsystem_ordinals(subset))
-
     def positive_outside(self, subset):
         """Ordinals of positive roots not supported on the subset.
 

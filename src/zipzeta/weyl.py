@@ -11,18 +11,15 @@ first time they are reached, so each has one shared copy; the group
 order comes from the root heights; the minimal left coset
 representatives of a parabolic type come from a search over that set
 alone, never over the whole group.  The tables memoize words, minimal
-coset representatives and the two descent-stripping decompositions:
-
-  * for w minimal in W_I w, the split w = x * w_J with x minimal in its
-    double coset and w_J inside W_J;
-  * for arbitrary w, the split w = w_I * x * w_J.
-
-Both are unique and length-additive; the code asserts this against the
+coset representatives, the longest elements of parabolic subgroups and
+one descent-stripping decomposition: for w minimal in W_I w, the split
+w = x * w_J with x minimal in its double coset and w_J inside W_J.  It
+is unique and length-additive; the code asserts this against the
 definitions on every call.
 
-enumerate_group additionally lists the whole group.  The library never
-needs that; tests use it as the reference the on-demand search is
-compared against.
+enumerate_group additionally returns the whole group as a tuple.  The
+library never needs that; tests use it as the reference the on-demand
+search is compared against.
 """
 
 from __future__ import annotations
@@ -111,15 +108,14 @@ def _degree_product(heights):
     return order
 
 
-def enumerate_group(rs, cap=DEFAULT_GROUP_CAP):
-    """CosetTables that also list the whole group, found by breadth-first
-    closure under the simple reflections and ordered by (length,
-    canonical word).
+def enumerate_group(tables, cap=DEFAULT_GROUP_CAP):
+    """Every element of the group of tables, interned there, found by
+    breadth-first closure under the simple reflections and ordered by
+    (length, canonical word).
 
     A test oracle: the library never needs all of W.  Raises
     GroupTooLarge, before any work, when |W| exceeds cap.
     """
-    tables = CosetTables(rs)
     order = len(tables)
     if order > cap:
         raise GroupTooLarge(
@@ -139,9 +135,8 @@ def enumerate_group(rs, cap=DEFAULT_GROUP_CAP):
                     next_frontier.append(u)
         frontier = next_frontier
     assert len(seen) == order
-    tables.elements = sorted(
-        seen.values(), key=lambda w: (len(tables.word(w)), tables.word(w)))
-    return tables
+    return tuple(sorted(
+        seen.values(), key=lambda w: (len(tables.word(w)), tables.word(w))))
 
 
 class CosetTables:
@@ -150,14 +145,12 @@ class CosetTables:
 
     def __init__(self, rs):
         self.rs = rs
-        self.elements = None
         self._by_perm = {}
         self._simples = {i: self._intern(rs.reflection_perm(i))
                          for i in range(1, rs.rank + 1)}
         self._words = {_identity_perm(rs): ()}
         self._min_left = {}
-        self._min_double = {}
-        self._longest = None
+        self._longest = {}
 
     def _intern(self, perm):
         """The table's one copy of the element with this permutation."""
@@ -178,15 +171,6 @@ class CosetTables:
                                  for k in rs.subsystem_ordinals(I)
                                  if k < rs.n_positive)
         return len(self) // inside
-
-    def _enumerated(self):
-        if self.elements is None:
-            raise TypeError("only tables built by enumerate_group list "
-                            "the whole group")
-        return self.elements
-
-    def __iter__(self):
-        return iter(self._enumerated())
 
     @property
     def identity(self):
@@ -228,32 +212,31 @@ class CosetTables:
             self._words[perm] = suffix
         return self._words[w.perm]
 
-    def from_word(self, word):
-        w = self.identity
-        for i in word:
-            w = w * self._simples[i]
-        return self._intern(w.perm)
-
     def canonical(self, w):
         """The table's own copy of w, so caches are shared."""
         self._check(w)
         return self._intern(w.perm)
 
-    def longest_element(self):
-        """w0, reached from the identity by climbing right ascents: one
-        step per positive root."""
-        if self._longest is None:
+    def longest_element(self, K=None):
+        """The longest element of the parabolic subgroup W_K (w0 of the
+        whole group when K is None), reached from the identity by
+        climbing right ascents among the simple reflections in K: one
+        step per positive root supported on K."""
+        K = frozenset(self._simples if K is None else K)
+        got = self._longest.get(K)
+        if got is None:
             m = self.rs.n_positive
             perm = _identity_perm(self.rs)
-            ascents = [(j - 1, s.perm) for j, s in self._simples.items()]
+            ascents = [(j - 1, self._simples[j].perm) for j in sorted(K)]
             while True:
                 step = next((sp for a, sp in ascents if perm[a] < m), None)
                 if step is None:
                     break
                 perm = tuple(perm[k] for k in step)
-            self._longest = self._intern(perm)
-            assert self._longest.length == m
-        return self._longest
+            got = self._longest[K] = self._intern(perm)
+            assert got.length == sum(
+                1 for k in self.rs.subsystem_ordinals(K) if k < m)
+        return got
 
     def is_min_left(self, w, I):
         """True when w is the shortest element of W_I * w: no left
@@ -304,15 +287,6 @@ class CosetTables:
             self._min_left[key] = got
         return got
 
-    def min_double(self, I, J):
-        key = (frozenset(I), frozenset(J))
-        got = self._min_double.get(key)
-        if got is None:
-            got = [w for w in self._enumerated()
-                   if self.is_min_left(w, key[0]) and self.is_min_right(w, key[1])]
-            self._min_double[key] = got
-        return got
-
     def in_parabolic(self, w, I):
         """Membership in the standard parabolic subgroup on I."""
         return set(self.word(w)) <= set(I)
@@ -360,26 +334,3 @@ class CosetTables:
         assert self.in_parabolic(w_J, J)
         assert self.is_min_left(w_J, self.induced_subset(x, I, J))
         return x, w_J
-
-    def decompose_double(self, w, I, J):
-        """Split w = w_I * x * w_J with x minimal in its double coset,
-        w_I in W_I, w_J in W_J, and lengths adding."""
-        self._check(w)
-        I = frozenset(I)
-        J = frozenset(J)
-        m = self.rs.n_positive
-        u = w
-        sweep = sorted(I)
-        while True:
-            inv = u.inv_perm
-            for i in sweep:
-                if inv[i - 1] >= m:
-                    u = self.canonical(self._simples[i] * u)
-                    break
-            else:
-                break
-        w_I = self.canonical(w * u.inverse())
-        x, w_J = self.decompose_left(u, I, J)
-        assert self.in_parabolic(w_I, I)
-        assert w_I.length + x.length + w_J.length == w.length
-        return w_I, x, w_J

@@ -121,12 +121,15 @@ class QLaurent:
 
 def _decode(code, shift, q, z):
     """code / z^shift: a Fraction for numeric q; for symbolic q, the
-    QLaurent whose q^(i - shift) coefficient is base-z digit i of code."""
+    QLaurent whose q^(i - shift) coefficient is base-z digit i of code,
+    sliced from one binary string so decoding is linear in its size."""
     if q is not None:
         return Fraction(code, q ** shift)
     bits = z.bit_length() - 1
-    return QLaurent({i - shift: (code >> bits * i) & (z - 1)
-                     for i in range(code.bit_length() // bits + 1)})
+    n = code.bit_length() // bits + 1
+    text = format(code, f"0{n * bits}b")
+    return QLaurent({i - shift: int(text[(n - 1 - i) * bits:(n - i) * bits], 2)
+                     for i in range(n)})
 
 
 class ZetaProduct:

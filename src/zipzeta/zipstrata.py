@@ -5,9 +5,10 @@ its diagram, a relative Frobenius (a diagram automorphism phi0 and the
 field data q0 = p^m, e, so the Galois generator is tau = phi0^e), a
 parabolic type I, and a subgroup Theta of the component group.
 
-The twist is built from the longest element: J is the conjugate of the
-Frobenius image of I, w1 the shortest element of the double coset of
-the longest element, and psi the inner twist of the Frobenius by w1.
+The twist is built from longest elements: J is the conjugate of the
+Frobenius image of I, w1 = w0 * w0,sigma(I) the shortest element of
+the double coset of the longest element w0, and psi the inner twist of
+the Frobenius by w1.
 Strata are the orbits of the minimal set under Theta (acting by
 a -> theta * a * psi(theta)^{-1}) grouped further into Galois orbits.
 Each stratum carries two invariants: aut_dim, the codimension defect
@@ -38,6 +39,11 @@ from .zetafn import zeta_from_strata
 FACTOR_LIMIT = 10 ** 12
 
 
+def _is_int(x):
+    """An int that is not a bool (JSON true and false parse as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _least_factor(n, error):
     """The least prime factor of an integer n >= 2, by trial division up
     to isqrt(n); n itself when n is prime.  Raises error when n exceeds
@@ -52,7 +58,7 @@ def _least_factor(n, error):
 
 
 def _prime_power(q0):
-    if not isinstance(q0, int) or isinstance(q0, bool) or q0 < 2:
+    if not _is_int(q0) or q0 < 2:
         raise BadPrimePower(f"{q0!r} is not a prime power")
     p = _least_factor(q0, BadPrimePower)
     m = 0
@@ -77,7 +83,7 @@ class ZipDatum:
                  q0=2, e=1, theta=None, group_cap=DEFAULT_GROUP_CAP):
         self.p, self.m = _prime_power(q0)
         self.q0 = q0
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+        if not _is_int(e) or e < 1:
             raise ValueError("e must be a positive integer")
         self.e = e
 
@@ -190,10 +196,14 @@ def compute_twist(datum):
     """Compute (J, w1, w2) for the datum.
 
     J is the set of simple indices j with alpha_j = -w0(alpha_i) for i
-    in the Frobenius image of the parabolic type; w1 is the shortest
-    element of the double coset of w0 for (J, sigma(I)); w2 is its
-    preimage under the Frobenius.  Both conjugation identities are
-    asserted.
+    in the Frobenius image sigma(I) of the parabolic type; w1 is the
+    shortest element of the double coset W_J * w0 * W_sigma(I).  Since
+    w0 conjugates W_sigma(I) onto W_J, that double coset is the single
+    coset w0 * W_sigma(I), so w1 = w0 * w0,sigma(I) with w0,sigma(I)
+    the longest element of W_sigma(I) (Pink-Wedhorn-Ziegler, "Algebraic
+    zip data", 2011).  w2 is the preimage of w1 under the Frobenius.
+    The length, two-sided minimality and both conjugation identities
+    are asserted.
     """
     rs = datum.rs
     tables = datum.tables
@@ -208,7 +218,10 @@ def compute_twist(datum):
         assert neg < rank
         J.add(neg + 1)
     J = frozenset(J)
-    _, w1, _ = tables.decompose_double(w0, J, sI)
+    w0_sI = tables.longest_element(sI)
+    w1 = tables.canonical(w0 * w0_sI)
+    assert w1.length == m - w0_sI.length
+    assert tables.is_min_left(w1, J) and tables.is_min_right(w1, sI)
     for i in sI:
         img = w1.perm[i - 1]
         assert img < rank and (img + 1) in J

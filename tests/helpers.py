@@ -1,12 +1,14 @@
 """Shared builders for the test suite, cached so repeated tests do not
-re-enumerate the same groups."""
+re-enumerate the same groups, and the whole-group and test-only helpers
+the library itself never needs."""
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from zipzeta import (OmegaGroup, ExtWeylGroup, QLaurent, build_root_system,
-                     cartan_matrix, direct_sum, enumerate_group)
+from zipzeta import (CosetTables, OmegaGroup, ExtWeylElement, ExtWeylGroup,
+                     QLaurent, build_root_system, cartan_matrix, direct_sum,
+                     enumerate_group)
 from zipzeta.fforacle import (CensusClass, _candidates, enumerate_gl,
                               gl_order, mat_frob, mat_frob_inv, mat_inv,
                               twisted_action)
@@ -39,7 +41,54 @@ def system(family, rank):
 
 @lru_cache(maxsize=None)
 def tables(family, rank):
-    return enumerate_group(system(family, rank))
+    return CosetTables(system(family, rank))
+
+
+@lru_cache(maxsize=None)
+def group(t):
+    """Every element of the Weyl group of t, interned in t, in (length,
+    word) order."""
+    return enumerate_group(t)
+
+
+def ext_elements(ext):
+    """Every element of an extended Weyl group, component-major."""
+    return [ExtWeylElement(ext, w, k)
+            for k in range(len(ext.omega)) for w in group(ext.tables)]
+
+
+def from_word(t, word):
+    """The element with this word, as the table's copy."""
+    w = t.identity
+    for i in word:
+        w = w * t.simple_reflection(i)
+    return t.canonical(w)
+
+
+def min_double(t, I, J):
+    """The elements of W minimal in their (W_I, W_J) double coset, in
+    (length, word) order."""
+    return [w for w in group(t)
+            if t.is_min_left(w, I) and t.is_min_right(w, J)]
+
+
+def act_root(omega, k, root):
+    """Image of a root under the diagram action of component k."""
+    return omega.rs.root(omega.root_perm(k)[omega.rs.ordinal(root)])
+
+
+def is_based(omega, k):
+    """True when component k acts without signs, so it fixes the base."""
+    return all(s > 0 for s in omega.action(k))
+
+
+def subsystem(rs, subset):
+    """Roots supported on the given set of simple indices."""
+    return frozenset(rs.roots[k] for k in rs.subsystem_ordinals(subset))
+
+
+def mat_identity(h):
+    return tuple(tuple(1 if i == j else 0 for j in range(h)) for i in range(h))
 
 
 @lru_cache(maxsize=None)

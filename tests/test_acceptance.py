@@ -15,7 +15,8 @@ from zipzeta import (BTParams, DiagramAutomorphism, bt_strata, bt_zeta,
                      classify, compute_twist, crosscheck, expand_series,
                      zeta_from_strata)
 from zipzeta.cli import parse_config
-from helpers import flip_ext, minus_one_ext, subsets, swap_ext, tables
+from helpers import (flip_ext, group, min_double, minus_one_ext, subsets,
+                     swap_ext, tables)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,7 +147,7 @@ def test_criterion_7_property_suite():
                           if rng.random() < 0.5)
             J = frozenset(i for i in range(1, rank + 1)
                           if rng.random() < 0.5)
-            inside = sum(1 for w in t if t.in_parabolic(w, I))
+            inside = sum(1 for w in group(t) if t.in_parabolic(w, I))
             reps = t.min_left(I)
             assert len(reps) * inside == len(t)
             flag_dim = len(t.rs.positive_outside(I))
@@ -169,8 +170,8 @@ def test_criterion_7_property_suite():
                     for k in range(len(ext.omega)):
                         kinv = ext.omega.inverse(k)
                         Ipp = ext.omega.conjugate_subset(kinv, I)
-                        for y in t.min_double(Ipp, J):
-                            for wj in t:
+                        for y in min_double(t, Ipp, J):
+                            for wj in group(t):
                                 if not t.in_parabolic(wj, J):
                                     continue
                                 if not t.is_min_left(

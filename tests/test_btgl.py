@@ -25,7 +25,8 @@ def gaussian_binomial(h, d):
 
 def test_params_validation():
     for h, d, p, n in [(0, 0, 2, 1), (2, -1, 2, 1), (2, 3, 2, 1),
-                       (2, 1, 2, 0), (2, 1, 2, -1)]:
+                       (2, 1, 2, 0), (2, 1, 2, -1), (True, False, 2, 1),
+                       (2, True, 2, 1), (2, 1, 2, True)]:
         with pytest.raises(ValueError):
             BTParams(h, d, p, n)
     for p in (1, 4, 6, 9):

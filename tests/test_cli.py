@@ -188,6 +188,32 @@ def test_series_and_degree_caps_are_admitted(capsys):
         list(range(1, MAX_COUNT_DEGREE + 1))
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"h": True, "d": False, "p": 2}, "height must be a positive integer"),
+    ({"h": 2, "d": True, "p": 2},
+     "dimension must lie between 0 and the height"),
+    ({"h": 2, "d": 1, "p": 2, "n": True},
+     "truncation level must be a positive integer"),
+])
+def test_bt_config_rejects_booleans(doc, message, tmp_path, capsys):
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["bt", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == f"error: config: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bt", BT212, "--h", "3"],
+    ["oracle", BT212, "--p", "3"],
+])
+def test_config_with_bt_flags_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr("zipzeta.cli.parse_config", _no_work)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[-2]} cannot be given with a config file\n"
+
+
 def test_validation_failure_exit_2(tmp_path, capsys):
     cfg = tmp_path / "movedI.json"
     cfg.write_text(json.dumps({

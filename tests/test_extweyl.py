@@ -5,25 +5,26 @@ import pytest
 from zipzeta import (CosetTables, DiagramAutomorphism, ExtWeylGroup,
                      InvalidFrobenius, InvalidOmegaTable, MixedGroups,
                      NotInExtMinSet, OmegaGroup)
-from helpers import (flip_ext, minus_one_ext, subsets, swap_ext, system,
-                     tables, trivial_ext)
+from helpers import (act_root, ext_elements, flip_ext, from_word, group,
+                     is_based, min_double, minus_one_ext, subsets, swap_ext,
+                     system, tables, trivial_ext)
 
 
 def test_swap_group_acts_on_roots():
     ext = swap_ext()
     rs = ext.rs
     k = ext.omega.index("sigma")
-    assert ext.omega.act_root(k, rs.simple_root(1)) == rs.simple_root(2)
+    assert act_root(ext.omega, k, rs.simple_root(1)) == rs.simple_root(2)
     assert ext.omega.conjugate_subset(k, {1}) == {2}
-    assert ext.omega.is_based(k)
+    assert is_based(ext.omega, k)
 
 
 def test_minus_one_action_is_signed():
     ext = minus_one_ext()
     rs = ext.rs
     k = ext.omega.index("w")
-    assert ext.omega.act_root(k, rs.simple_root(1)) == -rs.simple_root(1)
-    assert not ext.omega.is_based(k)
+    assert act_root(ext.omega, k, rs.simple_root(1)) == -rs.simple_root(1)
+    assert not is_based(ext.omega, k)
 
 
 def test_semidirect_relation():
@@ -39,7 +40,7 @@ def test_semidirect_relation():
 
 def test_ext_group_size_and_iteration():
     ext = swap_ext()
-    elements = list(ext)
+    elements = ext_elements(ext)
     assert len(elements) == len(ext) == 8
     assert len(set(elements)) == 8
 
@@ -109,7 +110,7 @@ def test_signed_swap_action_is_valid():
     omega = OmegaGroup(t.rs, ["1", "u"], [[0, 1], [1, 0]],
                        [(1, 2), (-2, -1)])
     k = omega.index("u")
-    assert omega.act_root(k, t.rs.simple_root(1)) == -t.rs.simple_root(2)
+    assert act_root(omega, k, t.rs.simple_root(1)) == -t.rs.simple_root(2)
 
 
 def test_min_reps_component_major_order():
@@ -182,7 +183,7 @@ def test_extended_length_restricts_to_plain_length():
             for w in t.min_left(I):
                 a = ext.element(w, 0)
                 assert ext.extended_length(a, I, J) == w.length
-            for w in t.min_double(I, J):
+            for w in min_double(t, I, J):
                 direct = sum(
                     1 for k in rs.positive_outside(J)
                     if w.perm[k] >= m and w.perm[k] not in inside[I])
@@ -222,8 +223,8 @@ def test_factorization_is_unique():
                 for k in range(len(ext.omega)):
                     kinv = ext.omega.inverse(k)
                     Ipp = ext.omega.conjugate_subset(kinv, I)
-                    for y in t.min_double(Ipp, J):
-                        for wj in t:
+                    for y in min_double(t, Ipp, J):
+                        for wj in group(t):
                             if not t.in_parabolic(wj, J):
                                 continue
                             if not t.is_min_left(
@@ -321,8 +322,8 @@ def test_conjugation_permutes_reflections_and_is_multiplicative(case):
                 t.simple_reflection(diagram[i - 1])
     rng = random.Random(sum(map(ord, case)))
     for _ in range(20):
-        u, v = (t.from_word([rng.randint(1, rank)
-                             for _ in range(rng.randint(0, 12))])
+        u, v = (from_word(t, [rng.randint(1, rank)
+                              for _ in range(rng.randint(0, 12))])
                 for _ in range(2))
         for f in maps:
             assert f(u * v) == f(u) * f(v)

@@ -6,20 +6,20 @@ import pytest
 from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, crosscheck,
                      enumerate_census)
-from zipzeta import fforacle
 from zipzeta.fforacle import (_candidates, apply_move, enumerate_gl,
                               generator_move, gl_generators, gl_order,
-                              mat_identity, mat_inv, mat_mul, mat_rank,
-                              primitive_element, twisted_action)
-from helpers import census_by_sweep
+                              mat_inv, mat_mul, mat_rank, primitive_element,
+                              twisted_action)
+from helpers import census_by_sweep, mat_identity
 
 
 def test_field_construction_errors():
     for p in (0, 1, 4, 6, -3, 2.0):
         with pytest.raises(NotPrime):
             FqField(p)
-    with pytest.raises(ValueError):
-        FqField(2, 0)
+    for k in (0, True):
+        with pytest.raises(ValueError):
+            FqField(2, k)
     with pytest.raises(FieldTooLarge):
         FqField(2, 7)
     FqField(2, 6)
@@ -89,7 +89,7 @@ def test_gl_enumeration():
     F4 = FqField(2, 2)
     assert len(enumerate_gl(F4, 1)) == gl_order(4, 1) == 3
     for A in enumerate_gl(F2, 2):
-        assert mat_mul(F2, A, mat_inv(F2, A)) == mat_identity(F2, 2)
+        assert mat_mul(F2, A, mat_inv(F2, A)) == mat_identity(2)
         assert mat_rank(F2, A) == 2
 
 
@@ -130,7 +130,7 @@ def test_census_matches_full_group_sweep(h, d, p, k, modulus):
 def test_generators_generate_gl(h, p, k):
     F = FqField(p, k)
     gens = gl_generators(F, h)
-    closure = {mat_identity(F, h)}
+    closure = {mat_identity(h)}
     frontier = list(closure)
     while frontier:
         reached = []
@@ -164,12 +164,11 @@ def test_generator_moves_match_twisted_action(p, k):
                 assert apply_move(F, move, X) == twisted_action(F, g, X)
 
 
-def test_gl_cache_is_bounded():
+def test_gl_enumeration_orders():
     fields = [FqField(2), FqField(3), FqField(2, 2), FqField(5)]
     for F in fields:
         for h in (1, 2):
             got = enumerate_gl(F, h)
-            assert len(fforacle._gl_cache) <= fforacle.GL_CACHE_SIZE
             assert len(got) == gl_order(F.q, h)
     assert len(enumerate_gl(fields[0], 1)) == 1
 
@@ -219,6 +218,9 @@ def test_search_space_guard():
         enumerate_census(FqField(2), 5, 2)
     with pytest.raises(ValueError):
         enumerate_census(FqField(2), 2, 3)
+    for h, d in [(True, 0), (2, True)]:
+        with pytest.raises(ValueError):
+            enumerate_census(FqField(2), h, d)
 
 
 def test_action_is_compositional():

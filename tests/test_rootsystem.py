@@ -4,7 +4,7 @@ from zipzeta import (CartanMatrix, InvalidCartan, NotFiniteType, Root,
                      RootNotInSystem, build_root_system, cartan_matrix,
                      direct_sum)
 from zipzeta import rootsystem
-from helpers import F4_CARTAN, G2_CARTAN, e_cartan, system
+from helpers import F4_CARTAN, G2_CARTAN, e_cartan, subsystem, system
 
 
 def test_rejects_non_square():
@@ -142,7 +142,7 @@ def test_reflect_rejects_non_roots():
 
 def test_subsystem_and_outside():
     rs = system("A", 2)
-    sub = rs.subsystem({1})
+    sub = subsystem(rs, {1})
     assert sub == {rs.simple_root(1), -rs.simple_root(1)}
     assert len(rs.positive_outside({1})) == 2
     assert len(rs.positive_outside(set())) == 3

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from zipzeta import (CosetTables, GroupTooLarge, MixedGroups, NotMinimalRep,
-                     build_root_system, enumerate_group)
-from helpers import subsets, system, tables
+                     ZipDatum, build_root_system, compute_twist,
+                     enumerate_group)
+from helpers import from_word, group, min_double, subsets, system, tables
 
 
 @pytest.mark.parametrize("family,rank,order", [
@@ -17,7 +18,7 @@ def test_group_orders(family, rank, order):
 
 def test_cap_raises():
     with pytest.raises(GroupTooLarge):
-        enumerate_group(system("A", 3), cap=5)
+        enumerate_group(CosetTables(system("A", 3)), cap=5)
 
 
 def test_identity_and_simple_words():
@@ -40,30 +41,30 @@ def test_length_is_inversion_count_and_word_length():
     for key in [("A", 3), ("B", 3)]:
         t = tables(*key)
         m = t.rs.n_positive
-        for w in t:
+        for w in group(t):
             inversions = sum(1 for k in range(m) if w.perm[k] >= m)
             assert w.length == inversions == len(t.word(w))
 
 
 def test_words_are_reduced_and_shortlex_least():
     t = tables("B", 2)
-    for w in t:
+    for w in group(t):
         word = t.word(w)
-        assert t.from_word(word) == w
+        assert from_word(t, word) == w
         candidates = [c for c in itertools.product((1, 2), repeat=len(word))
-                      if t.from_word(c) == w]
+                      if from_word(t, c) == w]
         assert word == min(candidates)
 
 
 def test_element_order_is_by_length_then_word():
     t = tables("A", 3)
-    keys = [(len(t.word(w)), t.word(w)) for w in t]
+    keys = [(len(t.word(w)), t.word(w)) for w in group(t)]
     assert keys == sorted(keys)
 
 
 def test_inverse_and_products():
     t = tables("B", 2)
-    for w in t:
+    for w in group(t):
         assert w * w.inverse() == t.identity
         assert w.inverse().length == w.length
     s1, s2 = t.simple_reflection(1), t.simple_reflection(2)
@@ -80,7 +81,7 @@ def test_mixed_groups_rejected():
 def test_action_on_roots_matches_word():
     t = tables("A", 2)
     rs = t.rs
-    w = t.from_word((1, 2))
+    w = from_word(t, (1, 2))
     image = w.act(rs.simple_root(2))
     by_steps = rs.reflect(1, rs.reflect(2, rs.simple_root(2)))
     assert image == by_steps
@@ -92,7 +93,7 @@ def test_min_left_coset_sizes(family, rank):
     all_indices = range(1, t.rs.rank + 1)
     for I in subsets(all_indices):
         reps = t.min_left(I)
-        subgroup = [w for w in t if t.in_parabolic(w, I)]
+        subgroup = [w for w in group(t) if t.in_parabolic(w, I)]
         assert len(reps) * len(subgroup) == len(t)
         cosets = {frozenset((u * w).perm for u in subgroup) for w in reps}
         assert len(cosets) == len(reps)
@@ -117,8 +118,8 @@ def test_decompose_left_unique_and_additive(family, rank):
     all_indices = range(1, t.rs.rank + 1)
     for I in subsets(all_indices):
         for J in subsets(all_indices):
-            doubles = t.min_double(I, J)
-            w_js = [w for w in t if t.in_parabolic(w, J)]
+            doubles = min_double(t, I, J)
+            w_js = [w for w in group(t) if t.in_parabolic(w, J)]
             for w in t.min_left(I):
                 x, w_J = t.decompose_left(w, I, J)
                 assert x * w_J == w
@@ -132,28 +133,14 @@ def test_decompose_left_unique_and_additive(family, rank):
                 assert solutions == [(x, w_J)]
 
 
-def test_decompose_double_reassembles():
-    t = tables("B", 2)
-    all_indices = range(1, 3)
-    for I in subsets(all_indices):
-        for J in subsets(all_indices):
-            for w in t:
-                w_I, x, w_J = t.decompose_double(w, I, J)
-                assert w_I * x * w_J == w
-                assert w_I.length + x.length + w_J.length == w.length
-                assert t.in_parabolic(w_I, I)
-                assert t.in_parabolic(w_J, J)
-                assert t.is_min_left(x, I) and t.is_min_right(x, J)
-
-
 def test_double_cosets_partition_group():
     t = tables("A", 3)
     I, J = {1, 2}, {2, 3}
     union = set()
-    for x in t.min_double(I, J):
+    for x in min_double(t, I, J):
         coset = {(u * x * v).perm
-                 for u in t if t.in_parabolic(u, I)
-                 for v in t if t.in_parabolic(v, J)}
+                 for u in group(t) if t.in_parabolic(u, I)
+                 for v in group(t) if t.in_parabolic(v, J)}
         assert not (coset & union)
         union |= coset
     assert len(union) == len(t)
@@ -169,7 +156,7 @@ ORACLE_SYSTEMS = ([("A", r) for r in range(1, 6)] +
     ("A", 6), ("B", 5), ("C", 5)])
 def test_closed_form_order_matches_enumeration(family, rank):
     full = tables(family, rank)
-    assert len(CosetTables(full.rs)) == len(list(full)) == len(full)
+    assert len(CosetTables(full.rs)) == len(group(full)) == len(full)
 
 
 @pytest.mark.parametrize("family,rank,order", [
@@ -192,7 +179,7 @@ def test_quotients_of_groups_too_large_to_enumerate():
         assert keys == sorted(keys)
         assert t.longest_element().length == t.rs.n_positive
     with pytest.raises(GroupTooLarge):
-        enumerate_group(system("E", 7))
+        enumerate_group(CosetTables(system("E", 7)))
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
@@ -200,26 +187,61 @@ def test_on_demand_tables_match_enumeration(family, rank):
     full = tables(family, rank)
     lazy = CosetTables(full.rs)
     m = full.rs.n_positive
-    top = [w for w in full if w.length == m]
+    top = [w for w in group(full) if w.length == m]
     w0 = lazy.longest_element()
     assert [w0.perm] == [w.perm for w in top]
     for I in subsets(range(1, rank + 1)):
-        want = [w for w in full if full.is_min_left(w, I)]
+        want = [w for w in group(full) if full.is_min_left(w, I)]
         got = lazy.min_left(I)
         assert [w.perm for w in got] == [w.perm for w in want]
         assert [lazy.word(w) for w in got] == [full.word(w) for w in want]
         assert lazy.min_left_count(I) == len(want)
-        J = frozenset(full.rs.negate_ordinal(w0.perm[i - 1]) + 1 for i in I)
-        assert [w.perm for w in lazy.decompose_double(w0, J, I)] == \
-            [w.perm for w in full.decompose_double(top[0], J, I)]
+        inside = [w for w in group(full) if full.in_parabolic(w, I)]
+        longest = max(w.length for w in inside)
+        assert [lazy.longest_element(I).perm] == \
+            [w.perm for w in inside if w.length == longest]
+
+
+TWIST_SYSTEMS = ([("A", r) for r in range(1, 6)] +
+                 [("B", r) for r in range(2, 5)] +
+                 [("C", 3), ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+                  ("A1xA1", 2)])
+
+
+@pytest.mark.parametrize("family,rank", TWIST_SYSTEMS)
+def test_twist_w1_is_shortest_in_its_double_coset(family, rank):
+    """w1 against the double coset W_J * w0 * W_I built by closure under
+    left multiplication by s_j (j in J) and right by s_i (i in I), its
+    shortest element read off the enumerated group."""
+    t = tables(family, rank)
+    simples = {i: t.simple_reflection(i) for i in range(1, rank + 1)}
+    w0 = max(group(t), key=lambda w: w.length)
+    for I in subsets(range(1, rank + 1)):
+        tw = compute_twist(ZipDatum(t.rs.cartan, I))
+        J = tw.J
+        coset = {w0.perm}
+        frontier = [w0]
+        while frontier:
+            step = []
+            for w in frontier:
+                for u in ([simples[j] * w for j in J] +
+                          [w * simples[i] for i in I]):
+                    if u.perm not in coset:
+                        coset.add(u.perm)
+                        step.append(u)
+            frontier = step
+        inside = [w for w in group(t) if w.perm in coset]
+        assert len(inside) == len(coset)
+        shortest = [w for w in inside if w.length == inside[0].length]
+        assert [tw.w1.perm] == [w.perm for w in shortest]
 
 
 def test_on_demand_tables_do_not_list_the_group():
     lazy = CosetTables(system("A", 2))
     with pytest.raises(TypeError):
         iter(lazy)
-    with pytest.raises(TypeError):
-        lazy.min_double({1}, {2})
+    for name in ("elements", "min_double", "from_word", "decompose_double"):
+        assert not hasattr(lazy, name)
     with pytest.raises(MixedGroups):
         lazy.word(tables("B", 2).identity)
     twin = CosetTables(build_root_system([[2, -1], [-1, 2]]))
