@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotPrime
+from .errors import NotPrime, _is_int
 from .zetafn import zeta_from_strata
-from .zipstrata import ZipDatum, _is_int, _least_factor, classify
+from .zipstrata import ZipDatum, _least_factor, classify
 
 # Level-one stacks kept by _level_one, least recently used first out.
 BT_CACHE_SIZE = 16

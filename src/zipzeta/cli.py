@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .btgl import BTParams, bt_strata
-from .errors import MismatchDetected, ParseError, ZipzetaError
+from .errors import MismatchDetected, ParseError, ZipzetaError, _is_int
 from .fforacle import crosscheck
 from .zetafn import QLaurent, expand_series, zeta_from_strata
 from .zipstrata import ZipDatum, classify, compute_twist, point_count
@@ -50,8 +50,7 @@ def _expect(cond, path, message):
 def _int_list(value, path):
     _expect(isinstance(value, list), path, "expected a list of integers")
     for x in value:
-        _expect(isinstance(x, int) and not isinstance(x, bool), path,
-                "expected a list of integers")
+        _expect(_is_int(x), path, "expected a list of integers")
     return value
 
 

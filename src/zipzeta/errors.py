@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer test
+that input validation uses everywhere.
 
 Every failure that a caller can provoke with bad input raises a subclass
 of ZipzetaError, so `except ZipzetaError` catches exactly the validation
 surface.  Internal consistency checks use plain assertions instead.
 """
+
+
+def _is_int(x):
+    """An int that is not a bool (JSON true and false parse as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class ZipzetaError(Exception):

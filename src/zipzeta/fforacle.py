@@ -14,11 +14,20 @@ invertible group, and reports per-class automorphism counts plus the
 groupoid cardinality (sum of 1/#Aut), the quantity the stratification
 predicts.
 
+The pairs are built, not searched for: every A of rank d is a column
+basis times a row basis in reduced echelon form, and the B that pair
+with it come from the kernels read off the two echelon forms.  Each
+pair is one flat row-major tuple of 2h^2 field codes, A then B, whose
+order is that of the nested pair.  Every pair is still checked against
+the rank and product conditions.
+
 Orbits are found by breadth-first search under a small generating set
 of GL_h (adjacent transvections and one diagonal matrix), each generator
-applied as one row and one column operation; #Aut is then |GL_h| over
-the orbit size.  The test suite keeps the full-group stabilizer sweep
-as an oracle for these classes.
+compiled to a few row and column steps on the flat tuple; #Aut is then
+|GL_h| over the orbit size, and each class is represented by the least
+pair of its orbit.  The test suite keeps the scan of all q^(h^2)
+matrices and the full-group stabilizer sweep as oracles for these
+candidates and classes.
 
 Everything is exhaustive and exact, and shares no code with the
 stratification; that is the point.
@@ -30,7 +39,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldTooLarge, MismatchDetected, SearchSpaceTooLarge
+from .errors import (FieldTooLarge, MismatchDetected, SearchSpaceTooLarge,
+                     _is_int)
 
 DEFAULT_SIZE_BOUND = 64
 DEFAULT_SEARCH_BOUND = 2 ** 24
@@ -92,7 +102,7 @@ class FqField:
     def __init__(self, p, k=1, modulus=None):
         from .btgl import _check_prime
         _check_prime(p)
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise ValueError("degree must be a positive integer")
         if p ** k > DEFAULT_SIZE_BOUND:
             raise FieldTooLarge(
@@ -207,15 +217,15 @@ class FqField:
 
 
 def mat_mul(F, A, B):
-    n = len(B)
-    cols = len(B[0]) if B else 0
+    add, mul = F._add, F._mul
+    cols = tuple(zip(*B))
     out = []
     for row in A:
         new = []
-        for j in range(cols):
+        for col in cols:
             acc = 0
-            for k in range(n):
-                acc = F.add(acc, F.mul(row[k], B[k][j]))
+            for x, y in zip(row, col):
+                acc = add[acc][mul[x][y]]
             new.append(acc)
         out.append(tuple(new))
     return tuple(out)
@@ -229,12 +239,11 @@ def mat_frob_inv(F, A):
     return tuple(tuple(F.frob_inv(x) for x in row) for row in A)
 
 
-def mat_is_zero(A):
-    return all(all(x == 0 for x in row) for row in A)
-
-
 def _rref(F, rows, ncols):
-    rows = [list(r) for r in rows]
+    """Reduced row-echelon form of rows and its pivot columns, by
+    lookups in the field tables."""
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    rows = [list(row) for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -246,13 +255,12 @@ def _rref(F, rows, ncols):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = F.inv(rows[r][c])
-        rows[r] = [F.mul(scale, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y))
-                           for x, y in zip(rows[i], rows[r])]
+        scale = mul[inv[rows[r][c]]]
+        top = rows[r] = [scale[x] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                factor = mul[neg[row[c]]]
+                rows[i] = [add[x][factor[y]] for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -273,27 +281,6 @@ def mat_inv(F, A):
     if pivots != list(range(h)):
         return None
     return tuple(tuple(rows[i][h:]) for i in range(h))
-
-
-def mat_kernel(F, A, ncols):
-    """Basis of the right kernel, as a list of length-ncols column
-    vectors."""
-    rows, pivots = _rref(F, A, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [0] * ncols
-        vec[fcol] = 1
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = F.neg(rows[r][fcol])
-        basis.append(tuple(vec))
-    return basis
-
-
-def mat_transpose(A):
-    if not A:
-        return ()
-    return tuple(tuple(row[j] for row in A) for j in range(len(A[0])))
 
 
 def enumerate_gl(F, h):
@@ -347,40 +334,101 @@ class CensusReport:
     groupoid_cardinality: Fraction
 
 
-def _candidates(F, h, d):
-    """All admissible pairs (A, B), deterministically ordered."""
-    zero = tuple(tuple(0 for _ in range(h)) for _ in range(h))
-    if d == h:
-        return [(A, zero) for A in enumerate_gl(F, h)]
-    if d == 0:
-        return [(zero, B) for B in enumerate_gl(F, h)]
+def _product(F, X, Y, n, m, l):
+    """The n-by-l product of an n-by-m and an m-by-l matrix, all three
+    flat row-major tuples of codes."""
+    add, mul = F._add, F._mul
     out = []
-    gl_small = enumerate_gl(F, h - d)
-    for code in range(F.q ** (h * h)):
-        x = code
-        entries = []
-        for _ in range(h * h):
-            entries.append(x % F.q)
-            x //= F.q
-        A = tuple(tuple(entries[i * h:(i + 1) * h]) for i in range(h))
-        if mat_rank(F, A) != d:
-            continue
-        kc = mat_kernel(F, A, h)
-        left = mat_kernel(F, mat_transpose(A), h)
-        kc_mat = mat_transpose(kc)
-        left_mat = tuple(left)
-        for Y in gl_small:
-            X = mat_mul(F, mat_mul(F, kc_mat, Y), left_mat)
-            B = mat_frob_inv(F, X)
-            out.append((A, B))
+    for i in range(n):
+        row = X[i * m:(i + 1) * m]
+        for j in range(l):
+            acc = 0
+            for k, x in enumerate(row):
+                if x:
+                    acc = add[acc][mul[x][Y[k * l + j]]]
+            out.append(acc)
+    return tuple(out)
+
+
+def _transpose(X, n, m):
+    """The transpose of a flat n-by-m matrix."""
+    return tuple(X[i * m + j] for j in range(m) for i in range(n))
+
+
+def _echelon_forms(F, d, h):
+    """Every d-by-h matrix of rank d in reduced row-echelon form, flat,
+    with the basis of its kernel read off it: the columns of a flat
+    h-by-(h - d) matrix."""
+    c = h - d
+    for pivots in itertools.combinations(range(h), d):
+        free_cols = [f for f in range(h) if f not in pivots]
+        slots = [r * h + f for r, pc in enumerate(pivots)
+                 for f in free_cols if f > pc]
+        for values in itertools.product(range(F.q), repeat=len(slots)):
+            S = [0] * (d * h)
+            for r, pc in enumerate(pivots):
+                S[r * h + pc] = 1
+            for pos, x in zip(slots, values):
+                S[pos] = x
+            K = [0] * (h * c)
+            for t, f in enumerate(free_cols):
+                K[f * c + t] = 1
+                for r, pc in enumerate(pivots):
+                    K[pc * c + t] = F._neg[S[r * h + f]]
+            yield tuple(S), tuple(K)
+
+
+def _candidates(F, h, d):
+    """All admissible pairs, each one flat row-major tuple of 2h^2 codes
+    (A, then B).
+
+    A matrix of rank d is A = C R for exactly one d-by-h echelon form R
+    (its row space) and one h-by-d C of full column rank, and C = E G
+    for one echelon form E^T (its column space) and one G in GL_d.  Then
+    ker A = ker R, the left kernel of A is the kernel of E^T, and the B
+    that pair with A are (K Y L)^[1/p] for Y in GL_(h-d), with the
+    columns of K spanning ker A and the rows of L the left kernel.
+    """
+    c = h - d
+
+    def flat(M):
+        return tuple(itertools.chain.from_iterable(M))
+
+    gl_d = [flat(G) for G in enumerate_gl(F, d)]
+    gl_c = [flat(Y) for Y in enumerate_gl(F, c)]
+    forms = []
+    for S, K in _echelon_forms(F, d, h):
+        E = _transpose(S, d, h)
+        forms.append((S, _transpose(K, h, c),
+                      [_product(F, E, G, h, d, d) for G in gl_d],
+                      [_product(F, K, Y, h, c, c) for Y in gl_c]))
+    frob_inv = F._frob_inv
+    out = []
+    for _, L, column_bases, _ in forms:
+        for R, _, _, kernel_bases in forms:
+            Bs = [tuple(frob_inv[x] for x in _product(F, KY, L, h, c, h))
+                  for KY in kernel_bases]
+            for C in column_bases:
+                A = _product(F, C, R, h, d, h)
+                out.extend(A + B for B in Bs)
     return out
 
 
-def _verify_admissible(F, h, d, A, B):
-    assert mat_rank(F, A) == d
-    assert mat_rank(F, B) == h - d
-    assert mat_is_zero(mat_mul(F, A, mat_frob(F, B)))
-    assert mat_is_zero(mat_mul(F, B, mat_frob_inv(F, A)))
+def _verify_admissible(F, h, d, pair):
+    """Assert the rank and product conditions on a flat pair."""
+    n = h * h
+    A, B = pair[:n], pair[n:]
+    assert mat_rank(F, [A[i:i + h] for i in range(0, n, h)]) == d
+    assert mat_rank(F, [B[i:i + h] for i in range(0, n, h)]) == h - d
+    frob, frob_inv = F._frob, F._frob_inv
+    assert not any(_product(F, A, [frob[x] for x in B], h, h, h))
+    assert not any(_product(F, B, [frob_inv[x] for x in A], h, h, h))
+
+
+def _nested(pair, h):
+    """A flat pair as the matrices (A, B), each a tuple of rows."""
+    rows = tuple(pair[i:i + h] for i in range(0, len(pair), h))
+    return rows[:h], rows[h:]
 
 
 def twisted_action(F, g, pair, g_frob_inv=None, g_frob_inv2=None):
@@ -438,36 +486,35 @@ def _elementary_entry(F, g):
 
 
 def generator_move(F, g):
-    """The twisted action of g = I + r e_ij as row and column moves.
+    """The twisted action of g = I + r e_ij on flat pairs, compiled.
 
-    Returns (i, j, r, c_A, c_B) with (g^[p])^-1 = I + c_A e_ij and
-    (g^[1/p])^-1 = I + c_B e_ij, so g sends A to
-    (I + r e_ij) A (I + c_A e_ij) and B likewise with c_B.
+    With (g^[p])^-1 = I + c_A e_ij and (g^[1/p])^-1 = I + c_B e_ij, g
+    sends A to (I + r e_ij) A (I + c_A e_ij): row_i += r row_j, then
+    col_j += c_A col_i; and B likewise with c_B.  Returns these steps as
+    (dst, src, m) triples, m a row of the multiplication table, to be
+    applied in order as x[dst] += m[x[src]].
     """
+    h = len(g)
     i, j, r = _elementary_entry(F, g)
     i_a, j_a, c_a = _elementary_entry(F, mat_inv(F, mat_frob(F, g)))
     i_b, j_b, c_b = _elementary_entry(F, mat_inv(F, mat_frob_inv(F, g)))
     assert (i_a, j_a) == (i_b, j_b) == (i, j)
-    return (i, j, r, c_a, c_b)
-
-
-def _move(F, M, i, j, r, c):
-    """(I + r e_ij) M (I + c e_ij): row_i += r row_j, then
-    col_j += c col_i.  O(h) field operations."""
-    add, mul = F._add, F._mul
-    rows = list(M)
-    mr = mul[r]
-    rows[i] = tuple(add[x][mr[y]] for x, y in zip(rows[i], rows[j]))
-    mc = mul[c]
-    return tuple(row[:j] + (add[row[j]][mc[row[i]]],) + row[j + 1:]
-                 if row[i] else row for row in rows)
+    steps = []
+    for base, c in ((0, c_a), (h * h, c_b)):
+        steps += [(base + i * h + t, base + j * h + t, F._mul[r])
+                  for t in range(h)]
+        steps += [(base + s * h + j, base + s * h + i, F._mul[c])
+                  for s in range(h)]
+    return steps
 
 
 def apply_move(F, move, pair):
-    """Image of the pair (A, B) under the generator behind move."""
-    i, j, r, c_a, c_b = move
-    A, B = pair
-    return (_move(F, A, i, j, r, c_a), _move(F, B, i, j, r, c_b))
+    """Image of a flat pair under the generator behind move."""
+    add = F._add
+    x = list(pair)
+    for dst, src, m in move:
+        x[dst] = add[x[dst]][m[x[src]]]
+    return tuple(x)
 
 
 def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
@@ -478,9 +525,9 @@ def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
     finite, closure under the generators is the orbit.  Then
     #Aut = |GL_h| / |orbit|.
     """
-    if isinstance(h, bool) or not isinstance(h, int) or h < 1:
+    if not _is_int(h) or h < 1:
         raise ValueError("height must be a positive integer")
-    if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= h:
+    if not _is_int(d) or not 0 <= d <= h:
         raise ValueError("rank must lie between 0 and the height")
     F = field
     q = F.q
@@ -492,16 +539,21 @@ def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
             f"{search_bound}")
     candidates = _candidates(F, h, d)
     assert len(candidates) == n_candidates
-    for A, B in candidates:
-        _verify_admissible(F, h, d, A, B)
+    for pair in candidates:
+        _verify_admissible(F, h, d, pair)
 
     group_order = gl_order(q, h)
     moves = [generator_move(F, g) for g in gl_generators(F, h)]
     candidate_set = set(candidates)
-    unvisited = set(candidates)
+    visited = set()
     classes = []
-    while unvisited:
-        seed = min(unvisited)
+    # Flat tuples sort as the nested (A, B) do.  Each seed is the least
+    # unvisited pair, so the least of its orbit: every smaller pair lies
+    # in an earlier orbit.  The classes come out sorted by rep.
+    candidates.sort()
+    for seed in candidates:
+        if seed in visited:
+            continue
         orbit = {seed}
         frontier = [seed]
         while frontier:
@@ -515,15 +567,15 @@ def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
                         reached.append(image)
             frontier = reached
         assert group_order % len(orbit) == 0
-        classes.append(CensusClass(rep=min(orbit), orbit_size=len(orbit),
+        classes.append(CensusClass(rep=_nested(seed, h),
+                                   orbit_size=len(orbit),
                                    aut_count=group_order // len(orbit)))
-        unvisited -= orbit
+        visited |= orbit
 
     total_orbit = sum(c.orbit_size for c in classes)
     assert total_orbit == len(candidates)
     groupoid = sum((Fraction(1, c.aut_count) for c in classes), Fraction(0))
     assert groupoid == Fraction(len(candidates), group_order)
-    classes.sort(key=lambda c: c.rep)
     return CensusReport(
         p=F.p, k=F.k, q=q, h=h, d=d,
         candidate_count=len(candidates), group_order=group_order,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidCartan, NotFiniteType, RootNotInSystem
+from .errors import InvalidCartan, NotFiniteType, RootNotInSystem, _is_int
 
 DEFAULT_ROOT_CAP = 10000
 
@@ -40,7 +40,7 @@ class CartanMatrix:
             if len(row) != n:
                 raise InvalidCartan("matrix is not square")
             for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not _is_int(x):
                     raise InvalidCartan(f"entry {x!r} is not an integer")
         for i in range(n):
             if rows[i][i] != 2:

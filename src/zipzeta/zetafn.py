@@ -39,10 +39,6 @@ class QLaurent:
         self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
 

@@ -27,7 +27,7 @@ from functools import cached_property
 from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
                      FrobeniusDoesNotFixTheta, GroupTooLarge,
                      ThetaActionLeaks, ThetaDoesNotPreserveI,
-                     ThetaNotSubgroup)
+                     ThetaNotSubgroup, _is_int)
 from .extweyl import DiagramAutomorphism, ExtWeylGroup, OmegaGroup
 from .rootsystem import CartanMatrix, build_root_system
 from .weyl import DEFAULT_GROUP_CAP, CosetTables
@@ -37,11 +37,6 @@ from .zetafn import zeta_from_strata
 # Trial division stops at isqrt(FACTOR_LIMIT), about 10^6 divisions: an
 # integer above the limit with no factor that small is refused.
 FACTOR_LIMIT = 10 ** 12
-
-
-def _is_int(x):
-    """An int that is not a bool (JSON true and false parse as bools)."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _least_factor(n, error):

@@ -9,9 +9,9 @@ from functools import lru_cache
 from zipzeta import (CosetTables, OmegaGroup, ExtWeylElement, ExtWeylGroup,
                      QLaurent, build_root_system, cartan_matrix, direct_sum,
                      enumerate_group)
-from zipzeta.fforacle import (CensusClass, _candidates, enumerate_gl,
-                              gl_order, mat_frob, mat_frob_inv, mat_inv,
-                              twisted_action)
+from zipzeta.fforacle import (CensusClass, _rref, enumerate_gl, gl_order,
+                              mat_frob, mat_frob_inv, mat_inv, mat_mul,
+                              mat_rank, twisted_action)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
@@ -130,11 +130,69 @@ def subsets(indices):
     return out
 
 
+def mat_kernel(F, A, ncols):
+    """Basis of the right kernel, as a list of length-ncols column
+    vectors."""
+    rows, pivots = _rref(F, A, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [0] * ncols
+        vec[fcol] = 1
+        for r, pcol in enumerate(pivots):
+            vec[pcol] = F.neg(rows[r][fcol])
+        basis.append(tuple(vec))
+    return basis
+
+
+def mat_transpose(A):
+    if not A:
+        return ()
+    return tuple(tuple(row[j] for row in A) for j in range(len(A[0])))
+
+
+def candidates_by_scan(F, h, d):
+    """All admissible pairs (A, B) as nested tuples, found the slow way:
+    every h-by-h matrix is decoded and ranked, and each A of rank d is
+    paired with (K Y L)^[1/p] for every Y in GL_(h-d), K and L spanning
+    its kernel and left kernel."""
+    zero = tuple(tuple(0 for _ in range(h)) for _ in range(h))
+    if d == h:
+        return [(A, zero) for A in enumerate_gl(F, h)]
+    if d == 0:
+        return [(zero, B) for B in enumerate_gl(F, h)]
+    out = []
+    gl_small = enumerate_gl(F, h - d)
+    for code in range(F.q ** (h * h)):
+        x = code
+        entries = []
+        for _ in range(h * h):
+            entries.append(x % F.q)
+            x //= F.q
+        A = tuple(tuple(entries[i * h:(i + 1) * h]) for i in range(h))
+        if mat_rank(F, A) != d:
+            continue
+        kc = mat_kernel(F, A, h)
+        left = mat_kernel(F, mat_transpose(A), h)
+        kc_mat = mat_transpose(kc)
+        left_mat = tuple(left)
+        for Y in gl_small:
+            X = mat_mul(F, mat_mul(F, kc_mat, Y), left_mat)
+            B = mat_frob_inv(F, X)
+            out.append((A, B))
+    return out
+
+
+def flat_pair(pair):
+    """A nested pair (A, B) as the census's flat row-major tuple."""
+    return tuple(x for M in pair for row in M for x in row)
+
+
 def census_by_sweep(F, h, d):
     """The census classes found the slow way: every element of GL_h(F_q)
     applied to one seed per class, counting the stabilizer directly, so
     that orbit-stabilizer is a check rather than a definition."""
-    candidates = _candidates(F, h, d)
+    candidates = candidates_by_scan(F, h, d)
     gl = enumerate_gl(F, h)
     assert len(gl) == gl_order(F.q, h)
     gl_data = [(g, mat_inv(F, mat_frob(F, g)), mat_inv(F, mat_frob_inv(F, g)))
@@ -165,7 +223,7 @@ def reference_series(zeta, order, q=None):
     QLaurent arithmetic for symbolic q.  It shares no code with the
     integer engine of ZetaProduct, which the tests compare against it."""
     if q is None:
-        zero, one, q_power = QLaurent.zero(), QLaurent.one(), QLaurent.term
+        zero, one, q_power = QLaurent(), QLaurent.one(), QLaurent.term
     else:
         zero, one = Fraction(0), Fraction(1)
 

@@ -10,7 +10,8 @@ from zipzeta.fforacle import (_candidates, apply_move, enumerate_gl,
                               generator_move, gl_generators, gl_order,
                               mat_inv, mat_mul, mat_rank, primitive_element,
                               twisted_action)
-from helpers import census_by_sweep, mat_identity
+from helpers import (candidates_by_scan, census_by_sweep, flat_pair,
+                     mat_identity)
 
 
 def test_field_construction_errors():
@@ -103,6 +104,7 @@ def test_census_frozen_values():
         (2, 2, 2, 1, Fraction(1), 6, 6),
         (2, 0, 3, 1, Fraction(1), 48, 48),
         (3, 1, 3, 1, Fraction(13, 9), 16224, 11232),
+        (4, 2, 2, 1, Fraction(35, 16), 44100, 20160),
     ]
     for h, d, p, k, groupoid, cands, order in cases:
         rep = enumerate_census(FqField(p, k), h, d)
@@ -121,6 +123,18 @@ def test_census_frozen_values():
 def test_census_matches_full_group_sweep(h, d, p, k, modulus):
     F = FqField(p, k, modulus=modulus)
     assert enumerate_census(F, h, d).classes == census_by_sweep(F, h, d)
+
+
+@pytest.mark.parametrize("h,d,p,k,modulus", [
+    (2, 1, 2, 1, None), (2, 1, 3, 2, None), (2, 1, 2, 3, (1, 0, 1, 1)),
+    (3, 1, 2, 1, None), (3, 2, 2, 1, None), (3, 1, 3, 1, None),
+    (2, 0, 2, 1, None), (2, 2, 2, 1, None),
+])
+def test_direct_candidates_match_the_scan(h, d, p, k, modulus):
+    F = FqField(p, k, modulus=modulus)
+    built = _candidates(F, h, d)
+    assert len(set(built)) == len(built)
+    assert set(built) == {flat_pair(X) for X in candidates_by_scan(F, h, d)}
 
 
 @pytest.mark.parametrize("h,p,k", [
@@ -159,9 +173,10 @@ def test_generator_moves_match_twisted_action(p, k):
         shapes += [(3, d) for d in range(4)]
     for h, d in shapes:
         moves = [(g, generator_move(F, g)) for g in gl_generators(F, h)]
-        for X in _candidates(F, h, d):
+        for X in candidates_by_scan(F, h, d):
             for g, move in moves:
-                assert apply_move(F, move, X) == twisted_action(F, g, X)
+                assert apply_move(F, move, flat_pair(X)) == \
+                    flat_pair(twisted_action(F, g, X))
 
 
 def test_gl_enumeration_orders():
@@ -221,11 +236,17 @@ def test_search_space_guard():
     for h, d in [(True, 0), (2, True)]:
         with pytest.raises(ValueError):
             enumerate_census(FqField(2), h, d)
+    # 16769025 candidates alone would fit under 2^24; the guard also
+    # counts the q^(h^2) matrices an exhaustive scan would decode.
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=f"^about {16769025 + 2 ** 24} candidates "
+                             f"exceed the bound {2 ** 24}$"):
+        enumerate_census(FqField(2, 6), 2, 1)
 
 
 def test_action_is_compositional():
     F = FqField(2, 2)
-    pairs = _candidates(F, 2, 1)[:4]
+    pairs = candidates_by_scan(F, 2, 1)[:4]
     gl = enumerate_gl(F, 2)
     sample = [gl[1], gl[5], gl[-1]]
     for g in sample:
