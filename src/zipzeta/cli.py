@@ -3,7 +3,9 @@
 Commands read a JSON config and write a single JSON document to stdout
 (schema field 1), deterministically serialized, so runs are
 byte-for-byte reproducible.  --pretty switches to an aligned text view
-of the same data.
+of the same data.  _json_text writes the document: its bytes are those of
+json.dumps(doc, indent=2, sort_keys=True), without the pure-Python
+encoder that indent forces; json itself only parses input.
 
 Exit codes: 0 on success, 2 on any parse or validation failure, 3 when
 the census oracle disagrees with the predicted count.
@@ -20,7 +22,7 @@ from .btgl import BTParams, bt_strata
 from .errors import MismatchDetected, ParseError, ZipzetaError, _is_int
 from .fforacle import crosscheck
 from .zetafn import QLaurent, expand_series, zeta_from_strata
-from .zipstrata import ZipDatum, classify, compute_twist, point_count
+from .zipstrata import ZipDatum, _stratify, classify, point_count
 
 ZIP_KEYS = {"schema", "cartan", "I", "omega", "phi0", "q0", "e", "theta"}
 BT_KEYS = {"schema", "h", "d", "p", "n"}
@@ -29,6 +31,65 @@ BT_KEYS = {"schema", "h", "d", "p", "n"}
 # rings: BT(6,3) to order 100 takes 2 s symbolic and 0.15 s numeric.
 MAX_SERIES_ORDER = 100
 MAX_COUNT_DEGREE = 100
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value):
+    """The text json.dumps(value, indent=2, sort_keys=True) gives, for
+    dicts with str keys, lists, tuples, str, int, bool and None, without
+    the pure-Python encoder that indent forces on json.dumps.  Any other
+    type raises TypeError."""
+    out = []
+    _emit_json(value, "\n", out)
+    return "".join(out)
+
+
+def _emit_json(value, newline, out):
+    """Append the text of value to out; newline is a line break followed
+    by the indentation of the line value starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(repr, value))
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _emit_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
 
 
 def _load_json(path):
@@ -190,23 +251,19 @@ def _require_bt(parsed):
 
 def _cmd_strata(args):
     datum = _require_zip(parse_config(args.config))
-    twist = compute_twist(datum)
-    strata = classify(datum)
-    ext = datum.ext
+    found = _stratify(datum, keep_decompositions=True)
+    twist = found.twist
     tables = datum.tables
-    I = sorted(datum.parabolic_type)
-    length = {b: s.length for s in strata for b in s.elements}
-    minimal = []
-    for a in ext.min_reps(I):
-        dec = ext.canonical_decomposition(a, I, twist.J)
-        minimal.append({
-            "weyl_word": _word_json(tables, a.w),
-            "omega": ext.omega.label(a.omega),
-            "conjugated_word": _word_json(tables, dec.wpp),
-            "double_min_word": _word_json(tables, dec.y),
-            "parabolic_word": _word_json(tables, dec.w_J),
-            "length": length[a],
-        })
+    label = datum.omega.label
+    minimal = [{
+        "weyl_word": _word_json(tables, a.w),
+        "omega": label(a.omega),
+        "conjugated_word": _word_json(tables, dec.wpp),
+        "double_min_word": _word_json(tables, dec.y),
+        "parabolic_word": _word_json(tables, dec.w_J),
+        "length": length,
+    } for a, dec, length in zip(found.reps, found.decompositions,
+                                found.lengths)]
     return {
         "schema": 1,
         "kind": "strata",
@@ -218,7 +275,7 @@ def _cmd_strata(args):
             "w2_word": _word_json(tables, twist.w2),
         },
         "minimal_set": minimal,
-        "strata": _strata_rows(datum, strata),
+        "strata": _strata_rows(datum, found.strata),
     }
 
 
@@ -394,7 +451,7 @@ def main(argv=None):
             "predicted": str(exc.predicted),
             "observed": str(exc.observed),
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
         return 3
     except (ZipzetaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -402,7 +459,7 @@ def main(argv=None):
     if args.pretty:
         print(_render_pretty(doc))
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     return 0
 
 

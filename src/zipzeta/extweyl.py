@@ -260,7 +260,10 @@ class ExtWeylGroup:
         return len(self.tables) * len(self.omega)
 
     def twist_weyl(self, k, w):
-        """Conjugate omega_k * w * omega_k^{-1} of a Weyl element."""
+        """Conjugate omega_k * w * omega_k^{-1} of a Weyl element.  The
+        identity component permutes no root, so it returns w itself."""
+        if k == self.omega.identity_index:
+            return self.tables.canonical(w)
         return _conjugate(self.tables, self.omega.root_perm(k),
                           self.omega.root_perm(self.omega.inverse(k)), w)
 
@@ -309,7 +312,12 @@ class ExtWeylGroup:
     def extended_length(self, a, I, J):
         """Count positive roots outside J sent by omega * y to negative
         roots outside I, plus the length of w_J."""
-        dec = self.canonical_decomposition(a, I, J)
+        return self.decomposition_length(
+            self.canonical_decomposition(a, I, J), I, J)
+
+    def decomposition_length(self, dec, I, J):
+        """The extended length of the element whose canonical
+        decomposition for (I, J) is dec."""
         rs = self.rs
         m = rs.n_positive
         rp = self.omega.root_perm(dec.omega_index)

@@ -60,7 +60,9 @@ class WeylElement:
         return self._inv
 
     def is_identity(self):
-        return all(p == k for k, p in enumerate(self.perm))
+        """True for the identity, the one element of length 0 (the
+        length is cached)."""
+        return self.length == 0
 
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
@@ -193,6 +195,9 @@ class CosetTables:
         over the whole group.
         """
         self._check(w)
+        got = self._words.get(w.perm)
+        if got is not None:
+            return got
         m = self.rs.n_positive
         rank = self.rs.rank
         chain = []

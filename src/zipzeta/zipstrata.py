@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
                      FrobeniusDoesNotFixTheta, GroupTooLarge,
@@ -285,9 +286,32 @@ def _theta_orbits(ext, reps, theta_elements, psi_of_theta, membership):
     return [sorted(v) for _, v in sorted(orbits.items())]
 
 
+class _Stratification(NamedTuple):
+    """Everything one pass of the stratification computes: the twist,
+    the minimal set with the extended length of each element (and, when
+    asked for, its canonical decomposition) in the order of
+    ExtWeylGroup.min_reps, and the strata."""
+
+    twist: Twist
+    reps: list
+    lengths: list
+    decompositions: list | None
+    strata: list
+
+
 def classify(datum):
     """Full stratification: the list of strata, deterministically
     ordered by (aut_dim, degree, canonical word of the representative).
+    """
+    return _stratify(datum).strata
+
+
+def _stratify(datum, keep_decompositions=False):
+    """The stratification of classify, with the data it passes through.
+
+    Each element of the minimal set is decomposed once.  The
+    decompositions are kept only when asked for, so callers that need
+    just the strata hold no per-element objects afterwards.
     """
     twist = compute_twist(datum)
     ext = datum.ext
@@ -302,7 +326,13 @@ def classify(datum):
     orbits = _theta_orbits(ext, reps, theta_elements, psi_of_theta,
                            position.get)
 
-    lengths = [ext.extended_length(a, I, J) for a in reps]
+    if keep_decompositions:
+        decompositions = [ext.canonical_decomposition(a, I, J) for a in reps]
+        lengths = [ext.decomposition_length(dec, I, J)
+                   for dec in decompositions]
+    else:
+        decompositions = None
+        lengths = [ext.extended_length(a, I, J) for a in reps]
     for orbit in orbits:
         if len({lengths[idx] for idx in orbit}) != 1:
             raise ThetaActionLeaks(
@@ -362,7 +392,7 @@ def classify(datum):
             degree=len(cycle),
         ))
     strata.sort(key=lambda s: (s.aut_dim, s.degree, ext.sort_key(s.rep)))
-    return strata
+    return _Stratification(twist, reps, lengths, decompositions, strata)
 
 
 def point_count(strata, v, q=None):

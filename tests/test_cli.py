@@ -3,9 +3,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from zipzeta import ZetaProduct, ZipDatum, classify, zeta_from_strata
-from zipzeta.cli import MAX_COUNT_DEGREE, MAX_SERIES_ORDER, main
+from zipzeta import (ExtWeylGroup, ZetaProduct, ZipDatum, classify,
+                     zeta_from_strata)
+from zipzeta.cli import MAX_COUNT_DEGREE, MAX_SERIES_ORDER, _json_text, main
 from zipzeta.zipstrata import FACTOR_LIMIT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -235,6 +237,7 @@ def test_mismatch_exit_3(monkeypatch, capsys):
     assert doc["ok"] is False
     assert doc["predicted"] == "999"
     assert doc["observed"] == "3/2"
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_output_is_deterministic(capsys):
@@ -266,3 +269,80 @@ def test_pretty_rendering(capsys):
                                   "--d", "1", "--p", "2"])
     assert code == 0
     assert "ok = True" in out
+
+
+# Keys that sort differently as strings and as numbers, and strings that
+# need escapes: quotes, backslashes, control characters, non-ASCII and
+# characters outside the basic plane.
+JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(-12, 12).map(str))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-300, 300),
+    st.integers(min_value=2 ** 64), st.integers(max_value=-2 ** 64),
+    st.text(max_size=6),
+    st.text(st.characters(max_codepoint=0x1F), max_size=3))
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(deadline=None)
+@given(JSON_TREES)
+@example({"-3": [], "10": {}, "2": [[], {}, ()]})
+@example([1, True, 0, False, None, -2 ** 70, 2 ** 70])
+@example({"\u00e9\x00\n\"\\": "\U0001f600\ud800\x1f\t", "": [-1, 0, 2 ** 64]})
+def test_json_text_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {1: "a"}, {"a": {2: 3}}, {"a": [float("nan")]}, {1, 2}, b"x",
+    object(),
+])
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def _commands(config):
+    path = str(CONFIGS / config)
+    if "h" in json.loads((CONFIGS / config).read_text()):
+        return [["bt", path], ["bt", path, "--series", "4"],
+                ["oracle", path]]
+    return [["strata", path], ["zeta", path, "--series", "4"],
+            ["zeta", path, "--q", "3", "--series", "4"],
+            ["count", path, "--v", "4"]]
+
+
+@pytest.mark.parametrize("argv", [
+    argv for config in sorted(p.name for p in CONFIGS.glob("*.json"))
+    for argv in _commands(config)], ids=" ".join)
+def test_output_is_canonical_indented_json(argv, capsys):
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+A3_ALL = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "I": []}
+
+
+@pytest.mark.parametrize("config", ["o4.json", "a2-flip.json",
+                                    "sl2-omega.json", "A3, I empty"])
+def test_strata_decomposes_each_minimal_element_once(config, tmp_path,
+                                                     monkeypatch, capsys):
+    path = CONFIGS / config
+    if not path.exists():
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps(A3_ALL))
+    original = ExtWeylGroup.canonical_decomposition
+    seen = []
+
+    def counted(self, a, I, J):
+        seen.append((a.w.perm, a.omega))
+        return original(self, a, I, J)
+
+    monkeypatch.setattr(ExtWeylGroup, "canonical_decomposition", counted)
+    doc = run_json(capsys, ["strata", str(path)])
+    assert len(seen) == len(set(seen)) == len(doc["minimal_set"])

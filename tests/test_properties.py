@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from zipzeta import QLaurent, ZetaProduct, ZipDatum, classify
+from zipzeta import QLaurent, WeylElement, ZetaProduct, ZipDatum, classify
+from zipzeta.extweyl import _conjugate
 from zipzeta.fforacle import (FqField, _verify_admissible, enumerate_gl,
                               mat_mul, twisted_action)
 from helpers import (candidates_by_scan, flat_pair, flip_ext, group,
@@ -119,6 +120,18 @@ def test_extended_length_additive_and_nonnegative(pool_entry, data):
     assert total == ext.extended_length(x, I, J) + dec.w_J.length
     back = x * ext.element(dec.w_J, ext.omega.identity_index)
     assert back == a
+
+
+def test_identity_component_twist_is_the_table_copy():
+    for make, _ in EXT_POOL:
+        ext = make()
+        t = ext.tables
+        k = ext.omega.identity_index
+        rp = ext.omega.root_perm(k)
+        for w in group(t):
+            fresh = WeylElement(t.rs, w.perm)
+            assert ext.twist_weyl(k, fresh) is t.canonical(w) is w
+            assert _conjugate(t, rp, rp, fresh) is w
 
 
 FIELDS = [(2, 1), (3, 1), (2, 2)]
