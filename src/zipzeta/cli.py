@@ -22,7 +22,7 @@ from .btgl import BTParams, bt_strata
 from .errors import MismatchDetected, ParseError, ZipzetaError, _is_int
 from .fforacle import crosscheck
 from .zetafn import QLaurent, expand_series, zeta_from_strata
-from .zipstrata import ZipDatum, _stratify, classify, point_count
+from .zipstrata import ZipDatum, _stratify, classify
 
 ZIP_KEYS = {"schema", "cartan", "I", "omega", "phi0", "q0", "e", "theta"}
 BT_KEYS = {"schema", "h", "d", "p", "n"}
@@ -309,8 +309,8 @@ def _cmd_count(args):
     _check_range("v", args.v, 1, MAX_COUNT_DEGREE)
     _check_field_size(args.q)
     datum = _require_zip(parse_config(args.config))
-    strata = classify(datum)
-    values = [{"v": v, "count": _coeff_json(point_count(strata, v, args.q))}
+    zeta = zeta_from_strata(classify(datum))
+    values = [{"v": v, "count": _coeff_json(zeta.n_value(v, args.q))}
               for v in range(1, args.v + 1)]
     return {
         "schema": 1,

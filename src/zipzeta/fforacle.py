@@ -16,18 +16,25 @@ predicts.
 
 The pairs are built, not searched for: every A of rank d is a column
 basis times a row basis in reduced echelon form, and the B that pair
-with it come from the kernels read off the two echelon forms.  Each
-pair is one flat row-major tuple of 2h^2 field codes, A then B, whose
-order is that of the nested pair.  Every pair is still checked against
-the rank and product conditions.
+with it come from the kernels read off the two echelon forms.  A row of
+h field codes is stored as one integer, its row code (big-endian base
+q, so integer order is row order), and a pair is a tuple of 2h row
+codes, A's rows then B's, whose order is that of the nested pair.
+Vector sums, scalings, dot products and entrywise p-th roots are
+lookups in tables over the q^h row codes (`RowTables`), as in the
+Meat-Axe (Parker, "The computer calculation of modular characters",
+1984).  Every pair is still checked against the rank and product
+conditions; a row basis and a column basis of each distinct A, and the
+rank of each distinct B, are computed once.
 
-Orbits are found by breadth-first search under a small generating set
-of GL_h (adjacent transvections and one diagonal matrix), each generator
-compiled to a few row and column steps on the flat tuple; #Aut is then
-|GL_h| over the orbit size, and each class is represented by the least
-pair of its orbit.  The test suite keeps the scan of all q^(h^2)
-matrices and the full-group stabilizer sweep as oracles for these
-candidates and classes.
+Orbits are found by breadth-first search under three generators of
+GL_h (the cyclic shift, one transvection and one diagonal matrix), each
+compiled to a position map, one column table per half and at most two
+row steps on the row codes; #Aut is then |GL_h| over the orbit size,
+and each class is represented by the least pair of its orbit.  The test
+suite keeps the scan of all q^(h^2) matrices, the full-group
+stabilizer sweep and a nested-matrix admissibility check as oracles
+for these candidates, classes and checks.
 
 Everything is exhaustive and exact, and shares no code with the
 stratification; that is the point.
@@ -120,6 +127,7 @@ class FqField:
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
         self._build_tables()
+        self._row_tables = {}
 
     @staticmethod
     def _least_modulus(p, k):
@@ -212,8 +220,60 @@ class FqField:
     def frob_inv(self, a):
         return self._frob_inv[a]
 
+    def row_tables(self, h):
+        """The RowTables of F_q^h, built on first use."""
+        tables = self._row_tables.get(h)
+        if tables is None:
+            tables = self._row_tables[h] = RowTables(self, h)
+        return tables
+
     def __repr__(self):
         return f"FqField(p={self.p}, k={self.k}, modulus={self.modulus})"
+
+
+class RowTables:
+    """Lookup tables for the vectors of F_q^h, each stored as its row
+    code.
+
+    The row (x_0, ..., x_(h-1)) has code sum x_t q^(h-1-t), so integer
+    order is row-lexicographic order.  With Q = q^h, the tables are:
+    `digits[u]`, the row of code u; `add[u][v]`, the code of the sum;
+    `scale[c][u]`, the code of c times the row; `dot[u][v]`, the field
+    code of the dot product; and `frob_inv[u]`, the code of the
+    entrywise p-th root.  `add` and `dot` have Q^2 entries each.  Every
+    table for h is built from the one for h - 1 by appending a last
+    digit.
+    """
+
+    def __init__(self, field, h):
+        q = field.q
+        fadd, fmul = field._add, field._mul
+        digits, add, dot = [()], [[0]], [[0]]
+        scale = [[0] for _ in range(q)]
+        frob_inv = [0]
+        for _ in range(h):
+            digits = [row + (x,) for row in digits for x in range(q)]
+            add = [[v * q + s for v in a_row for s in x_row]
+                   for a_row in add for x_row in fadd]
+            dot = [[fadd[v][m] for v in a_row for m in x_row]
+                   for a_row in dot for x_row in fmul]
+            scale = [[v * q + m for v in c_row for m in fmul[c]]
+                     for c, c_row in enumerate(scale)]
+            frob_inv = [v * q + x for v in frob_inv for x in field._frob_inv]
+        self.field = field
+        self.h = h
+        self.digits = digits
+        self.add = add
+        self.dot = dot
+        self.scale = scale
+        self.frob_inv = frob_inv
+
+    def encode(self, row):
+        """The code of a row of h field codes."""
+        code = 0
+        for x in row:
+            code = code * self.field.q + x
+        return code
 
 
 def mat_mul(F, A, B):
@@ -334,101 +394,130 @@ class CensusReport:
     groupoid_cardinality: Fraction
 
 
-def _product(F, X, Y, n, m, l):
-    """The n-by-l product of an n-by-m and an m-by-l matrix, all three
-    flat row-major tuples of codes."""
-    add, mul = F._add, F._mul
-    out = []
-    for i in range(n):
-        row = X[i * m:(i + 1) * m]
-        for j in range(l):
-            acc = 0
-            for k, x in enumerate(row):
-                if x:
-                    acc = add[acc][mul[x][Y[k * l + j]]]
-            out.append(acc)
-    return tuple(out)
-
-
-def _transpose(X, n, m):
-    """The transpose of a flat n-by-m matrix."""
-    return tuple(X[i * m + j] for j in range(m) for i in range(n))
+def _combine(add, scale, coeffs, rows):
+    """The code of sum_t coeffs[t] * rows[t], the rows given by code."""
+    acc = 0
+    for x, row in zip(coeffs, rows):
+        if x:
+            acc = add[acc][scale[x][row]]
+    return acc
 
 
 def _echelon_forms(F, d, h):
-    """Every d-by-h matrix of rank d in reduced row-echelon form, flat,
-    with the basis of its kernel read off it: the columns of a flat
-    h-by-(h - d) matrix."""
+    """Every d-by-h matrix of rank d in reduced row-echelon form, with
+    the basis of its kernel read off it: the columns of an h-by-(h - d)
+    matrix.  Both are lists of rows."""
     c = h - d
     for pivots in itertools.combinations(range(h), d):
         free_cols = [f for f in range(h) if f not in pivots]
-        slots = [r * h + f for r, pc in enumerate(pivots)
+        slots = [(r, f) for r, pc in enumerate(pivots)
                  for f in free_cols if f > pc]
         for values in itertools.product(range(F.q), repeat=len(slots)):
-            S = [0] * (d * h)
+            S = [[0] * h for _ in range(d)]
             for r, pc in enumerate(pivots):
-                S[r * h + pc] = 1
-            for pos, x in zip(slots, values):
-                S[pos] = x
-            K = [0] * (h * c)
+                S[r][pc] = 1
+            for (r, f), x in zip(slots, values):
+                S[r][f] = x
+            K = [[0] * c for _ in range(h)]
             for t, f in enumerate(free_cols):
-                K[f * c + t] = 1
+                K[f][t] = 1
                 for r, pc in enumerate(pivots):
-                    K[pc * c + t] = F._neg[S[r * h + f]]
-            yield tuple(S), tuple(K)
+                    K[pc][t] = F._neg[S[r][f]]
+            yield S, K
 
 
 def _candidates(F, h, d):
-    """All admissible pairs, each one flat row-major tuple of 2h^2 codes
-    (A, then B).
+    """All admissible pairs, each a tuple of 2h row codes: the rows of
+    A, then those of B.
 
     A matrix of rank d is A = C R for exactly one d-by-h echelon form R
     (its row space) and one h-by-d C of full column rank, and C = E G
     for one echelon form E^T (its column space) and one G in GL_d.  Then
     ker A = ker R, the left kernel of A is the kernel of E^T, and the B
     that pair with A are (K Y L)^[1/p] for Y in GL_(h-d), with the
-    columns of K spanning ker A and the rows of L the left kernel.
+    columns of K spanning ker A and the rows of L the left kernel.  Row
+    i of A = E (G R) is sum_s E_is (G R)_s, and row i of K (Y L) is
+    sum_t K_it (Y L)_t: a few row-code lookups each.
     """
-    c = h - d
-
-    def flat(M):
-        return tuple(itertools.chain.from_iterable(M))
-
-    gl_d = [flat(G) for G in enumerate_gl(F, d)]
-    gl_c = [flat(Y) for Y in enumerate_gl(F, c)]
+    T = F.row_tables(h)
+    add, scale, frob_inv = T.add, T.scale, T.frob_inv
+    gl_d = enumerate_gl(F, d)
+    gl_c = enumerate_gl(F, h - d)
     forms = []
     for S, K in _echelon_forms(F, d, h):
-        E = _transpose(S, d, h)
-        forms.append((S, _transpose(K, h, c),
-                      [_product(F, E, G, h, d, d) for G in gl_d],
-                      [_product(F, K, Y, h, c, c) for Y in gl_c]))
-    frob_inv = F._frob_inv
+        R = [T.encode(row) for row in S]
+        L = [T.encode(col) for col in zip(*K)]
+        E = [[row[i] for row in S] for i in range(h)]
+        forms.append((E, K,
+                      [[_combine(add, scale, y, L) for y in Y] for Y in gl_c],
+                      [[_combine(add, scale, g, R) for g in G] for G in gl_d]))
     out = []
-    for _, L, column_bases, _ in forms:
-        for R, _, _, kernel_bases in forms:
-            Bs = [tuple(frob_inv[x] for x in _product(F, KY, L, h, c, h))
-                  for KY in kernel_bases]
-            for C in column_bases:
-                A = _product(F, C, R, h, d, h)
-                out.extend(A + B for B in Bs)
+    for E, _, YLs, _ in forms:
+        for _, K, _, GRs in forms:
+            As = [tuple(_combine(add, scale, e, GR) for e in E) for GR in GRs]
+            Bs = [tuple(frob_inv[_combine(add, scale, k, YL)] for k in K)
+                  for YL in YLs]
+            out.extend(A + B for A in As for B in Bs)
     return out
 
 
-def _verify_admissible(F, h, d, pair):
-    """Assert the rank and product conditions on a flat pair."""
-    n = h * h
-    A, B = pair[:n], pair[n:]
-    assert mat_rank(F, [A[i:i + h] for i in range(0, n, h)]) == d
-    assert mat_rank(F, [B[i:i + h] for i in range(0, n, h)]) == h - d
-    frob, frob_inv = F._frob, F._frob_inv
-    assert not any(_product(F, A, [frob[x] for x in B], h, h, h))
-    assert not any(_product(F, B, [frob_inv[x] for x in A], h, h, h))
+def _row_basis(T, rows):
+    """An echelon basis of the span of the row codes, by elimination on
+    codes.  Each basis row has a 1 at its pivot column and a 0 at the
+    pivots of the rows before it."""
+    digits, add, scale = T.digits, T.add, T.scale
+    neg, inv = T.field._neg, T.field._inv
+    basis = []
+    for row in rows:
+        for c, b in basis:
+            x = digits[row][c]
+            if x:
+                row = add[row][scale[neg[x]][b]]
+        if row:
+            for c, x in enumerate(digits[row]):
+                if x:
+                    basis.append((c, scale[inv[x]][row]))
+                    break
+    return [b for _, b in basis]
 
 
-def _nested(pair, h):
-    """A flat pair as the matrices (A, B), each a tuple of rows."""
-    rows = tuple(pair[i:i + h] for i in range(0, len(pair), h))
-    return rows[:h], rows[h:]
+def _verify_admissible(T, d, pairs):
+    """Assert rank A = d, rank B = h - d, A B^[p] = 0 and B A^[1/p] = 0
+    on every row-coded pair.
+
+    Taking p-th roots, A B^[p] = 0 exactly when A^[1/p] B = 0, that is
+    when R B = 0 for a row basis R of A^[1/p]; and B A^[1/p] = 0 exactly
+    when B C = 0 for a basis C of the column space of A^[1/p].  Both
+    products are taken for every pair: R B by row-code steps, B C by
+    lookups in the dot-product table, dot[c] being the products with c.
+    The memos, local to this call, hold only what depends on one
+    matrix: R, C (so rank A) for each distinct A, and rank B for each
+    distinct B.
+    """
+    h = T.h
+    digits, add, scale, dot, frob_inv = (
+        T.digits, T.add, T.scale, T.dot, T.frob_inv)
+    a_memo, b_memo = {}, {}
+    for pair in pairs:
+        A, B = pair[:h], pair[h:]
+        bases = a_memo.get(A)
+        if bases is None:
+            root = [frob_inv[a] for a in A]
+            columns = [T.encode(col)
+                       for col in zip(*(digits[a] for a in root))]
+            bases = a_memo[A] = (
+                [digits[r] for r in _row_basis(T, root)],
+                [dot[c] for c in _row_basis(T, columns)])
+        rows, columns = bases
+        assert len(rows) == d
+        rank_b = b_memo.get(B)
+        if rank_b is None:
+            rank_b = b_memo[B] = len(_row_basis(T, B))
+        assert rank_b == h - d
+        for r in rows:
+            assert not _combine(add, scale, r, B)
+        for products in columns:
+            assert not any(map(products.__getitem__, B))
 
 
 def twisted_action(F, g, pair, g_frob_inv=None, g_frob_inv2=None):
@@ -455,66 +544,68 @@ def primitive_element(F):
 
 
 def gl_generators(F, h):
-    """Generators of GL_h(F_q), each of the form I + b e_ij.
+    """Three generators of GL_h(F_q): the cyclic shift P with
+    P e_j = e_(j+1 mod h), the transvection I + e_01 and
+    diag(z, 1, ..., 1), z primitive.
 
-    The adjacent transvections E_{i,i+1}(1) and E_{i+1,i}(1) generate
-    SL_h(F_p); conjugating by diag(z, 1, ..., 1), z primitive, spreads
-    the scalars to every E_ij(lambda), and its determinant reaches all
-    of F_q^x.  Over F_2 that diagonal is the identity and is dropped.
+    Conjugating I + e_01 by P^n gives I + e_(n,n+1), indices mod h:
+    every E_(i,i+1)(1) and E_(h-1,0)(1).  The commutator
+    [E_ij(a), E_jk(b)] = E_ik(ab) for i != k walks round this cycle from
+    any i to any j != i, so every E_ij(1) is reached, and these generate
+    SL_h(F_p).  Conjugating by powers of the diagonal gives E_0j(z^n)
+    and E_i0(z^-n); their products give every E_0j(b) and E_i0(b), and
+    the commutators [E_i0(1), E_0j(b)] = E_ij(b) every other one, so
+    SL_h(F_q).  The diagonal's determinant z generates F_q^x, hence all
+    of GL_h(F_q).  Over F_2 the diagonal is the identity and is dropped;
+    at h = 1 only the diagonal is left.
     """
-    def elementary(i, j, b):
-        return tuple(tuple(int(r == c) if (r, c) != (i, j)
-                           else F.add(int(r == c), b)
-                           for c in range(h)) for r in range(h))
-
     out = []
-    for i in range(h - 1):
-        out.append(elementary(i, i + 1, 1))
-        out.append(elementary(i + 1, i, 1))
+    if h > 1:
+        out.append(tuple(tuple(int(i == (j + 1) % h) for j in range(h))
+                         for i in range(h)))
+        out.append(tuple(tuple(int(i == j or (i, j) == (0, 1))
+                               for j in range(h)) for i in range(h)))
     if F.q > 2:
-        out.append(elementary(0, 0, F.sub(primitive_element(F), 1)))
+        z = primitive_element(F)
+        out.append(tuple(tuple((z if i == 0 else 1) if i == j else 0
+                               for j in range(h)) for i in range(h)))
     return out
 
 
-def _elementary_entry(F, g):
-    """(i, j, b) with g = I + b e_ij."""
-    off = [(i, j, F.sub(x, int(i == j)))
-           for i, row in enumerate(g) for j, x in enumerate(row)
-           if x != int(i == j)]
-    assert len(off) == 1
-    return off[0]
-
-
 def generator_move(F, g):
-    """The twisted action of g = I + r e_ij on flat pairs, compiled.
+    """The twisted action of g on row-coded pairs, compiled.
 
-    With (g^[p])^-1 = I + c_A e_ij and (g^[1/p])^-1 = I + c_B e_ij, g
-    sends A to (I + r e_ij) A (I + c_A e_ij): row_i += r row_j, then
-    col_j += c_A col_i; and B likewise with c_B.  Returns these steps as
-    (dst, src, m) triples, m a row of the multiplication table, to be
-    applied in order as x[dst] += m[x[src]].
+    g sends A to g A (g^[p])^-1 and B to g B (g^[1/p])^-1.  The right
+    factor acts on each row alone: a column table over the row codes,
+    one per half.  Row i of g A is sum_j g_ij A_j; its first term
+    becomes the position map (source row j, read through the column
+    table composed with scaling by g_ij), each further term a row step.
+    Returns (sources, steps, add) for `apply_move`: a shift has no row
+    steps, I + e_01 one per half and the diagonal none.
     """
     h = len(g)
-    i, j, r = _elementary_entry(F, g)
-    i_a, j_a, c_a = _elementary_entry(F, mat_inv(F, mat_frob(F, g)))
-    i_b, j_b, c_b = _elementary_entry(F, mat_inv(F, mat_frob_inv(F, g)))
-    assert (i_a, j_a) == (i_b, j_b) == (i, j)
-    steps = []
-    for base, c in ((0, c_a), (h * h, c_b)):
-        steps += [(base + i * h + t, base + j * h + t, F._mul[r])
-                  for t in range(h)]
-        steps += [(base + s * h + j, base + s * h + i, F._mul[c])
-                  for s in range(h)]
-    return steps
+    T = F.row_tables(h)
+    sources, steps = [], []
+    for base, M in ((0, mat_inv(F, mat_frob(F, g))),
+                    (h, mat_inv(F, mat_frob_inv(F, g)))):
+        M_rows = [T.encode(row) for row in M]
+        column = [_combine(T.add, T.scale, row, M_rows) for row in T.digits]
+        for i, row in enumerate(g):
+            terms = [(base + j, column if x == 1 else
+                      [column[u] for u in T.scale[x]])
+                     for j, x in enumerate(row) if x]
+            sources.append(terms[0])
+            steps += [(base + i, src, table) for src, table in terms[1:]]
+    return tuple(sources), tuple(steps), T.add
 
 
-def apply_move(F, move, pair):
-    """Image of a flat pair under the generator behind move."""
-    add = F._add
-    x = list(pair)
-    for dst, src, m in move:
-        x[dst] = add[x[dst]][m[x[src]]]
-    return tuple(x)
+def apply_move(move, pair):
+    """Image of a row-coded pair under the generator behind move."""
+    sources, steps, add = move
+    image = [table[pair[s]] for s, table in sources]
+    for dst, src, table in steps:
+        image[dst] = add[image[dst]][table[pair[src]]]
+    return tuple(image)
 
 
 def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
@@ -532,25 +623,30 @@ def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
     F = field
     q = F.q
     n_candidates = _rank_count(q, h, d) * gl_order(q, h - d)
+    # The q^(h^2) term also bounds the row-code tables: for h >= 2 each
+    # Q^2-entry table (Q = q^h) has at most q^(h^2) entries, and for
+    # h = 1 at most 64^2.
     scan_cost = q ** (h * h)
     if n_candidates + scan_cost > search_bound:
         raise SearchSpaceTooLarge(
             f"about {n_candidates + scan_cost} candidates exceed the bound "
             f"{search_bound}")
+    T = F.row_tables(h)
     candidates = _candidates(F, h, d)
     assert len(candidates) == n_candidates
-    for pair in candidates:
-        _verify_admissible(F, h, d, pair)
+    _verify_admissible(T, d, candidates)
 
     group_order = gl_order(q, h)
     moves = [generator_move(F, g) for g in gl_generators(F, h)]
     candidate_set = set(candidates)
     visited = set()
     classes = []
-    # Flat tuples sort as the nested (A, B) do.  Each seed is the least
-    # unvisited pair, so the least of its orbit: every smaller pair lies
-    # in an earlier orbit.  The classes come out sorted by rep.
+    # Row codes are big-endian, so pairs sort as the nested (A, B) do.
+    # Each seed is the least unvisited pair, so the least of its orbit:
+    # every smaller pair lies in an earlier orbit.  The classes come out
+    # sorted by rep.
     candidates.sort()
+    digits = T.digits
     for seed in candidates:
         if seed in visited:
             continue
@@ -560,14 +656,15 @@ def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
             reached = []
             for pair in frontier:
                 for move in moves:
-                    image = apply_move(F, move, pair)
+                    image = apply_move(move, pair)
                     assert image in candidate_set
                     if image not in orbit:
                         orbit.add(image)
                         reached.append(image)
             frontier = reached
         assert group_order % len(orbit) == 0
-        classes.append(CensusClass(rep=_nested(seed, h),
+        rep = tuple(digits[u] for u in seed)
+        classes.append(CensusClass(rep=(rep[:h], rep[h:]),
                                    orbit_size=len(orbit),
                                    aut_count=group_order // len(orbit)))
         visited |= orbit

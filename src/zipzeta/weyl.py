@@ -333,7 +333,9 @@ class CosetTables:
                     break
             else:
                 break
-        w_J = self.canonical(x.inverse() * w)
+        # When nothing was stripped (always when J is empty), x is w and
+        # w_J is the identity; no inverse or product is needed.
+        w_J = self.identity if x is w else self.canonical(x.inverse() * w)
         assert x.length + w_J.length == w.length
         assert self.is_min_left(x, I) and self.is_min_right(x, J)
         assert self.in_parabolic(w_J, J)

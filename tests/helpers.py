@@ -183,9 +183,28 @@ def candidates_by_scan(F, h, d):
     return out
 
 
-def flat_pair(pair):
-    """A nested pair (A, B) as the census's flat row-major tuple."""
-    return tuple(x for M in pair for row in M for x in row)
+def coded_pair(F, pair):
+    """A nested pair (A, B) as the census's tuple of 2h row codes."""
+    T = F.row_tables(len(pair[0]))
+    return tuple(T.encode(row) for M in pair for row in M)
+
+
+def decoded_pair(F, pair):
+    """A census pair of 2h row codes as the nested (A, B)."""
+    h = len(pair) // 2
+    rows = tuple(F.row_tables(h).digits[u] for u in pair)
+    return rows[:h], rows[h:]
+
+
+def reference_admissible(F, h, d, pair):
+    """The four conditions on a nested pair (A, B), by `mat_rank` and
+    `mat_mul` on nested matrices: rank A = d, rank B = h - d,
+    A B^[p] = 0 and B A^[1/p] = 0."""
+    A, B = pair
+    zero = tuple((0,) * h for _ in range(h))
+    return (mat_rank(F, A) == d and mat_rank(F, B) == h - d
+            and mat_mul(F, A, mat_frob(F, B)) == zero
+            and mat_mul(F, B, mat_frob_inv(F, A)) == zero)
 
 
 def census_by_sweep(F, h, d):

@@ -106,6 +106,7 @@ def test_criterion_5_census_oracle():
         (2, 2, 2, 1, Fraction(1)),
         (2, 0, 3, 1, Fraction(1)),
         (3, 1, 3, 1, Fraction(13, 9)),
+        (4, 2, 2, 1, Fraction(35, 16)),
     ]
     for h, d, p, k, expected in cases:
         with within(60.0):

@@ -6,12 +6,12 @@ import pytest
 from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, crosscheck,
                      enumerate_census)
-from zipzeta.fforacle import (_candidates, apply_move, enumerate_gl,
-                              generator_move, gl_generators, gl_order,
-                              mat_inv, mat_mul, mat_rank, primitive_element,
-                              twisted_action)
-from helpers import (candidates_by_scan, census_by_sweep, flat_pair,
-                     mat_identity)
+from zipzeta.fforacle import (_candidates, _verify_admissible, apply_move,
+                              enumerate_gl, generator_move, gl_generators,
+                              gl_order, mat_inv, mat_mul, mat_rank,
+                              primitive_element, twisted_action)
+from helpers import (candidates_by_scan, census_by_sweep, coded_pair,
+                     decoded_pair, mat_identity, reference_admissible)
 
 
 def test_field_construction_errors():
@@ -83,6 +83,28 @@ def test_frobenius(p, k):
         assert F.frob(c) == c
 
 
+@pytest.mark.parametrize("p,k,h", [(2, 2, 1), (3, 1, 2), (2, 1, 3),
+                                   (2, 2, 2)])
+def test_row_tables_match_field_arithmetic(p, k, h):
+    F = FqField(p, k)
+    T = F.row_tables(h)
+    rows = T.digits
+    # Big-endian codes: integer order is row-lexicographic order.
+    assert rows == sorted(itertools.product(range(F.q), repeat=h))
+    assert all(T.encode(row) == u for u, row in enumerate(rows))
+    for u, x in enumerate(rows):
+        assert rows[T.frob_inv[u]] == tuple(F.frob_inv(a) for a in x)
+        for c in F.elements():
+            assert rows[T.scale[c][u]] == tuple(F.mul(c, a) for a in x)
+        for v, y in enumerate(rows):
+            assert rows[T.add[u][v]] == tuple(map(F.add, x, y))
+            dot = 0
+            for a, b in zip(x, y):
+                dot = F.add(dot, F.mul(a, b))
+            assert T.dot[u][v] == dot
+    assert F.row_tables(h) is T
+
+
 def test_gl_enumeration():
     F2 = FqField(2)
     assert len(enumerate_gl(F2, 2)) == gl_order(2, 2) == 6
@@ -133,17 +155,51 @@ def test_census_matches_full_group_sweep(h, d, p, k, modulus):
 def test_direct_candidates_match_the_scan(h, d, p, k, modulus):
     F = FqField(p, k, modulus=modulus)
     built = _candidates(F, h, d)
-    assert len(set(built)) == len(built)
-    assert set(built) == {flat_pair(X) for X in candidates_by_scan(F, h, d)}
+    assert all(len(pair) == 2 * h for pair in built)
+    decoded = {decoded_pair(F, pair) for pair in built}
+    assert len(decoded) == len(built)
+    assert decoded == set(candidates_by_scan(F, h, d))
+
+
+@pytest.mark.parametrize("h,d,p,k", [(2, 1, 3, 2), (3, 1, 3, 1),
+                                     (4, 2, 2, 1)])
+def test_check_rejects_exactly_the_inadmissible_perturbations(h, d, p, k):
+    # Every single-entry change of a sample of candidates, checked after
+    # the unchanged pair so that one of its matrices is already memoized.
+    # A few changes leave the pair admissible; the check must accept
+    # exactly those.
+    F = FqField(p, k)
+    T = F.row_tables(h)
+    built = sorted(_candidates(F, h, d))
+    counts = {True: 0, False: 0}
+    for pair in built[::len(built) // 12]:
+        A, B = decoded_pair(F, pair)
+        for half, M in ((0, A), (1, B)):
+            for i, j in itertools.product(range(h), repeat=2):
+                for x in range(F.q):
+                    if x == M[i][j]:
+                        continue
+                    row = M[i][:j] + (x,) + M[i][j + 1:]
+                    changed = M[:i] + (row,) + M[i + 1:]
+                    X = (changed, B) if half == 0 else (A, changed)
+                    try:
+                        _verify_admissible(T, d, [pair, coded_pair(F, X)])
+                        accepted = True
+                    except AssertionError:
+                        accepted = False
+                    assert accepted == reference_admissible(F, h, d, X)
+                    counts[accepted] += 1
+    assert counts[False] > 0
 
 
 @pytest.mark.parametrize("h,p,k", [
     (1, 2, 1), (1, 2, 2), (1, 3, 2), (2, 2, 1), (2, 3, 1), (2, 2, 2),
-    (2, 2, 3), (2, 3, 2), (3, 2, 1),
+    (2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 1), (4, 2, 1),
 ])
 def test_generators_generate_gl(h, p, k):
     F = FqField(p, k)
     gens = gl_generators(F, h)
+    assert len(gens) == (h > 1) * 2 + (F.q > 2)
     closure = {mat_identity(h)}
     frontier = list(closure)
     while frontier:
@@ -172,11 +228,17 @@ def test_generator_moves_match_twisted_action(p, k):
     if F.q == 2:
         shapes += [(3, d) for d in range(4)]
     for h, d in shapes:
-        moves = [(g, generator_move(F, g)) for g in gl_generators(F, h)]
+        gens = gl_generators(F, h)
+        if h > 1:
+            # The first generator is the cyclic shift P e_j = e_(j+1).
+            assert gens[0] == tuple(tuple(int(i == (j + 1) % h)
+                                          for j in range(h))
+                                    for i in range(h))
+        moves = [(g, generator_move(F, g)) for g in gens]
         for X in candidates_by_scan(F, h, d):
             for g, move in moves:
-                assert apply_move(F, move, flat_pair(X)) == \
-                    flat_pair(twisted_action(F, g, X))
+                assert apply_move(move, coded_pair(F, X)) == \
+                    coded_pair(F, twisted_action(F, g, X))
 
 
 def test_gl_enumeration_orders():

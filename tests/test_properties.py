@@ -6,7 +6,7 @@ from zipzeta import QLaurent, WeylElement, ZetaProduct, ZipDatum, classify
 from zipzeta.extweyl import _conjugate
 from zipzeta.fforacle import (FqField, _verify_admissible, enumerate_gl,
                               mat_mul, twisted_action)
-from helpers import (candidates_by_scan, flat_pair, flip_ext, group,
+from helpers import (candidates_by_scan, coded_pair, flip_ext, group,
                      minus_one_ext, reference_point_counts, reference_series,
                      swap_ext, tables, trivial_ext)
 
@@ -148,7 +148,7 @@ def test_census_action_properties(spec, d, data):
     g = data.draw(st.sampled_from(gl))
     gp = data.draw(st.sampled_from(gl))
     image = twisted_action(F, g, X)
-    _verify_admissible(F, h, d, flat_pair(image))
+    _verify_admissible(F.row_tables(h), d, [coded_pair(F, image)])
     assert twisted_action(F, g, twisted_action(F, gp, X)) == \
         twisted_action(F, mat_mul(F, g, gp), X)
 
