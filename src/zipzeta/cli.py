@@ -20,9 +20,8 @@ from pathlib import Path
 
 from .btgl import BTParams, bt_strata
 from .errors import MismatchDetected, ParseError, ZipzetaError, _is_int
-from .fforacle import crosscheck
 from .zetafn import QLaurent, expand_series, zeta_from_strata
-from .zipstrata import ZipDatum, _stratify, classify
+from .zipstrata import ZipDatum, _stratify, zeta_function
 
 ZIP_KEYS = {"schema", "cartan", "I", "omega", "phi0", "q0", "e", "theta"}
 BT_KEYS = {"schema", "h", "d", "p", "n"}
@@ -279,8 +278,7 @@ def _cmd_strata(args):
     }
 
 
-def _zeta_doc(kind, strata, q, series_order, extra):
-    zeta = zeta_from_strata(strata)
+def _zeta_doc(kind, zeta, q, series_order, extra):
     doc = {
         "schema": 1,
         "kind": kind,
@@ -300,8 +298,7 @@ def _cmd_zeta(args):
     _check_range("series", args.series, 0, MAX_SERIES_ORDER)
     _check_field_size(args.q)
     datum = _require_zip(parse_config(args.config))
-    strata = classify(datum)
-    return _zeta_doc("zeta", strata, args.q, args.series,
+    return _zeta_doc("zeta", zeta_function(datum), args.q, args.series,
                      {"config": _echo(datum)})
 
 
@@ -309,7 +306,7 @@ def _cmd_count(args):
     _check_range("v", args.v, 1, MAX_COUNT_DEGREE)
     _check_field_size(args.q)
     datum = _require_zip(parse_config(args.config))
-    zeta = zeta_from_strata(classify(datum))
+    zeta = zeta_function(datum)
     values = [{"v": v, "count": _coeff_json(zeta.n_value(v, args.q))}
               for v in range(1, args.v + 1)]
     return {
@@ -345,10 +342,14 @@ def _cmd_bt(args):
         "strata": [{"length": s.length, "aut_dim": s.aut_dim}
                    for s in strata],
     }
-    return _zeta_doc("bt", strata, params.p, args.series, extra)
+    return _zeta_doc("bt", zeta_from_strata(strata), params.p, args.series,
+                     extra)
 
 
 def _cmd_oracle(args):
+    # Only this command runs the census, so only it loads the module.
+    from .fforacle import crosscheck
+
     params = _bt_params(args)
     report = crosscheck(params, args.k)
     return {

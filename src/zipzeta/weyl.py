@@ -8,14 +8,15 @@ stripping the left descent with the least simple index.
 
 CosetTables builds only what it is asked for.  Elements are interned the
 first time they are reached, so each has one shared copy; the group
-order comes from the root heights; the minimal left coset
-representatives of a parabolic type come from a search over that set
-alone, never over the whole group.  The tables memoize words, minimal
-coset representatives, the longest elements of parabolic subgroups and
-one descent-stripping decomposition: for w minimal in W_I w, the split
-w = x * w_J with x minimal in its double coset and w_J inside W_J.  It
-is unique and length-additive; the code asserts this against the
-definitions on every call.
+order, and the number of minimal left coset representatives of each
+length, come from the root heights; the representatives themselves
+come from a search over that set alone, never over the whole group.
+The tables memoize words, minimal coset representatives, the longest
+elements of parabolic subgroups and one descent-stripping
+decomposition: for w minimal in W_I w, the split w = x * w_J with x
+minimal in its double coset and w_J inside W_J.  It is unique and
+length-additive; the code asserts this against the definitions on
+every call.
 
 enumerate_group additionally returns the whole group as a tuple.  The
 library never needs that; tests use it as the reference the on-demand
@@ -97,17 +98,26 @@ def _identity_perm(rs):
 
 
 def _degree_product(heights):
-    """Order of the Weyl group whose positive roots have these heights.
+    """Poincare polynomial of the Weyl group whose positive roots have
+    these heights, as integer coefficients: entry l counts the elements
+    of length l.
 
     By Kostant, the number of exponents equal to k is n_k - n_(k+1),
-    where n_k counts the positive roots of height k.  Each degree is an
-    exponent plus one, and the order is the product of the degrees.
+    where n_k counts the positive roots of height k.  Each degree d is
+    an exponent plus one, and the polynomial is the product of the
+    q-integers [d]_q = 1 + q + ... + q^(d-1), so its value at q = 1 is
+    the order of the group.
     """
     counts = Counter(heights)
-    order = 1
+    poly = [1]
     for k, n in counts.items():
-        order *= (k + 1) ** (n - counts.get(k + 1, 0))
-    return order
+        for _ in range(n - counts.get(k + 1, 0)):
+            out = [0] * (len(poly) + k)
+            for i, c in enumerate(poly):
+                for j in range(i, i + k + 1):
+                    out[j] += c
+            poly = out
+    return poly
 
 
 def enumerate_group(tables, cap=DEFAULT_GROUP_CAP):
@@ -162,17 +172,40 @@ class CosetTables:
         return w
 
     def __len__(self):
-        """|W|, as the product of the degrees; nothing is enumerated."""
-        return _degree_product(r.height for r in self.rs.positive_roots)
+        """|W|, the Poincare polynomial at q = 1; nothing is
+        enumerated."""
+        return sum(self.min_left_poincare(()))
 
     def min_left_count(self, I):
         """|W| / |W_I|, the number of minimal left coset
         representatives, predicted without building them."""
+        return sum(self.min_left_poincare(I))
+
+    def min_left_poincare(self, I):
+        """Coefficients of W^I(q) = W(q) / W_I(q): entry l counts the
+        minimal left coset representatives of W_I of length l.
+
+        Both Poincare polynomials come from the degrees, so nothing is
+        enumerated.  The division is exact, and the quotient's degree
+        is the number of positive roots outside I, the length of the
+        longest representative.
+        """
         rs = self.rs
+        whole = _degree_product(r.height for r in rs.positive_roots)
         inside = _degree_product(rs.roots[k].height
                                  for k in rs.subsystem_ordinals(I)
                                  if k < rs.n_positive)
-        return len(self) // inside
+        # Long division from the top; both polynomials are monic.
+        rem = list(whole)
+        top = len(inside) - 1
+        quotient = [0] * (len(whole) - top)
+        for i in reversed(range(len(quotient))):
+            c = quotient[i] = rem[i + top]
+            for j, b in enumerate(inside):
+                rem[i + j] -= c * b
+        assert not any(rem), "W_I(q) does not divide W(q)"
+        assert len(quotient) - 1 == len(rs.positive_outside(I))
+        return tuple(quotient)
 
     @property
     def identity(self):

@@ -15,7 +15,9 @@ Each stratum carries two invariants: aut_dim, the codimension defect
 (flag dimension minus extended length), which is the dimension of the
 automorphism group of the corresponding isomorphism class, and degree,
 the Galois orbit size, the least field degree over which the class has
-a model.
+a model.  For split data (tau the identity, Theta = {1}) zeta_function
+reads the zeta function off the Poincare polynomial of W^I instead of
+stratifying.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
 from .extweyl import DiagramAutomorphism, ExtWeylGroup, OmegaGroup
 from .rootsystem import CartanMatrix, build_root_system
 from .weyl import DEFAULT_GROUP_CAP, CosetTables
-from .zetafn import zeta_from_strata
+from .zetafn import ZetaProduct, zeta_from_strata
 
 
 # Trial division stops at isqrt(FACTOR_LIMIT), about 10^6 divisions: an
@@ -72,7 +74,10 @@ class ZipDatum:
     check; a constructed datum is safe to classify.
 
     group_cap bounds the number of minimal coset representatives,
-    |W| / |W_I|, which is predicted before any of them is built.
+    |W| / |W_I|, which is predicted before any of them is built.  It
+    bounds split data too, although zeta_function builds none of their
+    representatives: lifting the cap there would change which inputs
+    are accepted, so it is left for a deliberate change.
     """
 
     def __init__(self, cartan, parabolic_type, *, omega=None, phi0=None,
@@ -393,6 +398,29 @@ def _stratify(datum, keep_decompositions=False):
         ))
     strata.sort(key=lambda s: (s.aut_dim, s.degree, ext.sort_key(s.rep)))
     return _Stratification(twist, reps, lengths, decompositions, strata)
+
+
+def zeta_function(datum):
+    """The zeta function of the datum, as zeta_from_strata(classify(datum))
+    gives it.
+
+    A split datum, one whose Galois generator tau is the identity and
+    whose Theta is {1}, needs no stratification: every element of the
+    minimal set is a stratum of degree 1, and its aut_dim is flag_dim
+    minus its extended length.  Those lengths are distributed as the
+    lengths of W^I, once per component, since the point counts are
+    N_v = |Omega| q^(-v flag_dim) W^I(q^v) (Lang's theorem and the
+    Bruhat decomposition of G/P).  So the factors are read off the
+    Poincare polynomial W^I(q) = W(q) / W_I(q) without building W^I.
+    Any other datum is classified.
+    """
+    if (datum.tau.is_identity()
+            and datum.theta_indices == (datum.omega.identity_index,)):
+        poincare = datum.tables.min_left_poincare(datum.parabolic_type)
+        n = len(datum.omega)
+        return ZetaProduct({(datum.flag_dim - length, 1): n * count
+                            for length, count in enumerate(poincare)})
+    return zeta_from_strata(classify(datum))
 
 
 def point_count(strata, v, q=None):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -100,6 +103,19 @@ def test_bt_cap_bounds_the_strata_count(capsys):
     assert len(doc["strata"]) == 252
 
 
+@pytest.mark.parametrize("command", [["zeta"], ["count", "--v", "1"]])
+def test_split_data_over_the_cap_are_still_refused(command, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "a8.json"
+    cfg.write_text(json.dumps({
+        "cartan": [[2 if i == j else -1 if abs(i - j) == 1 else 0
+                    for j in range(8)] for i in range(8)],
+        "I": []}))
+    code, out, err = run(capsys, [command[0], str(cfg), *command[1:]])
+    assert code == 2 and out == ""
+    assert "362880" in err and "100000" in err
+
+
 def test_huge_characteristic_is_refused_quickly(capsys):
     start = time.monotonic()
     code, out, err = run(capsys, ["bt", "--h", "2", "--d", "1",
@@ -169,7 +185,7 @@ def _no_work(*args, **kwargs):
 ])
 def test_out_of_range_series_and_degree_exit_2(argv, monkeypatch, capsys):
     monkeypatch.setattr("zipzeta.cli.parse_config", _no_work)
-    monkeypatch.setattr("zipzeta.cli.classify", _no_work)
+    monkeypatch.setattr("zipzeta.cli.zeta_function", _no_work)
     monkeypatch.setattr("zipzeta.cli.bt_strata", _no_work)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -346,3 +362,63 @@ def test_strata_decomposes_each_minimal_element_once(config, tmp_path,
     monkeypatch.setattr(ExtWeylGroup, "canonical_decomposition", counted)
     doc = run_json(capsys, ["strata", str(path)])
     assert len(seen) == len(set(seen)) == len(doc["minimal_set"])
+
+
+SPLIT_ROUTE_ARGS = [
+    ("zeta",), ("zeta", "--q", "3"), ("zeta", "--series", "6"),
+    ("count", "--v", "5"), ("count", "--v", "5", "--q", "2"),
+]
+
+
+@pytest.mark.parametrize("config,args", [
+    (config, args) for config in sorted(p.name for p in CONFIGS.glob("*.json"))
+    for args in SPLIT_ROUTE_ARGS], ids=lambda x: x if isinstance(x, str)
+    else " ".join(x))
+def test_zeta_and_count_match_the_classify_route(config, args, monkeypatch,
+                                                 capsys):
+    argv = [args[0], str(CONFIGS / config), *args[1:]]
+    closed = run(capsys, argv)
+    monkeypatch.setattr("zipzeta.cli.zeta_function",
+                        lambda datum: zeta_from_strata(classify(datum)))
+    assert run(capsys, argv) == closed
+
+
+LAZY_CENSUS = """
+import contextlib, io, json, sys
+import zipzeta
+from zipzeta.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = "zipzeta.fforacle" in sys.modules
+from zipzeta import crosscheck
+from zipzeta import *
+public = {n for n in vars(zipzeta) if not n.startswith("_")}
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "census": crosscheck.__module__,
+                  "all": sorted(zipzeta.__all__), "public": sorted(public)}))
+"""
+
+CENSUS_NAMES = {"CensusReport", "CrosscheckReport", "FqField", "crosscheck",
+                "enumerate_census"}
+
+
+def test_only_the_oracle_loads_the_census_module():
+    argvs = [["zeta", O4, "--series", "2"], ["count", O4, "--v", "2"],
+             ["strata", O4], ["bt", "--h", "2", "--d", "1", "--p", "2"]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LAZY_CENSUS,
+                           json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0, 0]
+    assert got["loaded"] is False
+    assert got["census"] == "zipzeta.fforacle"
+    # __all__ is every public name of the namespace with the census
+    # loaded (less the cli module, which the package never imports), as
+    # when the package imported the census eagerly; the census names are
+    # served through __getattr__ instead of the namespace.
+    assert len(got["all"]) == len(set(got["all"])) == 63
+    assert set(got["all"]) == set(got["public"]) - {"cli"} | CENSUS_NAMES
+    assert "fforacle" in got["public"]

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from zipzeta import QLaurent, WeylElement, ZetaProduct, ZipDatum, classify
+from zipzeta import (QLaurent, WeylElement, ZetaProduct, ZipDatum, classify,
+                     zeta_from_strata)
 from zipzeta.extweyl import _conjugate
+from zipzeta.zipstrata import zeta_function
 from zipzeta.fforacle import (FqField, _verify_admissible, enumerate_gl,
                               mat_mul, twisted_action)
 from helpers import (candidates_by_scan, coded_pair, flip_ext, group,
@@ -50,6 +52,18 @@ def test_coset_orders_multiply(data):
     t, I, _ = data
     inside = sum(1 for w in group(t) if t.in_parabolic(w, I))
     assert len(t.min_left(I)) * inside == len(t)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SYSTEMS), st.data())
+def test_closed_form_zeta_matches_the_stratification(spec, data):
+    """Split data take the Poincare-polynomial route; the enumeration is
+    the reference."""
+    rs = tables(*spec).rs
+    I = data.draw(st.sets(st.integers(1, rs.rank)))
+    datum = ZipDatum(rs.cartan, I)
+    assert zeta_function(datum).factors == \
+        zeta_from_strata(classify(datum)).factors
 
 
 @settings(deadline=None)

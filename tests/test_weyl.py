@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -157,13 +158,26 @@ ORACLE_SYSTEMS = ([("A", r) for r in range(1, 6)] +
 def test_closed_form_order_matches_enumeration(family, rank):
     full = tables(family, rank)
     assert len(CosetTables(full.rs)) == len(group(full)) == len(full)
+    assert full.min_left_poincare(()) == length_counts(group(full))
+
+
+def length_counts(elements):
+    """How many of the elements have each length 0, 1, ..., the
+    longest."""
+    counts = Counter(w.length for w in elements)
+    return tuple(counts[k] for k in range(max(counts) + 1))
 
 
 @pytest.mark.parametrize("family,rank,order", [
     ("F", 4, 1152), ("E", 6, 51840), ("E", 7, 2903040),
     ("E", 8, 696729600)])
 def test_closed_form_order_of_exceptional_groups(family, rank, order):
-    assert len(CosetTables(system(family, rank))) == order
+    t = CosetTables(system(family, rank))
+    assert len(t) == order
+    poincare = t.min_left_poincare(())
+    assert len(poincare) - 1 == t.rs.n_positive
+    # Poincare polynomials of finite Weyl groups are palindromic.
+    assert poincare == poincare[::-1]
 
 
 def test_quotients_of_groups_too_large_to_enumerate():
@@ -173,6 +187,7 @@ def test_quotients_of_groups_too_large_to_enumerate():
         assert t.min_left_count(I) == size
         reps = t.min_left(I)
         assert len(reps) == size
+        assert t.min_left_poincare(I) == length_counts(reps)
         assert all(t.is_min_left(w, I) for w in reps)
         assert len(set(w.perm for w in reps)) == size
         keys = [(len(t.word(w)), t.word(w)) for w in reps]
@@ -196,6 +211,7 @@ def test_on_demand_tables_match_enumeration(family, rank):
         assert [w.perm for w in got] == [w.perm for w in want]
         assert [lazy.word(w) for w in got] == [full.word(w) for w in want]
         assert lazy.min_left_count(I) == len(want)
+        assert lazy.min_left_poincare(I) == length_counts(want)
         inside = [w for w in group(full) if full.in_parabolic(w, I)]
         longest = max(w.length for w in inside)
         assert [lazy.longest_element(I).perm] == \

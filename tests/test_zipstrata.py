@@ -1,17 +1,22 @@
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from zipzeta import (BadPrimePower, DiagramAutomorphism,
+from zipzeta import (BadPrimePower, CosetTables, DiagramAutomorphism,
                      FrobeniusDoesNotFixI, FrobeniusDoesNotFixTheta,
                      GroupTooLarge, InvalidFrobenius, InvalidOmegaTable,
                      NotFiniteType, ThetaActionLeaks,
                      ThetaDoesNotPreserveI, ThetaNotSubgroup, ZipDatum,
-                     classify, compute_twist, point_count)
-from zipzeta.zipstrata import FACTOR_LIMIT, _theta_orbits
+                     classify, compute_twist, point_count, zeta_from_strata)
+from zipzeta import zipstrata
+from zipzeta.cli import parse_config
+from zipzeta.zipstrata import FACTOR_LIMIT, _theta_orbits, zeta_function
 from helpers import e_cartan
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 A1xA1 = [[2, 0], [0, 2]]
 A2 = [[2, -1], [-1, 2]]
@@ -340,3 +345,59 @@ def test_theta_action_leak_guard():
     fake_psi = [ext.identity, ext.identity]
     with pytest.raises(ThetaActionLeaks):
         _theta_orbits(ext, reps, theta, fake_psi, position.get)
+
+
+def config_datum(name):
+    return parse_config(str(CONFIGS / name))
+
+
+# Split data: the Galois generator is the identity and Theta is {1}.
+# Every maximal parabolic of E6; the shipped configs with a nontrivial
+# component group; larger component groups acting trivially on the
+# diagram; and a nontrivial phi0 whose e-th power is the identity.
+SPLIT_DATA = {
+    **{f"E6 without node {k}": (lambda k=k: ZipDatum(
+        e_cartan(6), set(range(1, 7)) - {k})) for k in range(1, 7)},
+    "o4": lambda: config_datum("o4.json"),
+    "sl2-omega": lambda: config_datum("sl2-omega.json"),
+    "A1, Klein four": lambda: ZipDatum([[2]], [], omega=KLEIN_OMEGA),
+    "A1, cyclic four": lambda: ZipDatum([[2]], [], omega=Z4_OMEGA),
+    "A2 flip, e = 2": lambda: ZipDatum(A2, [], e=2,
+                                       phi0={"diagram_perm": [2, 1]}),
+    "A1xA1 swap, e = 2": lambda: quad_datum(
+        parabolic=[], e=2, phi0={"diagram_perm": [2, 1]}),
+}
+
+
+def _no_representatives(self, I):
+    raise AssertionError("the split route built minimal representatives")
+
+
+@pytest.mark.parametrize("make", SPLIT_DATA.values(), ids=SPLIT_DATA)
+def test_split_zeta_is_read_off_the_poincare_polynomial(make, monkeypatch):
+    datum = make()
+    assert datum.tau.is_identity() and len(datum.theta_indices) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(CosetTables, "min_left", _no_representatives)
+        closed = zeta_function(datum)
+    assert closed.factors == zeta_from_strata(classify(datum)).factors
+    assert all(f == 1 for _, f in closed.factors)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: config_datum("a2-flip.json"),
+    lambda: quad_datum(parabolic=[], theta=["1", "sigma"]),
+], ids=["a2-flip", "theta = {1, sigma}"])
+def test_twisted_and_theta_data_are_classified(make, monkeypatch):
+    datum = make()
+    calls = []
+    original = zipstrata.classify
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(zipstrata, "classify", counted)
+    zeta = zeta_function(datum)
+    assert calls == [datum]
+    assert zeta == zeta_from_strata(original(datum))
