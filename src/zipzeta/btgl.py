@@ -3,9 +3,12 @@
 For height h and dimension d, the classifying datum lives on the type
 A root system of rank h-1 with parabolic type everything except node d
 (everything, when d is 0 or h), base field of p elements and trivial
-twisting.  Classes at level one are indexed by the minimal coset
-representatives, so there are C(h, d) strata; each has degree one and
-aut_dim equal to d*(h-d) minus the length of its representative.
+twisting.  The datum is split, so classes at level one are indexed by
+the minimal coset representatives: there are C(h, d) strata, each has
+degree one and aut_dim equal to d*(h-d) minus the length of its
+representative.  bt_zeta reads them off the Poincare polynomial
+W^I(q) = [h choose d]_q through zeta_function, without building W^I;
+bt_strata classifies the datum, as the reference for that closed form.
 
 The truncation level n does not enter the computation: raising the
 level changes every class by the same unipotent factor, which cancels
@@ -17,14 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotPrime, _is_int
-from .zetafn import zeta_from_strata
-from .zipstrata import ZipDatum, _least_factor, classify
-
-# Level-one stacks kept by _level_one, least recently used first out.
-BT_CACHE_SIZE = 16
+from .zipstrata import ZipDatum, _least_factor, classify, zeta_function
 
 
 def _check_prime(p):
@@ -54,36 +52,31 @@ class BTParams:
             raise ValueError("truncation level must be a positive integer")
 
 
-@lru_cache(maxsize=BT_CACHE_SIZE)
-def _level_one(h, d, p):
-    """The zip datum and the strata of the level-one stack: type A of
-    rank h-1 with the node d removed from the parabolic type."""
+def bt_datum(params):
+    """The zip datum of the level-one stack: type A of rank h-1 with the
+    node d removed from the parabolic type."""
+    h, d = params.h, params.d
     rank = h - 1
     cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
                for j in range(rank)] for i in range(rank)]
     parabolic = set(range(1, rank + 1))
     if 0 < d < h:
         parabolic.discard(d)
-    datum = ZipDatum(cartan, parabolic, q0=p, e=1)
-    strata = classify(datum)
-    assert len(strata) == math.comb(h, d)
-    assert all(s.degree == 1 for s in strata)
-    assert max((s.length for s in strata), default=0) == d * (h - d)
-    return datum, strata
-
-
-def bt_datum(params):
-    """The zip datum of the level-one stack."""
-    return _level_one(params.h, params.d, params.p)[0]
+    return ZipDatum(cartan, parabolic, q0=params.p, e=1)
 
 
 def bt_strata(params):
-    """Strata of the level-one stack; level independent."""
-    return _level_one(params.h, params.d, params.p)[1]
+    """Strata of the level-one stack, by classify; level independent."""
+    return classify(bt_datum(params))
 
 
 def bt_zeta(params):
     """Zeta function of the stack: by construction a function of
     (h, d, p) alone, one factor 1/(1 - p^-a t) per stratum."""
-    return zeta_from_strata(bt_strata(params))
-
+    zeta = zeta_function(bt_datum(params))
+    h, d = params.h, params.d
+    items = zeta.factor_items()
+    assert sum(m for _, m in items) == math.comb(h, d)
+    assert all(f == 1 for (_, f), _ in items)
+    assert [a for (a, _), _ in items] == list(range(d * (h - d) + 1))
+    return zeta

@@ -18,9 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from .btgl import BTParams, bt_strata
+from .btgl import BTParams, bt_zeta
 from .errors import MismatchDetected, ParseError, ZipzetaError, _is_int
-from .zetafn import QLaurent, expand_series, zeta_from_strata
+from .zetafn import QLaurent, expand_series
 from .zipstrata import ZipDatum, _stratify, zeta_function
 
 ZIP_KEYS = {"schema", "cartan", "I", "omega", "phi0", "q0", "e", "theta"}
@@ -336,14 +336,16 @@ def _bt_params(args):
 def _cmd_bt(args):
     _check_range("series", args.series, 0, MAX_SERIES_ORDER)
     params = _bt_params(args)
-    strata = bt_strata(params)
+    zeta = bt_zeta(params)
+    # Every stratum has degree 1 and length d*(h-d) - aut_dim; rows come
+    # in ascending aut_dim, the order classify gives them.
+    top = params.d * (params.h - params.d)
     extra = {
         "h": params.h, "d": params.d, "p": params.p, "n": params.n,
-        "strata": [{"length": s.length, "aut_dim": s.aut_dim}
-                   for s in strata],
+        "strata": [{"length": top - a, "aut_dim": a}
+                   for (a, _), m in zeta.factor_items() for _ in range(m)],
     }
-    return _zeta_doc("bt", zeta_from_strata(strata), params.p, args.series,
-                     extra)
+    return _zeta_doc("bt", zeta, params.p, args.series, extra)
 
 
 def _cmd_oracle(args):

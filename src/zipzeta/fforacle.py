@@ -692,18 +692,18 @@ class CrosscheckReport:
 
 
 def crosscheck(params, k=1, *, strict=True):
-    """Compare the census against the stratification's prediction.
+    """Compare the census against the zeta function bt prints.
 
-    The prediction for degree k is the groupoid count: over each
-    stratum whose degree divides k, its degree times p^(-aut_dim * k).
-    Raises MismatchDetected when strict and the numbers differ.
+    The prediction for degree k is that zeta function's point count N_k:
+    over each factor (aut_dim a, degree f) with f dividing k, f times
+    p^(-a * k), with multiplicity.  Raises MismatchDetected when strict
+    and the numbers differ.
     """
-    from .btgl import bt_strata
-    from .zipstrata import point_count
+    from .btgl import bt_zeta
 
     field = FqField(params.p, k)
     census = enumerate_census(field, params.h, params.d)
-    predicted = point_count(bt_strata(params), k, q=params.p)
+    predicted = bt_zeta(params).n_value(k, params.p)
     observed = census.groupoid_cardinality
     ok = predicted == observed
     report = CrosscheckReport(h=params.h, d=params.d, p=params.p, k=k,

@@ -68,11 +68,17 @@ def test_symmetric_in_dimension():
             assert a == b
 
 
+def _invariants(strata):
+    """What a stratum is, independent of the datum object it came from."""
+    return [(s.rep.w.perm, s.rep.omega, s.length, s.aut_dim, s.degree,
+             s.size) for s in strata]
+
+
 def test_level_independence():
     for n in (1, 2, 3, 10):
         assert bt_zeta(BTParams(3, 2, 2, n)) == bt_zeta(BTParams(3, 2, 2))
-        assert bt_strata(BTParams(4, 2, 3, n)) == \
-            bt_strata(BTParams(4, 2, 3))
+        assert _invariants(bt_strata(BTParams(4, 2, 3, n))) == \
+            _invariants(bt_strata(BTParams(4, 2, 3)))
 
 
 def test_datum_shape():
@@ -106,3 +112,18 @@ def test_strata_have_singleton_classes():
     strata = bt_strata(BTParams(4, 1, 2))
     assert all(s.size == 1 and s.degree == 1 for s in strata)
     assert len(strata) == math.comb(4, 1)
+
+
+def test_closed_form_beyond_classify():
+    # bt_zeta builds no representative, so it reaches heights where
+    # classifying would mean listing thousands of them.
+    for h in range(1, 13):
+        for d in range(h + 1):
+            zeta = bt_zeta(BTParams(h, d, 2))
+            aut_dims = Counter()
+            for (a, f), m in zeta.factor_items():
+                assert f == 1
+                aut_dims[a] += m
+            expected = gaussian_binomial(h, d)
+            assert aut_dims == {d * (h - d) - length: c
+                                for length, c in enumerate(expected)}

@@ -186,7 +186,7 @@ def _no_work(*args, **kwargs):
 def test_out_of_range_series_and_degree_exit_2(argv, monkeypatch, capsys):
     monkeypatch.setattr("zipzeta.cli.parse_config", _no_work)
     monkeypatch.setattr("zipzeta.cli.zeta_function", _no_work)
-    monkeypatch.setattr("zipzeta.cli.bt_strata", _no_work)
+    monkeypatch.setattr("zipzeta.cli.bt_zeta", _no_work)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     flag, value = argv[-2:]
@@ -243,9 +243,8 @@ def test_validation_failure_exit_2(tmp_path, capsys):
 
 
 def test_mismatch_exit_3(monkeypatch, capsys):
-    from fractions import Fraction
-    monkeypatch.setattr("zipzeta.zipstrata.point_count",
-                        lambda strata, v, q=None: Fraction(999))
+    monkeypatch.setattr("zipzeta.btgl.bt_zeta",
+                        lambda params: ZetaProduct({(0, 1): 999}))
     code, out, err = run(capsys, ["oracle", "--h", "2", "--d", "1",
                                   "--p", "2"])
     assert code == 3
@@ -332,9 +331,15 @@ def _commands(config):
             ["count", path, "--v", "4"]]
 
 
+def _argv_id(argv):
+    """A parameter id naming configs by file name, not by path."""
+    return " ".join(Path(a).name if a.startswith(str(CONFIGS)) else a
+                    for a in argv)
+
+
 @pytest.mark.parametrize("argv", [
     argv for config in sorted(p.name for p in CONFIGS.glob("*.json"))
-    for argv in _commands(config)], ids=" ".join)
+    for argv in _commands(config)], ids=_argv_id)
 def test_output_is_canonical_indented_json(argv, capsys):
     code, out, err = run(capsys, argv)
     assert code == 0, err
@@ -368,18 +373,31 @@ SPLIT_ROUTE_ARGS = [
     ("zeta",), ("zeta", "--q", "3"), ("zeta", "--series", "6"),
     ("count", "--v", "5"), ("count", "--v", "5", "--q", "2"),
 ]
+BT_ROUTE_ARGS = [("bt",), ("bt", "--series", "6"), ("oracle",)]
 
 
-@pytest.mark.parametrize("config,args", [
-    (config, args) for config in sorted(p.name for p in CONFIGS.glob("*.json"))
-    for args in SPLIT_ROUTE_ARGS], ids=lambda x: x if isinstance(x, str)
-    else " ".join(x))
-def test_zeta_and_count_match_the_classify_route(config, args, monkeypatch,
-                                                 capsys):
-    argv = [args[0], str(CONFIGS / config), *args[1:]]
+def _route_cases():
+    """Every shipped config under the commands its kind accepts, then the
+    bt command for h <= 7, every d and p in {2, 3}."""
+    for config in sorted(p.name for p in CONFIGS.glob("*.json")):
+        is_bt = "h" in json.loads((CONFIGS / config).read_text())
+        for cmd, *rest in BT_ROUTE_ARGS if is_bt else SPLIT_ROUTE_ARGS:
+            yield pytest.param([cmd, str(CONFIGS / config), *rest],
+                               id=f"{config}-{' '.join([cmd, *rest])}")
+    for h in range(1, 8):
+        for d in range(h + 1):
+            for p in (2, 3):
+                argv = ["bt", "--h", str(h), "--d", str(d), "--p", str(p)]
+                yield pytest.param(argv, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv", _route_cases())
+def test_zeta_and_count_match_the_classify_route(argv, monkeypatch, capsys):
     closed = run(capsys, argv)
-    monkeypatch.setattr("zipzeta.cli.zeta_function",
-                        lambda datum: zeta_from_strata(classify(datum)))
+    assert closed[0] == 0, closed[2]
+    reference = lambda datum: zeta_from_strata(classify(datum))
+    monkeypatch.setattr("zipzeta.cli.zeta_function", reference)
+    monkeypatch.setattr("zipzeta.btgl.zeta_function", reference)
     assert run(capsys, argv) == closed
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
-                     NotPrime, SearchSpaceTooLarge, crosscheck,
-                     enumerate_census)
+                     NotPrime, SearchSpaceTooLarge, ZetaProduct,
+                     crosscheck, enumerate_census)
 from zipzeta.fforacle import (_candidates, _verify_admissible, apply_move,
                               enumerate_gl, generator_move, gl_generators,
                               gl_order, mat_inv, mat_mul, mat_rank,
@@ -327,8 +327,8 @@ def test_crosscheck_agrees():
 
 
 def test_crosscheck_mismatch(monkeypatch):
-    monkeypatch.setattr("zipzeta.zipstrata.point_count",
-                        lambda strata, v, q=None: Fraction(999))
+    monkeypatch.setattr("zipzeta.btgl.bt_zeta",
+                        lambda params: ZetaProduct({(0, 1): 999}))
     with pytest.raises(MismatchDetected) as info:
         crosscheck(BTParams(2, 1, 2))
     assert info.value.predicted == Fraction(999)

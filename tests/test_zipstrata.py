@@ -11,8 +11,8 @@ from zipzeta import (BadPrimePower, CosetTables, DiagramAutomorphism,
                      NotFiniteType, ThetaActionLeaks,
                      ThetaDoesNotPreserveI, ThetaNotSubgroup, ZipDatum,
                      classify, compute_twist, point_count, zeta_from_strata)
-from zipzeta import zipstrata
-from zipzeta.cli import parse_config
+from zipzeta import btgl, zipstrata
+from zipzeta.cli import main, parse_config
 from zipzeta.zipstrata import FACTOR_LIMIT, _theta_orbits, zeta_function
 from helpers import e_cartan
 
@@ -401,3 +401,19 @@ def test_twisted_and_theta_data_are_classified(make, monkeypatch):
     zeta = zeta_function(datum)
     assert calls == [datum]
     assert zeta == zeta_from_strata(original(datum))
+
+
+def _no_classify(*args, **kwargs):
+    raise AssertionError("a bt command classified")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bt", "--h", "6", "--d", "3", "--p", "7", "--series", "10"],
+    ["oracle", "--h", "2", "--d", "1", "--p", "3"],
+])
+def test_bt_and_oracle_never_classify(argv, monkeypatch, capsys):
+    for module in (zipstrata, btgl):
+        monkeypatch.setattr(module, "classify", _no_classify)
+    monkeypatch.setattr(zipstrata, "_stratify", _no_classify)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
