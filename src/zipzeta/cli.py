@@ -250,7 +250,7 @@ def _require_bt(parsed):
 
 def _cmd_strata(args):
     datum = _require_zip(parse_config(args.config))
-    found = _stratify(datum, keep_decompositions=True)
+    found = _stratify(datum)
     twist = found.twist
     tables = datum.tables
     label = datum.omega.label

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleEvaluation
+from .errors import PoleEvaluation, _is_int
 
 
 class QLaurent:
@@ -131,7 +131,8 @@ def _decode(code, shift, q, z):
 class ZetaProduct:
     """Finite product of factors 1/(1 - (q^-a t)^f) with multiplicities,
     keyed by (a, f).  Point counts and series take q = None (symbolic)
-    or an int; any other q raises ValueError."""
+    or an int of at least 2, a field size; any other q raises
+    ValueError."""
 
     def __init__(self, factors):
         clean = {}
@@ -157,8 +158,9 @@ class ZetaProduct:
         if q is None:
             bound = order * math.comb(order + sum(self.factors.values()), order)
             return top, 1 << bound.bit_length() + 1
-        if not isinstance(q, int):
-            raise ValueError(f"numeric q must be an int, got {q!r}")
+        if not (_is_int(q) and q >= 2):
+            raise ValueError(f"numeric q must be an int of at least 2, "
+                             f"got {q!r}")
         return top, q
 
     def _n_code(self, v, top, z):

@@ -10,7 +10,9 @@ Frobenius image of I, w1 = w0 * w0,sigma(I) the shortest element of
 the double coset of the longest element w0, and psi the inner twist of
 the Frobenius by w1.
 Strata are the orbits of the minimal set under Theta (acting by
-a -> theta * a * psi(theta)^{-1}) grouped further into Galois orbits.
+a -> theta * a * psi(theta)^{-1}) grouped further into Galois orbits:
+classify finds them in one walk, taking each Theta-orbit as a direct
+image and each stratum as a cycle of the Galois generator on them.
 Each stratum carries two invariants: aut_dim, the codimension defect
 (flag dimension minus extended length), which is the dimension of the
 automorphism group of the corresponding isomorphism class, and degree,
@@ -247,60 +249,16 @@ class Stratum:
         return len(self.elements)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _theta_orbits(ext, reps, theta_elements, psi_of_theta, membership):
-    """Orbits of a -> theta * a * psi(theta)^{-1} on the listed reps.
-
-    membership maps an element key to its index in reps, or None.  Any
-    escape raises ThetaActionLeaks.
-    """
-    uf = _UnionFind(len(reps))
-    moves = []
-    for t, p in zip(theta_elements, psi_of_theta):
-        if t.is_identity():
-            # psi(1) = 1, so the identity fixes every representative.
-            assert p.is_identity()
-            continue
-        moves.append((t, p.inverse()))
-    for idx, a in enumerate(reps):
-        for t, pinv in moves:
-            b = t * a * pinv
-            j = membership((b.w.perm, b.omega))
-            if j is None:
-                raise ThetaActionLeaks(
-                    "subgroup action left the minimal set")
-            uf.union(idx, j)
-    orbits = {}
-    for idx in range(len(reps)):
-        orbits.setdefault(uf.find(idx), []).append(idx)
-    return [sorted(v) for _, v in sorted(orbits.items())]
-
-
 class _Stratification(NamedTuple):
     """Everything one pass of the stratification computes: the twist,
-    the minimal set with the extended length of each element (and, when
-    asked for, its canonical decomposition) in the order of
-    ExtWeylGroup.min_reps, and the strata."""
+    the minimal set with the canonical decomposition and extended length
+    of each element in the order of ExtWeylGroup.min_reps, and the
+    strata."""
 
     twist: Twist
     reps: list
+    decompositions: list
     lengths: list
-    decompositions: list | None
     strata: list
 
 
@@ -311,93 +269,94 @@ def classify(datum):
     return _stratify(datum).strata
 
 
-def _stratify(datum, keep_decompositions=False):
-    """The stratification of classify, with the data it passes through.
+def _stratify(datum):
+    """The stratification of classify, with the data it passes through,
+    in one walk over the minimal set.
 
-    Each element of the minimal set is decomposed once.  The
-    decompositions are kept only when asked for, so callers that need
-    just the strata hold no per-element objects afterwards.
+    Each element is decomposed once, which gives its extended length.
+    The Theta-orbit of a is its direct image {t * a * psi(t)^{-1}},
+    since that map is a group action.  A stratum is the cycle tau walks
+    through Theta-orbits from the first unvisited element, and its
+    degree is the length of the cycle.  Should Theta or tau fail to act
+    on the minimal set as the theory says, ThetaActionLeaks is raised.
     """
     twist = compute_twist(datum)
     ext = datum.ext
+    tau = datum.tau
     I = datum.parabolic_type
     J = twist.J
     reps = ext.min_reps(I)
     position = {(a.w.perm, a.omega): idx for idx, a in enumerate(reps)}
+    decompositions = [ext.canonical_decomposition(a, I, J) for a in reps]
+    lengths = [ext.decomposition_length(dec, I, J) for dec in decompositions]
 
-    theta_elements = [ext.element(datum.tables.identity, k)
-                      for k in datum.theta_indices]
-    psi_of_theta = [twist.psi(t) for t in theta_elements]
-    orbits = _theta_orbits(ext, reps, theta_elements, psi_of_theta,
-                           position.get)
+    def locate(b, action):
+        idx = position.get((b.w.perm, b.omega))
+        if idx is None:
+            raise ThetaActionLeaks(f"{action} left the minimal set")
+        return idx
 
-    if keep_decompositions:
-        decompositions = [ext.canonical_decomposition(a, I, J) for a in reps]
-        lengths = [ext.decomposition_length(dec, I, J)
-                   for dec in decompositions]
-    else:
-        decompositions = None
-        lengths = [ext.extended_length(a, I, J) for a in reps]
-    for orbit in orbits:
-        if len({lengths[idx] for idx in orbit}) != 1:
+    moves = []
+    for k in datum.theta_indices:
+        t = ext.element(datum.tables.identity, k)
+        p = twist.psi(t)
+        if t.is_identity():
+            # psi(1) = 1, so the identity fixes every representative.
+            assert p.is_identity()
+            continue
+        moves.append((t, p.inverse()))
+
+    def theta_orbit(idx):
+        a = reps[idx]
+        orbit = {idx} | {locate(t * a * pinv, "subgroup action")
+                         for t, pinv in moves}
+        if len({lengths[j] for j in orbit}) != 1:
             raise ThetaActionLeaks(
                 "extended length is not constant on a subgroup orbit")
-
-    orbit_of = {}
-    for oid, orbit in enumerate(orbits):
-        for idx in orbit:
-            orbit_of[idx] = oid
-    if datum.tau.is_identity():
-        tau_on_orbit = list(range(len(orbits)))
-    else:
-        tau_on_orbit = []
-        for orbit in orbits:
-            images = set()
-            image_ids = set()
-            for idx in orbit:
-                b = datum.tau.apply_ext(reps[idx])
-                j = position.get((b.w.perm, b.omega))
-                if j is None:
-                    raise ThetaActionLeaks(
-                        "Galois action left the minimal set")
-                images.add(j)
-                image_ids.add(orbit_of[j])
-            if (len(image_ids) != 1
-                    or images != set(orbits[image_ids.pop()])):
-                raise ThetaActionLeaks(
-                    "Galois action does not permute the subgroup orbits")
-            tau_on_orbit.append(orbit_of[next(iter(images))])
+        return orbit
 
     seen = set()
     strata = []
-    for start in range(len(orbits)):
+    for start in range(len(reps)):
         if start in seen:
             continue
-        cycle = []
-        oid = start
-        while oid not in seen:
-            seen.add(oid)
-            cycle.append(oid)
-            oid = tau_on_orbit[oid]
-        member_idx = sorted(idx for oid in cycle for idx in orbits[oid])
-        ell = {lengths[idx] for idx in member_idx}
+        first = orbit = theta_orbit(start)
+        members = []
+        degree = 0
+        while True:
+            seen |= orbit
+            members += orbit
+            degree += 1
+            if tau.is_identity():
+                break
+            image = {locate(tau.apply_ext(reps[idx]), "Galois action")
+                     for idx in orbit}
+            if image == first and len(image) == len(orbit):
+                break
+            # tau must carry each orbit onto a whole orbit not yet seen,
+            # or back onto the first: then it permutes the minimal set.
+            if (len(image) != len(orbit) or not image.isdisjoint(seen)
+                    or image != theta_orbit(min(image))):
+                raise ThetaActionLeaks(
+                    "Galois action does not permute the subgroup orbits")
+            orbit = image
+        ell = {lengths[idx] for idx in members}
         if len(ell) != 1:
             raise ThetaActionLeaks(
                 "extended length is not constant on a Galois orbit")
         length = ell.pop()
         aut_dim = datum.flag_dim - length
         assert aut_dim >= 0
-        elements = sorted((reps[idx] for idx in member_idx),
-                          key=ext.sort_key)
+        elements = sorted((reps[idx] for idx in members), key=ext.sort_key)
         strata.append(Stratum(
             rep=elements[0],
             elements=tuple(elements),
             length=length,
             aut_dim=aut_dim,
-            degree=len(cycle),
+            degree=degree,
         ))
     strata.sort(key=lambda s: (s.aut_dim, s.degree, ext.sort_key(s.rep)))
-    return _Stratification(twist, reps, lengths, decompositions, strata)
+    return _Stratification(twist, reps, decompositions, lengths, strata)
 
 
 def zeta_function(datum):

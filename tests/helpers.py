@@ -3,12 +3,13 @@ re-enumerate the same groups, and the whole-group and test-only helpers
 the library itself never needs."""
 
 import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
 from zipzeta import (CosetTables, OmegaGroup, ExtWeylElement, ExtWeylGroup,
-                     QLaurent, build_root_system, cartan_matrix, direct_sum,
-                     enumerate_group)
+                     QLaurent, build_root_system, cartan_matrix,
+                     compute_twist, direct_sum, enumerate_group)
 from zipzeta.fforacle import (CensusClass, _rref, enumerate_gl, gl_order,
                               mat_frob, mat_frob_inv, mat_inv, mat_mul,
                               mat_rank, twisted_action)
@@ -85,6 +86,41 @@ def is_based(omega, k):
 def subsystem(rs, subset):
     """Roots supported on the given set of simple indices."""
     return frozenset(rs.roots[k] for k in rs.subsystem_ordinals(subset))
+
+
+def reference_strata(datum):
+    """The strata of a datum by brute force, as a set of (elements,
+    length, degree): the closure of each minimal element under the moves
+    a -> t * a * psi(t)^{-1} (t in Theta) and the Galois generator tau,
+    found by a breadth-first search, with degree the closure's size over
+    the size of the closure under the Theta moves alone."""
+    twist = compute_twist(datum)
+    ext = datum.ext
+    I = datum.parabolic_type
+    pairs = [(t, twist.psi(t).inverse())
+             for t in (ext.element(datum.tables.identity, k)
+                       for k in datum.theta_indices)]
+    moves = [lambda a, t=t, pinv=pinv: t * a * pinv for t, pinv in pairs]
+
+    def closure(a, steps):
+        found = {a}
+        queue = deque([a])
+        while queue:
+            x = queue.popleft()
+            for step in steps:
+                y = step(x)
+                if y not in found:
+                    found.add(y)
+                    queue.append(y)
+        return frozenset(found)
+
+    out = set()
+    for a in ext.min_reps(I):
+        stratum = closure(a, moves + [datum.tau.apply_ext])
+        degree, rest = divmod(len(stratum), len(closure(a, moves)))
+        assert rest == 0
+        out.add((stratum, ext.extended_length(a, I, twist.J), degree))
+    return out
 
 
 def mat_identity(h):

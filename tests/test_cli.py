@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -344,6 +345,59 @@ def test_output_is_canonical_indented_json(argv, capsys):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# sha256 of stdout for every shipped stratification config: a refactor
+# must leave each byte of these outputs as it is.
+GOLDEN_DIGESTS = {
+    "a2-flip.json": {
+        "strata": "984507149918a76299a26268d023e4e52147b995a9da07285bea4625b3f7767e",
+        "zeta --series 4": "5836cb28d8d3d1db9dbb25d35d7119048fc6cb06f3fa5db4dd6aafaa1526438e",
+        "count --v 3": "0a08f4d98ad9f175271a9bd6220887f2b710e492ce347c512d6e99b79805447c",
+    },
+    "a3a3-swap-flip.json": {
+        "strata": "28d04cd26cf7f8801b4665b18cbb62e524998311035dd7c1313902f1cd27b447",
+        "zeta --series 4": "7888817d1f77eb9534af65bc0bc099ca1ca6f1234ad3cc597862ca9be3295403",
+        "count --v 3": "3f09ef8b9c9407178b27063f526005fd5cc63f339f819b16e48886e8c59517d6",
+    },
+    "gl-2-1.json": {
+        "strata": "7da10b4b97c0fb0bb4b77c84d5ae93076f2dc120738b8d8a9ca8ba4562e80fb5",
+        "zeta --series 4": "5f05a9ae9a3a75f0ba9607f9d40331e3ebac0fd414b095676914d9375006192c",
+        "count --v 3": "c04740aea87be402bf13448f59a84fbeeff3b1a0f19dd146a1997626f125f6e3",
+    },
+    "gl-3-1.json": {
+        "strata": "a0f564f0b61be1eeb4486428956a79d896dd14faf05247eabb0426f10181c84d",
+        "zeta --series 4": "1379a7232370373a54beb12082a0455bf9878fa7b691f4e35aa1de9c69cad715",
+        "count --v 3": "c51f53f28c5529eeb408f46e10a4bc07ea73792bab8de488808e045ef26cbaab",
+    },
+    "o4.json": {
+        "strata": "092e594613b86ae67116bbd194f11a6d29348e2cf1b6efd735b420cd909e000c",
+        "zeta --series 4": "0f991452a297b1b4f435c8c5f66d583207fe22ccafea91a073666900847a06b2",
+        "count --v 3": "3c024a0a2c91c07b024787c1cb1f9df5b32bb4b36e6db84c7764ab65dca02fab",
+    },
+    "sl2-omega.json": {
+        "strata": "77f4a8cb07839e8a39b29d817e659f67cfa7cc0f5af04daf4eb2083db47878eb",
+        "zeta --series 4": "b41f53205336fe245c0522431b6466e1e5c71456960bcb02b6806c8cba202afa",
+        "count --v 3": "90877ada0e282a8378bb8f307f42a3c44f52512158e168c9034272cc0890e84e",
+    },
+}
+
+
+def test_every_shipped_stratification_config_has_golden_digests():
+    shipped = {p.name for p in CONFIGS.glob("*.json")
+               if "cartan" in json.loads(p.read_text())}
+    assert shipped == set(GOLDEN_DIGESTS)
+
+
+@pytest.mark.parametrize("config,command", [
+    (config, command) for config, digests in GOLDEN_DIGESTS.items()
+    for command in digests], ids=lambda v: v)
+def test_output_matches_golden_digest(config, command, capsys):
+    cmd, *rest = command.split()
+    code, out, err = run(capsys, [cmd, str(CONFIGS / config), *rest])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[config][command]
 
 
 A3_ALL = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "I": []}

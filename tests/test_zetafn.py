@@ -139,6 +139,16 @@ def test_point_counts():
         z.n_value(2, q=Fraction(2))
 
 
+@pytest.mark.parametrize("q", [1, 0, -3, True, False, Fraction(2), 2.0])
+def test_numeric_q_must_be_a_field_size(q):
+    z = ZetaProduct({(1, 1): 1})
+    for call in (lambda: z.n_value(1, q), lambda: z.series_product(2, q),
+                 lambda: z.series_exp(2, q)):
+        with pytest.raises(ValueError, match="at least 2"):
+            call()
+    assert z.n_value(1, 2) == Fraction(1, 2)
+
+
 def test_evaluate_and_poles():
     plain = ZetaProduct({(0, 1): 1})
     assert plain.evaluate(2, Fraction(1, 2)) == 2

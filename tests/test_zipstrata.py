@@ -1,3 +1,4 @@
+import itertools
 import time
 from collections import Counter
 from fractions import Fraction
@@ -6,20 +7,23 @@ from pathlib import Path
 import pytest
 
 from zipzeta import (BadPrimePower, CosetTables, DiagramAutomorphism,
-                     FrobeniusDoesNotFixI, FrobeniusDoesNotFixTheta,
-                     GroupTooLarge, InvalidFrobenius, InvalidOmegaTable,
+                     ExtWeylGroup, FrobeniusDoesNotFixI,
+                     FrobeniusDoesNotFixTheta, GroupTooLarge,
+                     InvalidFrobenius, InvalidOmegaTable,
                      NotFiniteType, ThetaActionLeaks,
                      ThetaDoesNotPreserveI, ThetaNotSubgroup, ZipDatum,
-                     classify, compute_twist, point_count, zeta_from_strata)
+                     cartan_matrix, classify, compute_twist, point_count,
+                     zeta_from_strata)
 from zipzeta import btgl, zipstrata
 from zipzeta.cli import main, parse_config
-from zipzeta.zipstrata import FACTOR_LIMIT, _theta_orbits, zeta_function
-from helpers import e_cartan
+from zipzeta.zipstrata import FACTOR_LIMIT, zeta_function
+from helpers import e_cartan, reference_strata, subsets
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 A1xA1 = [[2, 0], [0, 2]]
 A2 = [[2, -1], [-1, 2]]
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 SWAP_OMEGA = {
     "elements": ["1", "sigma"],
@@ -309,6 +313,74 @@ def test_strata_partition_minimal_set():
         assert set(seen) == set(reps)
 
 
+def _diagram_automorphisms(cartan):
+    """Every permutation of the simple indices that fixes the Cartan
+    matrix, 1-based."""
+    n = len(cartan)
+    return [[i + 1 for i in perm]
+            for perm in itertools.permutations(range(n))
+            if all(cartan[perm[i]][perm[j]] == cartan[i][j]
+                   for i in range(n) for j in range(n))]
+
+
+def _swap_data(h, parabolic_types, degrees):
+    """The valid data on A_h x A_h with the factor swap as component
+    group, among the given parabolic types and field degrees: phi0 any
+    diagram automorphism commuting with the swap, tau = phi0^e fixing
+    I, and Theta = {1, sigma} too when the swap fixes I."""
+    block = [list(row) for row in cartan_matrix("A", h).entries]
+    zero = [0] * h
+    cartan = [row + zero for row in block] + [zero + row for row in block]
+    ident = list(range(1, 2 * h + 1))
+    swap = ident[h:] + ident[:h]
+    omega = {"elements": ["1", "sigma"], "table": [[0, 1], [1, 0]],
+             "diagram_action": {"1": ident, "sigma": swap}}
+
+    def after(f, g):
+        return [f[i - 1] for i in g]
+
+    for perm in _diagram_automorphisms(cartan):
+        if after(perm, swap) != after(swap, perm):
+            continue
+        for e in degrees:
+            tau = ident
+            for _ in range(e):
+                tau = after(perm, tau)
+            for I in parabolic_types:
+                if set(after(tau, I)) != I:
+                    continue
+                thetas = [["1"]]
+                if set(after(swap, I)) == I:
+                    thetas.append(["1", "sigma"])
+                for theta in thetas:
+                    yield cartan, I, {"omega": omega, "theta": theta, "e": e,
+                                      "phi0": {"diagram_perm": perm}}
+
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+def _oracle_data():
+    yield from _swap_data(1, subsets(range(1, 3)), (1, 2, 3))
+    yield from _swap_data(2, subsets(range(1, 5)), (1, 2, 3))
+    yield from _swap_data(3, [{2, 5}], (1,))
+    flip, triality = [1, 2, 4, 3], [3, 2, 4, 1]
+    for perm in (flip, triality):
+        for I in ({2}, {1, 3, 4}):
+            for e in (1, 2, 3):
+                yield D4, I, {"phi0": {"diagram_perm": perm}, "e": e}
+
+
+def test_strata_match_the_brute_force_closure():
+    data = list(_oracle_data())
+    assert len(data) == 212
+    for cartan, I, kw in data:
+        d = ZipDatum(cartan, I, **kw)
+        got = {(frozenset(s.elements), s.length, s.degree)
+               for s in classify(d)}
+        assert got == reference_strata(d), (cartan, I, kw)
+
+
 def test_point_count_numeric():
     strata = classify(ZipDatum([[2]], []))
     assert point_count(strata, 1, q=2) == Fraction(3, 2)
@@ -335,20 +407,81 @@ def test_point_count_symbolic():
     assert n1.evaluate(Fraction(2)) == point_count(strata, 1, q=2)
 
 
-def test_theta_action_leak_guard():
+def test_theta_action_leak_guard(monkeypatch):
     d = quad_datum(theta=["1"])
-    ext = d.ext
-    reps = ext.min_reps({1})
-    position = {(a.w.perm, a.omega): i for i, a in enumerate(reps)}
-    theta = [ext.identity,
-             ext.element(d.tables.identity, ext.omega.index("sigma"))]
-    fake_psi = [ext.identity, ext.identity]
-    with pytest.raises(ThetaActionLeaks):
-        _theta_orbits(ext, reps, theta, fake_psi, position.get)
+    d.theta_indices = tuple(range(len(d.omega)))
+    monkeypatch.setattr(zipstrata.Twist, "psi",
+                        lambda self, a: d.ext.identity)
+    with pytest.raises(ThetaActionLeaks,
+                       match="subgroup action left the minimal set"):
+        classify(d)
+
+
+def a3_flip_datum():
+    return ZipDatum(A3, [2], phi0={"diagram_perm": [3, 2, 1]})
+
+
+def test_collapsing_galois_action_is_refused():
+    d = a3_flip_datum()
+    assert {s.degree for s in classify(d)} == {1, 2}
+    d.tau.apply_ext = lambda a: d.ext.identity
+    with pytest.raises(ThetaActionLeaks, match="does not permute the "
+                       "subgroup orbits"):
+        classify(d)
+
+
+def test_galois_action_leak_guard():
+    d = a3_flip_datum()
+    outside = d.ext.element(d.tables.longest_element(),
+                            d.omega.identity_index)
+    d.tau.apply_ext = lambda a: outside
+    with pytest.raises(ThetaActionLeaks,
+                       match="Galois action left the minimal set"):
+        classify(d)
+
+
+def _plant_length(monkeypatch, datum, stratum):
+    """Make decomposition_length one too large on the representative of
+    stratum, and on nothing else."""
+    twist = compute_twist(datum)
+    dec = datum.ext.canonical_decomposition(
+        stratum.rep, datum.parabolic_type, twist.J)
+    target = (dec.omega_index, dec.wpp)
+    original = ExtWeylGroup.decomposition_length
+
+    def planted(self, d, I, J):
+        return original(self, d, I, J) + ((d.omega_index, d.wpp) == target)
+
+    monkeypatch.setattr(ExtWeylGroup, "decomposition_length", planted)
+
+
+def test_length_must_be_constant_on_subgroup_orbits(monkeypatch):
+    d = quad_datum(parabolic=[], theta=["1", "sigma"])
+    stratum = next(s for s in classify(d) if s.size == 2)
+    _plant_length(monkeypatch, d, stratum)
+    with pytest.raises(ThetaActionLeaks, match="not constant on a "
+                       "subgroup orbit"):
+        classify(d)
+
+
+def test_length_must_be_constant_on_galois_orbits(monkeypatch):
+    d = ZipDatum(A2, [], phi0={"diagram_perm": [2, 1]})
+    stratum = next(s for s in classify(d) if s.degree == 2)
+    _plant_length(monkeypatch, d, stratum)
+    with pytest.raises(ThetaActionLeaks, match="not constant on a "
+                       "Galois orbit"):
+        classify(d)
 
 
 def config_datum(name):
     return parse_config(str(CONFIGS / name))
+
+
+def test_galois_generator_cycles_subgroup_orbits_of_size_two():
+    strata = classify(config_datum("a3a3-swap-flip.json"))
+    assert sum(s.size for s in strata) == 288
+    assert Counter((s.degree, s.size) for s in strata) == Counter(
+        {(2, 4): 56, (1, 2): 20, (2, 2): 8, (1, 1): 8})
 
 
 # Split data: the Galois generator is the identity and Theta is {1}.
