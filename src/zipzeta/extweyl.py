@@ -231,7 +231,6 @@ class ExtDecomposition(NamedTuple):
     wpp: object
     y: object
     w_J: object
-    is_double_min: bool
 
 
 class ExtWeylGroup:
@@ -307,7 +306,7 @@ class ExtWeylGroup:
             raise NotInExtMinSet(
                 "conjugated Weyl part is not minimal for the conjugated type")
         y, w_J = self.tables.decompose_left(wpp, Ipp, J)
-        return ExtDecomposition(a.omega, wpp, y, w_J, w_J.is_identity())
+        return ExtDecomposition(a.omega, wpp, y, w_J)
 
     def extended_length(self, a, I, J):
         """Count positive roots outside J sent by omega * y to negative

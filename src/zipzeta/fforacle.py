@@ -102,10 +102,11 @@ class FqField:
     The integer x stands for the residue-ring element whose base-p
     digits of x (little-endian) are the coefficients.  The modulus
     defaults to the lexicographically least monic irreducible of degree
-    k, coefficients compared from the leading end down; it can be
-    overridden to check that nothing depends on the choice.
+    k, coefficients compared from the leading end down.
     """
 
+    # modulus is for tests alone: it is the one way to check that the
+    # census does not depend on which irreducible defines the field.
     def __init__(self, p, k=1, modulus=None):
         from .btgl import _check_prime
         _check_prime(p)
@@ -608,7 +609,7 @@ def apply_move(move, pair):
     return tuple(image)
 
 
-def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
+def enumerate_census(field, h, d):
     """Exhaustive classification for the given height and rank.
 
     Each orbit is found by breadth-first search from its least
@@ -627,10 +628,10 @@ def enumerate_census(field, h, d, search_bound=DEFAULT_SEARCH_BOUND):
     # Q^2-entry table (Q = q^h) has at most q^(h^2) entries, and for
     # h = 1 at most 64^2.
     scan_cost = q ** (h * h)
-    if n_candidates + scan_cost > search_bound:
+    if n_candidates + scan_cost > DEFAULT_SEARCH_BOUND:
         raise SearchSpaceTooLarge(
             f"about {n_candidates + scan_cost} candidates exceed the bound "
-            f"{search_bound}")
+            f"{DEFAULT_SEARCH_BOUND}")
     T = F.row_tables(h)
     candidates = _candidates(F, h, d)
     assert len(candidates) == n_candidates
@@ -687,17 +688,17 @@ class CrosscheckReport:
     k: int
     predicted: Fraction
     observed: Fraction
-    ok: bool
+    ok: bool  # always True, since crosscheck raises otherwise; oracle prints it
     census: CensusReport
 
 
-def crosscheck(params, k=1, *, strict=True):
+def crosscheck(params, k=1):
     """Compare the census against the zeta function bt prints.
 
     The prediction for degree k is that zeta function's point count N_k:
     over each factor (aut_dim a, degree f) with f dividing k, f times
-    p^(-a * k), with multiplicity.  Raises MismatchDetected when strict
-    and the numbers differ.
+    p^(-a * k), with multiplicity.  Raises MismatchDetected when the
+    numbers differ.
     """
     from .btgl import bt_zeta
 
@@ -705,12 +706,10 @@ def crosscheck(params, k=1, *, strict=True):
     census = enumerate_census(field, params.h, params.d)
     predicted = bt_zeta(params).n_value(k, params.p)
     observed = census.groupoid_cardinality
-    ok = predicted == observed
-    report = CrosscheckReport(h=params.h, d=params.d, p=params.p, k=k,
-                              predicted=predicted, observed=observed,
-                              ok=ok, census=census)
-    if strict and not ok:
+    if predicted != observed:
         raise MismatchDetected(predicted, observed,
                                context=f"census h={params.h} d={params.d} "
                                        f"p={params.p} k={k}")
-    return report
+    return CrosscheckReport(h=params.h, d=params.d, p=params.p, k=k,
+                            predicted=predicted, observed=observed,
+                            ok=True, census=census)

@@ -277,12 +277,12 @@ def _check_finite_type(cartan):
                     m[i][j] -= factor * m[k][j]
 
 
-def build_root_system(cartan, cap=DEFAULT_ROOT_CAP):
+def build_root_system(cartan):
     """Close the simple roots under simple reflections.
 
     Raises NotFiniteType before any closure if the matrix is not of
     finite type, and from the closure if it produces a mixed-sign
-    vector or more than cap positive roots.
+    vector or more than DEFAULT_ROOT_CAP positive roots.
     """
     if not isinstance(cartan, CartanMatrix):
         cartan = CartanMatrix(cartan)
@@ -307,10 +307,10 @@ def build_root_system(cartan, cap=DEFAULT_ROOT_CAP):
                         "reflection closure produced a mixed-sign vector")
                 seen.add(image)
                 next_frontier.append(image)
-                if len(seen) > 2 * cap:
+                if len(seen) > 2 * DEFAULT_ROOT_CAP:
                     raise NotFiniteType(
-                        f"more than {cap} positive roots; raise cap only "
-                        "if the matrix really is of finite type")
+                        f"more than {DEFAULT_ROOT_CAP} positive roots; raise "
+                        "the cap only if the matrix really is of finite type")
         frontier = next_frontier
     positives = sorted(
         (r for r in seen if r.is_positive()),

@@ -120,18 +120,18 @@ def _degree_product(heights):
     return poly
 
 
-def enumerate_group(tables, cap=DEFAULT_GROUP_CAP):
+def enumerate_group(tables):
     """Every element of the group of tables, interned there, found by
     breadth-first closure under the simple reflections and ordered by
     (length, canonical word).
 
     A test oracle: the library never needs all of W.  Raises
-    GroupTooLarge, before any work, when |W| exceeds cap.
+    GroupTooLarge, before any work, when |W| exceeds DEFAULT_GROUP_CAP.
     """
     order = len(tables)
-    if order > cap:
+    if order > DEFAULT_GROUP_CAP:
         raise GroupTooLarge(
-            f"group has {order} elements, over the cap of {cap}")
+            f"group has {order} elements, over the cap of {DEFAULT_GROUP_CAP}")
     identity = tables.identity
     seen = {identity.perm: identity}
     frontier = [identity]

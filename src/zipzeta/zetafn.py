@@ -99,7 +99,7 @@ class QLaurent:
     def to_json(self):
         return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
 
-    def to_str(self, symbol="q"):
+    def to_str(self):
         if not self.coeffs:
             return "0"
         parts = []
@@ -107,7 +107,7 @@ class QLaurent:
             if e == 0:
                 parts.append(str(c))
             else:
-                power = symbol if e == 1 else f"{symbol}^{e}"
+                power = "q" if e == 1 else f"q^{e}"
                 parts.append(power if c == 1 else f"{c} {power}")
         return " + ".join(parts)
 

@@ -35,7 +35,8 @@ from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
                      ThetaNotSubgroup, _is_int)
 from .extweyl import DiagramAutomorphism, ExtWeylGroup, OmegaGroup
 from .rootsystem import CartanMatrix, build_root_system
-from .weyl import DEFAULT_GROUP_CAP, CosetTables
+from . import weyl
+from .weyl import CosetTables
 from .zetafn import ZetaProduct, zeta_from_strata
 
 
@@ -72,18 +73,19 @@ def _prime_power(q0):
 
 
 class ZipDatum:
-    """Validated input datum.  Construction performs every consistency
-    check; a constructed datum is safe to classify.
+    """Validated input datum, omega and phi0 in their config-file (JSON)
+    form.  Construction performs every consistency check; a constructed
+    datum is safe to classify.
 
-    group_cap bounds the number of minimal coset representatives,
-    |W| / |W_I|, which is predicted before any of them is built.  It
-    bounds split data too, although zeta_function builds none of their
+    The number of minimal coset representatives, |W| / |W_I|, is
+    predicted before any is built and bounded by weyl.DEFAULT_GROUP_CAP.
+    That bounds split data too, although zeta_function builds none of their
     representatives: lifting the cap there would change which inputs
     are accepted, so it is left for a deliberate change.
     """
 
     def __init__(self, cartan, parabolic_type, *, omega=None, phi0=None,
-                 q0=2, e=1, theta=None, group_cap=DEFAULT_GROUP_CAP):
+                 q0=2, e=1, theta=None):
         self.p, self.m = _prime_power(q0)
         self.q0 = q0
         if not _is_int(e) or e < 1:
@@ -97,17 +99,10 @@ class ZipDatum:
 
         if omega is None:
             self.omega = OmegaGroup.trivial(self.rs)
-        elif isinstance(omega, OmegaGroup):
-            if omega.rs is not self.rs:
-                omega = OmegaGroup(self.rs, omega.labels,
-                                   omega.table, omega.actions)
-            self.omega = omega
         else:
             labels = list(omega["elements"])
-            table = omega["table"]
-            action_map = omega["diagram_action"]
-            actions = [action_map[lab] for lab in labels]
-            self.omega = OmegaGroup(self.rs, labels, table, actions)
+            actions = [omega["diagram_action"][lab] for lab in labels]
+            self.omega = OmegaGroup(self.rs, labels, omega["table"], actions)
         self.ext = ExtWeylGroup(self.tables, self.omega)
 
         I = frozenset(parabolic_type)
@@ -116,25 +111,20 @@ class ZipDatum:
                 raise ValueError(f"parabolic index {i!r} out of range")
         self.parabolic_type = I
         size = self.tables.min_left_count(I)
-        if size > group_cap:
+        if size > weyl.DEFAULT_GROUP_CAP:
             raise GroupTooLarge(
                 f"the parabolic type has {size} minimal coset "
-                f"representatives, over the cap of {group_cap}")
+                f"representatives, over the cap of {weyl.DEFAULT_GROUP_CAP}")
         self.flag_dim = len(self.rs.positive_outside(I))
 
         if phi0 is None:
             self.sigma = DiagramAutomorphism.identity(self.ext)
-        elif isinstance(phi0, DiagramAutomorphism):
-            assert phi0.ext is self.ext
-            self.sigma = phi0
         else:
-            dp = tuple(phi0["diagram_perm"])
             op = phi0.get("omega_perm")
-            if op is None:
-                op = tuple(range(len(self.omega)))
-            else:
-                op = tuple(self.omega.index(lab) for lab in op)
-            self.sigma = DiagramAutomorphism(self.ext, dp, op)
+            op = self.omega.labels if op is None else op
+            self.sigma = DiagramAutomorphism(
+                self.ext, phi0["diagram_perm"],
+                [self.omega.index(lab) for lab in op])
         self.tau = self.sigma.power(e)
 
         if theta is None:
@@ -143,16 +133,13 @@ class ZipDatum:
             theta_idx = {self.omega.index(lab) for lab in theta}
         if self.omega.identity_index not in theta_idx:
             raise ThetaNotSubgroup("subgroup must contain the identity")
+        # Omega is finite, so a subset closed under products holds inverses.
         for a in theta_idx:
             for b in theta_idx:
                 if self.omega.mult(a, b) not in theta_idx:
                     raise ThetaNotSubgroup(
                         f"labels are not closed under the product: "
                         f"{self.omega.label(a)!r} * {self.omega.label(b)!r}")
-        for a in theta_idx:
-            if self.omega.inverse(a) not in theta_idx:
-                raise ThetaNotSubgroup(
-                    f"inverse of {self.omega.label(a)!r} is missing")
         self.theta_indices = tuple(sorted(theta_idx))
 
         for k in self.theta_indices:

@@ -147,7 +147,7 @@ def test_worked_decomposition_rows():
             t.word(dec.wpp),
             t.word(dec.y),
             t.word(dec.w_J),
-            dec.is_double_min,
+            dec.w_J.is_identity(),
             ext.extended_length(a, I, J),
         ))
     assert rows == [
@@ -208,7 +208,7 @@ def test_extended_length_additivity(make_ext, I_pool):
                 assert ext.extended_length(a, I, J) == \
                     ext.extended_length(x, I, J) + dec.w_J.length
                 xdec = ext.canonical_decomposition(x, I, J)
-                assert xdec.is_double_min
+                assert xdec.w_J.is_identity()
 
 
 def test_factorization_is_unique():

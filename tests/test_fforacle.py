@@ -288,9 +288,11 @@ def test_modulus_choice_does_not_matter():
         sorted((c.orbit_size, c.aut_count) for c in f9b.classes)
 
 
-def test_search_space_guard():
-    with pytest.raises(SearchSpaceTooLarge):
-        enumerate_census(FqField(2), 2, 1, search_bound=10)
+def test_search_space_guard(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr("zipzeta.fforacle.DEFAULT_SEARCH_BOUND", 10)
+        with pytest.raises(SearchSpaceTooLarge, match="exceed the bound 10$"):
+            enumerate_census(FqField(2), 2, 1)
     with pytest.raises(SearchSpaceTooLarge):
         enumerate_census(FqField(2), 5, 2)
     with pytest.raises(ValueError):
@@ -333,5 +335,3 @@ def test_crosscheck_mismatch(monkeypatch):
         crosscheck(BTParams(2, 1, 2))
     assert info.value.predicted == Fraction(999)
     assert info.value.observed == Fraction(3, 2)
-    rep = crosscheck(BTParams(2, 1, 2), strict=False)
-    assert not rep.ok and rep.predicted == Fraction(999)

@@ -70,9 +70,10 @@ def test_every_finite_matrix_still_builds():
     assert build_root_system(e_cartan(8)).n_positive == 120
 
 
-def test_cap_exceeded_reports_not_finite():
+def test_cap_exceeded_reports_not_finite(monkeypatch):
+    monkeypatch.setattr("zipzeta.rootsystem.DEFAULT_ROOT_CAP", 1)
     with pytest.raises(NotFiniteType):
-        build_root_system(cartan_matrix("B", 2), cap=1)
+        build_root_system(cartan_matrix("B", 2))
 
 
 def test_simple_root_ordinals_and_negation():

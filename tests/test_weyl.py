@@ -17,9 +17,10 @@ def test_group_orders(family, rank, order):
     assert len(tables(family, rank)) == order
 
 
-def test_cap_raises():
-    with pytest.raises(GroupTooLarge):
-        enumerate_group(CosetTables(system("A", 3)), cap=5)
+def test_cap_raises(monkeypatch):
+    monkeypatch.setattr("zipzeta.weyl.DEFAULT_GROUP_CAP", 5)
+    with pytest.raises(GroupTooLarge, match="24 elements, over the cap of 5"):
+        enumerate_group(CosetTables(system("A", 3)))
 
 
 def test_identity_and_simple_words():

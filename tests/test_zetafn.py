@@ -51,7 +51,7 @@ def test_qlaurent_rendering():
     assert v.to_json() == {"-1": "3", "0": "2"}
     assert v.to_str() == "2 + 3 q^-1"
     assert QLaurent.term(1).to_str() == "q"
-    assert QLaurent.term(2, 5).to_str(symbol="u") == "5 u^2"
+    assert QLaurent.term(2, 5).to_str() == "5 q^2"
     assert QLaurent().to_str() == "0"
 
 

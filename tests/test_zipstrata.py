@@ -163,11 +163,12 @@ def test_frobenius_must_fix_theta():
     assert d.theta_labels == ("1", "c")
 
 
-def test_construction_errors_propagate():
+def test_construction_errors_propagate(monkeypatch):
     with pytest.raises(NotFiniteType):
         ZipDatum([[2, -2], [-2, 2]], [])
-    with pytest.raises(GroupTooLarge):
-        ZipDatum(A2, [], group_cap=3)
+    with monkeypatch.context() as m, pytest.raises(GroupTooLarge):
+        m.setattr("zipzeta.weyl.DEFAULT_GROUP_CAP", 3)
+        ZipDatum(A2, [])
     with pytest.raises(InvalidOmegaTable):
         ZipDatum([[2]], [], omega={"elements": ["1", "u"],
                                    "table": [[0, 0], [1, 1]],
@@ -176,10 +177,11 @@ def test_construction_errors_propagate():
         ZipDatum(A2, [], phi0={"diagram_perm": [1, 1]})
 
 
-def test_cap_bounds_the_minimal_set_not_the_group():
+def test_cap_bounds_the_minimal_set_not_the_group(monkeypatch):
+    monkeypatch.setattr("zipzeta.weyl.DEFAULT_GROUP_CAP", 3)
     with pytest.raises(GroupTooLarge, match=r"has 6 .* cap of 3"):
-        ZipDatum(A2, [], group_cap=3)
-    assert len(classify(ZipDatum(A2, [1], group_cap=3))) == 3
+        ZipDatum(A2, [])
+    assert len(classify(ZipDatum(A2, [1]))) == 3
 
 
 def test_maximal_parabolic_of_a_group_too_large_to_enumerate():
