@@ -21,7 +21,8 @@ class InvalidCartan(ZipzetaError):
 
 
 class NotFiniteType(ZipzetaError):
-    """The reflection closure of the simple roots does not terminate."""
+    """The Cartan matrix is not of finite type, so its root system is
+    infinite."""
 
 
 class RootNotInSystem(ZipzetaError):
@@ -29,7 +30,7 @@ class RootNotInSystem(ZipzetaError):
 
 
 class GroupTooLarge(ZipzetaError):
-    """Group enumeration exceeded the configured element cap."""
+    """A predicted size exceeds its cap."""
 
 
 class MixedGroups(ZipzetaError):
@@ -95,7 +96,8 @@ class FieldTooLarge(ZipzetaError):
 
 
 class SearchSpaceTooLarge(ZipzetaError):
-    """The census search space exceeds the configured bound."""
+    """The census would build more candidates and row-table entries than
+    its bound allows."""
 
 
 class MismatchDetected(ZipzetaError):

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (InvalidFrobenius, InvalidOmegaTable, MixedGroups,
-                     NotInExtMinSet)
+                     NotInExtMinSet, _is_int)
 
 
 def _compose_signed(outer, inner):
@@ -97,7 +97,7 @@ class OmegaGroup:
             raise InvalidOmegaTable("multiplication table is not n-by-n")
         for row in rows:
             for x in row:
-                if not isinstance(x, int) or not 0 <= x < n:
+                if not _is_int(x) or not 0 <= x < n:
                     raise InvalidOmegaTable(
                         f"table entry {x!r} is not an element index")
         for k in range(n):
@@ -133,7 +133,8 @@ class OmegaGroup:
             if len(act) != rank:
                 raise InvalidOmegaTable(
                     f"action of element {labels[k]!r} has wrong arity")
-            if sorted(abs(s) for s in act) != list(range(1, rank + 1)):
+            if not all(map(_is_int, act)) or sorted(
+                    abs(s) for s in act) != list(range(1, rank + 1)):
                 raise InvalidOmegaTable(
                     f"action of element {labels[k]!r} is not a signed "
                     "permutation of the simple indices")
@@ -348,7 +349,8 @@ class DiagramAutomorphism:
         rs = ext.rs
         rank = rs.rank
         dp = tuple(diagram_perm)
-        if sorted(dp) != list(range(1, rank + 1)):
+        if not all(map(_is_int, dp)) or sorted(dp) != list(
+                range(1, rank + 1)):
             raise InvalidFrobenius(
                 "diagram map is not a permutation of the simple indices")
         if not _preserves_pairing(rs.cartan, dp):
@@ -357,7 +359,7 @@ class DiagramAutomorphism:
         omega = ext.omega
         n = len(omega)
         op = tuple(omega_perm)
-        if sorted(op) != list(range(n)):
+        if not all(map(_is_int, op)) or sorted(op) != list(range(n)):
             raise InvalidFrobenius(
                 "component map is not a permutation of the component group")
         for a in range(n):

@@ -624,14 +624,13 @@ def enumerate_census(field, h, d):
     F = field
     q = F.q
     n_candidates = _rank_count(q, h, d) * gl_order(q, h - d)
-    # The q^(h^2) term also bounds the row-code tables: for h >= 2 each
-    # Q^2-entry table (Q = q^h) has at most q^(h^2) entries, and for
-    # h = 1 at most 64^2.
-    scan_cost = q ** (h * h)
-    if n_candidates + scan_cost > DEFAULT_SEARCH_BOUND:
+    # What gets built: the candidates and the row-code tables add and
+    # dot, Q^2 entries each (Q = q^h).
+    cost = n_candidates + 2 * q ** (2 * h)
+    if cost > DEFAULT_SEARCH_BOUND:
         raise SearchSpaceTooLarge(
-            f"about {n_candidates + scan_cost} candidates exceed the bound "
-            f"{DEFAULT_SEARCH_BOUND}")
+            f"about {cost} candidates and row-table entries exceed the "
+            f"bound {DEFAULT_SEARCH_BOUND}")
     T = F.row_tables(h)
     candidates = _candidates(F, h, d)
     assert len(candidates) == n_candidates
@@ -688,7 +687,7 @@ class CrosscheckReport:
     k: int
     predicted: Fraction
     observed: Fraction
-    ok: bool  # always True, since crosscheck raises otherwise; oracle prints it
+    ok: bool  # always True (crosscheck raises otherwise); oracle prints it
     census: CensusReport
 
 

@@ -9,10 +9,10 @@ so the simple reflection s_i acts on a root with coordinates (a_1, ...)
 by subtracting (sum_j a_j * c[i][j]) from the i-th coordinate.  Simple
 roots are indexed 1..rank in the public interface.
 
-A system is built by closing the simple roots under all simple
-reflections.  Non-finite input is rejected before the closure starts,
-by the definiteness of the symmetrized matrix; the closure still checks
-that every root has uniform coordinate sign.
+A system is built by closing the simple roots under the simple
+reflections, within the positive roots.  Non-finite input is rejected
+before the closure starts, by the definiteness of the symmetrized
+matrix, and so is a system with more positive roots than the cap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidCartan, NotFiniteType, RootNotInSystem, _is_int
+from .errors import (GroupTooLarge, InvalidCartan, NotFiniteType,
+                     RootNotInSystem, _is_int)
 
 DEFAULT_ROOT_CAP = 10000
 
@@ -57,6 +58,10 @@ class CartanMatrix:
                         f"zero pattern is asymmetric at ({i + 1},{j + 1})")
         self.entries = tuple(rows)
         self.rank = n
+        # (column, entry) for the nonzero entries of each row: all that a
+        # simple reflection reads.
+        self._row_support = tuple(
+            tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
     def entry(self, i, j):
         """Pairing <alpha_j, alpha_i_check>, with 1-based i and j."""
@@ -148,8 +153,11 @@ class Root:
 
 
 def _reflect_coords(cartan, i, root):
-    pairing = sum(c * cartan.entries[i - 1][j] for j, c in enumerate(root.coords))
-    coords = list(root.coords)
+    coords = root.coords
+    pairing = sum(x * coords[j] for j, x in cartan._row_support[i - 1])
+    if not pairing:
+        return root
+    coords = list(coords)
     coords[i - 1] -= pairing
     return Root(tuple(coords))
 
@@ -236,7 +244,8 @@ class RootSystem:
 
 
 def _check_finite_type(cartan):
-    """Raise NotFiniteType unless the matrix is of finite type.
+    """Raise NotFiniteType unless the matrix is of finite type; return
+    the ranks of the components of its diagram.
 
     Finite type means symmetrizable, diag(eps) * C symmetric for some
     positive eps, with a positive definite symmetrization (Kac,
@@ -247,13 +256,16 @@ def _check_finite_type(cartan):
     c = cartan.entries
     n = cartan.rank
     eps = [None] * n
+    ranks = []
     for start in range(n):
         if eps[start] is not None:
             continue
         eps[start] = Fraction(1)
         stack = [start]
+        ranks.append(0)
         while stack:
             i = stack.pop()
+            ranks[-1] += 1
             for j in range(n):
                 if j == i or c[i][j] == 0:
                     continue
@@ -275,18 +287,31 @@ def _check_finite_type(cartan):
             if factor:
                 for j in range(k, n):
                     m[i][j] -= factor * m[k][j]
+    return ranks
+
+
+def _too_many(count):
+    return GroupTooLarge(f"the root system has at least {count} positive "
+                         f"roots, over the cap of {DEFAULT_ROOT_CAP}")
 
 
 def build_root_system(cartan):
     """Close the simple roots under simple reflections.
 
-    Raises NotFiniteType before any closure if the matrix is not of
-    finite type, and from the closure if it produces a mixed-sign
-    vector or more than DEFAULT_ROOT_CAP positive roots.
+    Raises NotFiniteType if the matrix is not of finite type, and
+    GroupTooLarge if the system has more than DEFAULT_ROOT_CAP positive
+    roots.  Both are found before the closure starts, the second as far
+    as the lower bound allows: a component of rank r has at least
+    r(r + 1)/2 positive roots, as many as A_r.  The closure walks the
+    positive roots alone, since s_i sends every positive root but
+    alpha_i to a positive root (Humphreys, "Reflection groups and
+    Coxeter groups", 1.4), and checks the cap after each level.
     """
     if not isinstance(cartan, CartanMatrix):
         cartan = CartanMatrix(cartan)
-    _check_finite_type(cartan)
+    least = sum(r * (r + 1) // 2 for r in _check_finite_type(cartan))
+    if least > DEFAULT_ROOT_CAP:
+        raise _too_many(least)
     simples = [
         Root(tuple(1 if j == i else 0 for j in range(cartan.rank)))
         for i in range(cartan.rank)
@@ -296,24 +321,19 @@ def build_root_system(cartan):
     while frontier:
         next_frontier = []
         for root in frontier:
+            # s_i sends alpha_i, and only alpha_i, below zero.
+            own = root.coords.index(1) + 1 if root.height == 1 else None
             for i in range(1, cartan.rank + 1):
-                image = _reflect_coords(cartan, i, root)
-                if image in seen:
+                if i == own:
                     continue
-                pos = all(c >= 0 for c in image.coords)
-                neg = all(c <= 0 for c in image.coords)
-                if not (pos or neg):
-                    raise NotFiniteType(
-                        "reflection closure produced a mixed-sign vector")
-                seen.add(image)
-                next_frontier.append(image)
-                if len(seen) > 2 * DEFAULT_ROOT_CAP:
-                    raise NotFiniteType(
-                        f"more than {DEFAULT_ROOT_CAP} positive roots; raise "
-                        "the cap only if the matrix really is of finite type")
+                image = _reflect_coords(cartan, i, root)
+                if image not in seen:
+                    assert image.is_positive()
+                    seen.add(image)
+                    next_frontier.append(image)
+        if len(seen) > DEFAULT_ROOT_CAP:
+            raise _too_many(len(seen))
         frontier = next_frontier
     positives = sorted(
-        (r for r in seen if r.is_positive()),
-        key=lambda r: (r.height, tuple(-c for c in r.coords)),
-    )
+        seen, key=lambda r: (r.height, tuple(-c for c in r.coords)))
     return RootSystem(cartan, positives)

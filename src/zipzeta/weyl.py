@@ -26,6 +26,7 @@ search is compared against.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from operator import itemgetter
 
 from .errors import GroupTooLarge, MixedGroups, NotMinimalRep
@@ -106,17 +107,19 @@ def _degree_product(heights):
     where n_k counts the positive roots of height k.  Each degree d is
     an exponent plus one, and the polynomial is the product of the
     q-integers [d]_q = 1 + q + ... + q^(d-1), so its value at q = 1 is
-    the order of the group.
+    the order of the group.  Each is multiplied in as
+    (1 - q^d) / (1 - q): subtract a copy shifted by d, then take running
+    sums, whose last is 0.
     """
     counts = Counter(heights)
     poly = [1]
     for k, n in counts.items():
         for _ in range(n - counts.get(k + 1, 0)):
-            out = [0] * (len(poly) + k)
-            for i, c in enumerate(poly):
-                for j in range(i, i + k + 1):
-                    out[j] += c
-            poly = out
+            out = poly + [0] * (k + 1)
+            for i, c in enumerate(poly, start=k + 1):
+                out[i] -= c
+            *poly, rest = accumulate(out)
+            assert rest == 0
     return poly
 
 

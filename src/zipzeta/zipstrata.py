@@ -107,7 +107,7 @@ class ZipDatum:
 
         I = frozenset(parabolic_type)
         for i in I:
-            if not isinstance(i, int) or not 1 <= i <= self.rs.rank:
+            if not _is_int(i) or not 1 <= i <= self.rs.rank:
                 raise ValueError(f"parabolic index {i!r} out of range")
         self.parabolic_type = I
         size = self.tables.min_left_count(I)

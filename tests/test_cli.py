@@ -104,6 +104,16 @@ def test_bt_cap_bounds_the_strata_count(capsys):
     assert len(doc["strata"]) == 252
 
 
+def test_bt_root_cap_is_predicted(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, ["bt", "--h", "151", "--d", "1",
+                                  "--p", "2"])
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: the root system has at least 11325 positive "
+                   "roots, over the cap of 10000\n")
+
+
 @pytest.mark.parametrize("command", [["zeta"], ["count", "--v", "1"]])
 def test_split_data_over_the_cap_are_still_refused(command, tmp_path,
                                                    capsys):
@@ -285,6 +295,12 @@ def test_pretty_rendering(capsys):
                                   "--d", "1", "--p", "2"])
     assert code == 0
     assert "ok = True" in out
+    code, out, err = run(capsys, ["--pretty", "zeta", O4, "--series", "2"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == [
+        "zeta = 1/((1 - t)^2 (1 - q^-1 t)^2)",
+        "series = [{'0': '1'}, {'-1': '2', '0': '2'}, "
+        "{'-2': '3', '-1': '4', '0': '3'}]"]
 
 
 # Keys that sort differently as strings and as numbers, and strings that

@@ -330,3 +330,48 @@ def test_conjugation_permutes_reflections_and_is_multiplicative(case):
         # Signs act by -1 on whole components, which is central, so the
         # signed and the unsigned action conjugate alike.
         assert gamma.apply_weyl(u) == ext.twist_weyl(k, u)
+
+
+TWO = ["1", "u"]
+SWAP_TABLE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("labels,table,actions,message", [
+    ([], [], [], "component group has no elements"),
+    (["u", "u"], SWAP_TABLE, [(1,), (1,)], "labels are not distinct"),
+    ([1, 2], SWAP_TABLE, [(1,), (1,)], "labels must be strings"),
+    (TWO, [[0, 1]], [(1,), (1,)], "table is not n-by-n"),
+    (TWO, [[0, 1], [1]], [(1,), (1,)], "table is not n-by-n"),
+    (TWO, [[0, 2], [1, 0]], [(1,), (1,)], "entry 2 is not an element index"),
+    (TWO, [[False, True], [True, False]], [(1,), (1,)],
+     "entry False is not an element index"),
+    (TWO, [[0, 1], [0, 1]], [(1,), (1,)], "table column 0 is not a perm"),
+    (TWO, SWAP_TABLE, [(1,)], "need one diagram action per element"),
+    (TWO, SWAP_TABLE, [(1,), (1, 1)], "element 'u' has wrong arity"),
+    (TWO, SWAP_TABLE, [(1,), (True,)],
+     "element 'u' is not a signed permutation"),
+])
+def test_omega_group_validation(labels, table, actions, message):
+    rs = tables("A", 1).rs
+    with pytest.raises(InvalidOmegaTable, match=message):
+        OmegaGroup(rs, labels, table, actions)
+
+
+@pytest.mark.parametrize("error,message,build", [
+    (InvalidOmegaTable, "unknown component label 'x'",
+     lambda sext, other: sext.omega.index("x")),
+    (MixedGroups, "acts on a different root system",
+     lambda sext, other: ExtWeylGroup(sext.tables, other.omega)),
+    (MixedGroups, "element belongs to a different extended group",
+     lambda sext, other: sext.canonical_decomposition(other.identity,
+                                                      (), ())),
+    (InvalidFrobenius, "diagram map is not a permutation",
+     lambda sext, other: DiagramAutomorphism(other, (True, 2), (0,))),
+    (InvalidFrobenius, "component map is not a permutation",
+     lambda sext, other: DiagramAutomorphism(sext, (1, 2), (0, 0))),
+    (InvalidFrobenius, "component map is not a permutation",
+     lambda sext, other: DiagramAutomorphism(other, (1, 2), (False,))),
+])
+def test_group_validation_messages(error, message, build):
+    with pytest.raises(error, match=message):
+        build(swap_ext(), trivial_ext("A", 2))

@@ -26,6 +26,29 @@ def test_field_construction_errors():
     FqField(2, 6)
 
 
+@pytest.mark.parametrize("error,message,call", [
+    (ZeroDivisionError, "^zero has no inverse$", lambda: FqField(5).inv(0)),
+    (ZeroDivisionError, "^zero has no inverse$",
+     lambda: FqField(2, 2).pow(0, -1)),
+    (FieldTooLarge, r"^2\^7 exceeds the bound 64$", lambda: FqField(2, 7)),
+    (NotPrime, r"^4 = 2 \* 2 is not a prime$", lambda: FqField(4)),
+    (ValueError, "^modulus must be monic of the right degree$",
+     lambda: FqField(2, 2, modulus=(1, 1))),
+    (ValueError, "^modulus is reducible$",
+     lambda: FqField(2, 2, modulus=(1, 0, 1))),
+])
+def test_field_validation_messages(error, message, call):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_singular_matrix_has_no_inverse():
+    F = FqField(3)
+    assert mat_inv(F, ((1, 2), (2, 1))) is None
+    assert mat_inv(F, ((0, 0), (0, 0))) is None
+    assert mat_inv(F, ((1, 2), (0, 1))) == ((1, 1), (0, 1))
+
+
 def test_default_moduli_are_least():
     assert FqField(5).modulus == (0, 1)
     assert FqField(2, 2).modulus == (1, 1, 1)
@@ -301,11 +324,22 @@ def test_search_space_guard(monkeypatch):
         with pytest.raises(ValueError):
             enumerate_census(FqField(2), h, d)
     # 16769025 candidates alone would fit under 2^24; the guard also
-    # counts the q^(h^2) matrices an exhaustive scan would decode.
+    # counts the two row-code tables of Q^2 entries each, Q = 64^2.
     with pytest.raises(SearchSpaceTooLarge,
-                       match=f"^about {16769025 + 2 ** 24} candidates "
-                             f"exceed the bound {2 ** 24}$"):
+                       match=f"^about {16769025 + 2 * 4096 ** 2} candidates "
+                             f"and row-table entries exceed the bound "
+                             f"{2 ** 24}$"):
         enumerate_census(FqField(2, 6), 2, 1)
+
+
+@pytest.mark.parametrize("k,h,d,candidates", [
+    (2, 2, 1, 5760000), (2, 2, 0, 5644800)])
+def test_search_space_guard_counts_the_row_tables(k, h, d, candidates):
+    # Over F_49 the two row tables of 2401^2 entries each tip the total
+    # over 2^24, so nothing is built.
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=f"^about {candidates + 2 * 2401 ** 2} "):
+        enumerate_census(FqField(7, k), h, d)
 
 
 def test_action_is_compositional():

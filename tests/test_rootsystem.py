@@ -1,8 +1,10 @@
+import time
+
 import pytest
 
-from zipzeta import (CartanMatrix, InvalidCartan, NotFiniteType, Root,
-                     RootNotInSystem, build_root_system, cartan_matrix,
-                     direct_sum)
+from zipzeta import (CartanMatrix, GroupTooLarge, InvalidCartan,
+                     NotFiniteType, Root, RootNotInSystem, build_root_system,
+                     cartan_matrix, direct_sum)
 from zipzeta import rootsystem
 from helpers import F4_CARTAN, G2_CARTAN, e_cartan, subsystem, system
 
@@ -70,10 +72,31 @@ def test_every_finite_matrix_still_builds():
     assert build_root_system(e_cartan(8)).n_positive == 120
 
 
-def test_cap_exceeded_reports_not_finite(monkeypatch):
-    monkeypatch.setattr("zipzeta.rootsystem.DEFAULT_ROOT_CAP", 1)
-    with pytest.raises(NotFiniteType):
-        build_root_system(cartan_matrix("B", 2))
+def test_oversized_system_is_refused_before_the_closure():
+    # A_150 has 150 * 151 / 2 = 11325 positive roots, over the cap of
+    # 10000; the closure took about 70 s before the prediction.
+    start = time.monotonic()
+    with pytest.raises(GroupTooLarge, match="^the root system has at least "
+                                            "11325 positive roots, over the "
+                                            "cap of 10000$"):
+        build_root_system(cartan_matrix("A", 150))
+    assert time.monotonic() - start < 1.0
+    # A sum of components is bounded by the sum of their bounds.
+    with pytest.raises(GroupTooLarge, match="at least 10100 "):
+        build_root_system(direct_sum(cartan_matrix("A", 100),
+                                     cartan_matrix("A", 100)))
+
+
+def test_root_cap_is_checked_during_the_closure(monkeypatch):
+    # B_3 has 9 positive roots but the lower bound of a rank-3 component
+    # is 6: only the closure finds the overflow, after its second level.
+    monkeypatch.setattr("zipzeta.rootsystem.DEFAULT_ROOT_CAP", 7)
+    with pytest.raises(GroupTooLarge, match="^the root system has at least "
+                                            "[89] positive roots, over the "
+                                            "cap of 7$"):
+        build_root_system(cartan_matrix("B", 3))
+    monkeypatch.setattr("zipzeta.rootsystem.DEFAULT_ROOT_CAP", 9)
+    assert build_root_system(cartan_matrix("B", 3)).n_positive == 9
 
 
 def test_simple_root_ordinals_and_negation():

@@ -18,9 +18,15 @@ def test_group_orders(family, rank, order):
 
 
 def test_cap_raises(monkeypatch):
+    # One constant bounds the whole group here and the minimal set in
+    # ZipDatum.
     monkeypatch.setattr("zipzeta.weyl.DEFAULT_GROUP_CAP", 5)
     with pytest.raises(GroupTooLarge, match="24 elements, over the cap of 5"):
         enumerate_group(CosetTables(system("A", 3)))
+    with pytest.raises(GroupTooLarge, match="has 24 minimal coset "
+                                            "representatives, over the cap "
+                                            "of 5$"):
+        ZipDatum(system("A", 3).cartan, [])
 
 
 def test_identity_and_simple_words():

@@ -177,6 +177,34 @@ def test_construction_errors_propagate(monkeypatch):
         ZipDatum(A2, [], phi0={"diagram_perm": [1, 1]})
 
 
+@pytest.mark.parametrize("error,message,kwargs", [
+    (ValueError, "parabolic index True out of range",
+     {"parabolic_type": [True]}),
+    (InvalidOmegaTable, "table entry False is not an element index",
+     {"omega": {"elements": ["1", "u"], "table": [[False, True],
+                                                  [True, False]],
+                "diagram_action": {"1": [1, 2], "u": [1, 2]}}}),
+    (InvalidOmegaTable, "element 'u' is not a signed permutation",
+     {"omega": {"elements": ["1", "u"], "table": [[0, 1], [1, 0]],
+                "diagram_action": {"1": [1, 2], "u": [True, 2]}}}),
+    (InvalidFrobenius, "diagram map is not a permutation",
+     {"phi0": {"diagram_perm": [True, 2]}}),
+])
+def test_bools_are_not_integers(error, message, kwargs):
+    with pytest.raises(error, match=message):
+        ZipDatum(**{"cartan": A2, "parabolic_type": [], **kwargs})
+
+
+@pytest.mark.parametrize("message,kwargs", [
+    ("unknown component label 'x'", {"theta": ["1", "x"]}),
+    ("unknown component label 'x'",
+     {"phi0": {"diagram_perm": [1, 2], "omega_perm": ["x", "1"]}}),
+])
+def test_unknown_labels_are_refused(message, kwargs):
+    with pytest.raises(InvalidOmegaTable, match=message):
+        ZipDatum(A1xA1, [], omega=SWAP_OMEGA, **kwargs)
+
+
 def test_cap_bounds_the_minimal_set_not_the_group(monkeypatch):
     monkeypatch.setattr("zipzeta.weyl.DEFAULT_GROUP_CAP", 3)
     with pytest.raises(GroupTooLarge, match=r"has 6 .* cap of 3"):
