@@ -12,7 +12,8 @@ roots are indexed 1..rank in the public interface.
 A system is built by closing the simple roots under the simple
 reflections, within the positive roots.  Non-finite input is rejected
 before the closure starts, by the definiteness of the symmetrized
-matrix, and so is a system with more positive roots than the cap.
+matrix, and so is a system whose diagram components must have more
+positive roots than the cap.
 """
 
 from __future__ import annotations

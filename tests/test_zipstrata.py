@@ -195,13 +195,13 @@ def test_bools_are_not_integers(error, message, kwargs):
         ZipDatum(**{"cartan": A2, "parabolic_type": [], **kwargs})
 
 
-@pytest.mark.parametrize("message,kwargs", [
-    ("unknown component label 'x'", {"theta": ["1", "x"]}),
-    ("unknown component label 'x'",
-     {"phi0": {"diagram_perm": [1, 2], "omega_perm": ["x", "1"]}}),
+@pytest.mark.parametrize("kwargs", [
+    {"theta": ["1", "x"]},
+    {"phi0": {"diagram_perm": [1, 2], "omega_perm": ["x", "1"]}},
 ])
-def test_unknown_labels_are_refused(message, kwargs):
-    with pytest.raises(InvalidOmegaTable, match=message):
+def test_unknown_labels_are_refused(kwargs):
+    with pytest.raises(InvalidOmegaTable,
+                       match="^unknown component label 'x'$"):
         ZipDatum(A1xA1, [], omega=SWAP_OMEGA, **kwargs)
 
 
