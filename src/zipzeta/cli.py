@@ -5,7 +5,11 @@ Commands read a JSON config and write a single JSON document to stdout
 byte-for-byte reproducible.  --pretty switches to an aligned text view
 of the same data.  _json_text writes the document: its bytes are those of
 json.dumps(doc, indent=2, sort_keys=True), without the pure-Python
-encoder that indent forces; json itself only parses input.
+encoder that indent forces; json itself only parses input.  A list of
+dicts that share one set of keys, such as the minimal_set and strata
+rows, is written from one row template: the key heads are built once
+per list, and each word, a tuple the Weyl tables share between rows, is
+rendered once.
 
 Exit codes: 0 on success, 2 on any parse or validation failure, 3 when
 the census oracle disagrees with the predicted count.
@@ -67,6 +71,9 @@ def _emit_json(value, newline, out):
             out.append("[" + inner + ("," + inner).join(map(repr, value))
                        + newline + "]")
             return
+        if type(value[0]) is dict and _emit_rows(value, inner, out):
+            out.append(newline + "]")
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -89,6 +96,51 @@ def _emit_json(value, newline, out):
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")
+
+
+def _emit_rows(rows, inner, out):
+    """Append the text of a list of dicts that share one non-empty set
+    of str keys, from one template, up to its closing bracket; inner is
+    the line break and indentation of the rows.  The heads of the keys
+    are built once.  Ints and strings are written directly, and each
+    list or tuple object is rendered once for the call: rows hold their
+    values for the whole call, so no id is reused.  Any other value
+    takes the generic path.  Returns False, having appended nothing,
+    when the rows do not share such keys."""
+    keys = rows[0].keys()
+    if not keys or not all(isinstance(k, str) for k in keys) or not all(
+            type(row) is dict and row.keys() == keys for row in rows):
+        return False
+    deeper = inner + "  "
+    names = sorted(keys)
+    heads = ["{" + deeper + _encode_str(names[0]) + ": "]
+    heads += ["," + deeper + _encode_str(k) + ": " for k in names[1:]]
+    template = list(zip(heads, names))
+    close = inner + "}"
+    rendered = {}
+    sep = "[" + inner
+    for row in rows:
+        out.append(sep)
+        for head, key in template:
+            out.append(head)
+            v = row[key]
+            t = type(v)
+            if t is int:
+                out.append(int.__repr__(v))
+            elif t is str:
+                out.append(_encode_str(v))
+            elif t is tuple or t is list:
+                text = rendered.get(id(v))
+                if text is None:
+                    parts = []
+                    _emit_json(v, deeper, parts)
+                    text = rendered[id(v)] = "".join(parts)
+                out.append(text)
+            else:
+                _emit_json(v, deeper, out)
+        out.append(close)
+        sep = "," + inner
+    return True
 
 
 def _load_json(path):
@@ -189,7 +241,9 @@ def parse_config(path):
 
 
 def _word_json(tables, w):
-    return list(tables.word(w))
+    """The canonical word, the table's shared tuple: repeated words are
+    one object, so the JSON writer renders each once."""
+    return tables.word(w)
 
 
 def _coeff_json(c):
@@ -368,11 +422,17 @@ def _cmd_oracle(args):
     }
 
 
+def _cell(value):
+    """The text of a value in the pretty view; words, stored as tuples,
+    are shown as the lists the JSON has."""
+    return str(list(value) if type(value) is tuple else value)
+
+
 def _render_pretty(doc):
     lines = [f"kind: {doc['kind']}"]
     if "twist" in doc:
         lines.append(f"J = {doc['twist']['J']}, "
-                     f"w1 = {doc['twist']['w1_word']}")
+                     f"w1 = {_cell(doc['twist']['w1_word'])}")
     for key in ("minimal_set", "strata", "classes", "values", "factors"):
         rows = doc.get(key)
         if not rows:
@@ -381,7 +441,7 @@ def _render_pretty(doc):
         headers = list(rows[0])
         lines.append("  " + " | ".join(headers))
         for row in rows:
-            lines.append("  " + " | ".join(str(row[hdr]) for hdr in headers))
+            lines.append("  " + " | ".join(_cell(row[hdr]) for hdr in headers))
     if "display" in doc:
         lines.append(f"zeta = {doc['display']}")
     if "series" in doc:

@@ -63,6 +63,8 @@ def _preserves_pairing(cartan, action):
 def _root_perm(rs, action):
     """The permutation of root ordinals induced by a pairing-preserving
     signed permutation of the simple roots."""
+    if action == _identity_signed(rs.rank):
+        return tuple(range(len(rs.roots)))
     perm = []
     for r in rs.roots:
         coords = [0] * rs.rank
@@ -244,6 +246,10 @@ class ExtWeylGroup:
         self.tables = tables
         self.omega = omega
         self.rs = tables.rs
+        # Constants of the decomposition and the length, per (component,
+        # I) and per (I, J), built on first use.
+        self._conjugated_types = {}
+        self._length_sets = {}
 
     def element(self, w, omega):
         """Build an element from a Weyl part and a component label or
@@ -302,10 +308,18 @@ class ExtWeylGroup:
                 "Weyl part has a left descent in the parabolic type")
         kinv = self.omega.inverse(a.omega)
         wpp = self.twist_weyl(kinv, a.w)
-        Ipp = self.omega.conjugate_subset(kinv, I)
-        if not self.tables.is_min_left(wpp, Ipp):
-            raise NotInExtMinSet(
-                "conjugated Weyl part is not minimal for the conjugated type")
+        Ipp = self._conjugated_types.get((kinv, I))
+        if Ipp is None:
+            Ipp = self._conjugated_types[kinv, I] = (
+                self.omega.conjugate_subset(kinv, I))
+        # A signed map that preserves the pairing keeps one sign on each
+        # component of the diagram, so on the roots it is a diagram
+        # automorphism times -1 on some components.  The sign commutes
+        # with W, so the conjugation sends s_i to s_|sigma(i)| and keeps
+        # lengths: it carries the left descents of a.w, none in I, onto
+        # those of wpp.
+        assert self.tables.is_min_left(wpp, Ipp), (
+            "conjugated Weyl part is not minimal for the conjugated type")
         y, w_J = self.tables.decompose_left(wpp, Ipp, J)
         return ExtDecomposition(a.omega, wpp, y, w_J)
 
@@ -318,17 +332,20 @@ class ExtWeylGroup:
     def decomposition_length(self, dec, I, J):
         """The extended length of the element whose canonical
         decomposition for (I, J) is dec."""
-        rs = self.rs
-        m = rs.n_positive
+        key = (frozenset(I), frozenset(J))
+        sets = self._length_sets.get(key)
+        if sets is None:
+            rs = self.rs
+            m = rs.n_positive
+            inside_I = rs.subsystem_ordinals(I)
+            sets = self._length_sets[key] = (
+                rs.positive_outside(J),
+                frozenset(k for k in range(m, 2 * m) if k not in inside_I))
+        outside_J, negative_outside_I = sets
         rp = self.omega.root_perm(dec.omega_index)
         yp = dec.y.perm
-        inside_I = rs.subsystem_ordinals(I)
-        count = 0
-        for k in rs.positive_outside(J):
-            img = rp[yp[k]]
-            if img >= m and img not in inside_I:
-                count += 1
-        return count + dec.w_J.length
+        return len([k for k in outside_J
+                    if rp[yp[k]] in negative_outside_I]) + dec.w_J.length
 
     def sort_key(self, a):
         word = self.tables.word(a.w)

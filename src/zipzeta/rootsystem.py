@@ -180,6 +180,7 @@ class RootSystem:
         self._ordinal = {r: k for k, r in enumerate(self.roots)}
         self._reflection_perms = {}
         self._subsystem_ordinals = {}
+        self._positive_outside = {}
         for i in range(1, self.rank + 1):
             assert self.roots[i - 1] == self.simple_root(i)
 
@@ -216,8 +217,15 @@ class RootSystem:
         """s_i as a permutation of root ordinals."""
         perm = self._reflection_perms.get(i)
         if perm is None:
-            perm = tuple(self.ordinal(_reflect_coords(self.cartan, i, r))
-                         for r in self.roots)
+            # A root with pairing 0 is fixed and keeps its ordinal; the
+            # negative half is the positive one shifted by m, since
+            # s_i(-r) = -s_i(r).
+            m = self.n_positive
+            half = []
+            for k, r in enumerate(self.positive_roots):
+                image = _reflect_coords(self.cartan, i, r)
+                half.append(k if image is r else self.ordinal(image))
+            perm = tuple(half + [k + m if k < m else k - m for k in half])
             self._reflection_perms[i] = perm
         return perm
 
@@ -232,13 +240,19 @@ class RootSystem:
         return got
 
     def positive_outside(self, subset):
-        """Ordinals of positive roots not supported on the subset.
+        """Ordinals of positive roots not supported on the subset, in
+        increasing order.
 
         The count is the dimension of the corresponding partial flag
         variety.
         """
-        inside = self.subsystem_ordinals(subset)
-        return [k for k in range(self.n_positive) if k not in inside]
+        key = frozenset(subset)
+        got = self._positive_outside.get(key)
+        if got is None:
+            inside = self.subsystem_ordinals(key)
+            got = tuple(k for k in range(self.n_positive) if k not in inside)
+            self._positive_outside[key] = got
+        return got
 
     def __repr__(self):
         return f"RootSystem(rank={self.rank}, positive={self.n_positive})"

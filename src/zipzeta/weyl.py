@@ -161,6 +161,7 @@ class CosetTables:
     def __init__(self, rs):
         self.rs = rs
         self._by_perm = {}
+        self.identity = self._intern(_identity_perm(rs))
         self._simples = {i: self._intern(rs.reflection_perm(i))
                          for i in range(1, rs.rank + 1)}
         self._words = {_identity_perm(rs): ()}
@@ -210,10 +211,6 @@ class CosetTables:
         assert len(quotient) - 1 == len(rs.positive_outside(I))
         return tuple(quotient)
 
-    @property
-    def identity(self):
-        return self._intern(_identity_perm(self.rs))
-
     def simple_reflection(self, i):
         return self._simples[i]
 
@@ -239,14 +236,15 @@ class CosetTables:
         chain = []
         cur = w.perm
         while cur not in self._words:
-            # i is a left descent when the preimage of alpha_i is negative.
-            for i in range(1, rank + 1):
-                if cur.index(i - 1) >= m:
-                    break
-            else:
+            # i is a left descent when a negative root is sent to alpha_i.
+            # The simple roots have the least ordinals, so the least
+            # image of a negative root names the least descent.
+            low = min(cur[m:])
+            if low >= rank:
                 raise AssertionError("non-identity element with no descent")
+            i = low + 1
             chain.append((cur, i))
-            cur = tuple(map(self._simples[i].perm.__getitem__, cur))
+            cur = itemgetter(*cur)(self._simples[i].perm)
         suffix = self._words[cur]
         for perm, i in reversed(chain):
             suffix = (i,) + suffix
@@ -282,6 +280,8 @@ class CosetTables:
     def is_min_left(self, w, I):
         """True when w is the shortest element of W_I * w: no left
         descent inside I."""
+        if not I:
+            return True
         m = self.rs.n_positive
         inv = w.inv_perm
         return all(inv[i - 1] < m for i in I)
@@ -301,30 +301,46 @@ class CosetTables:
         level without visiting anything else.  For w in the set and
         w(alpha_j) positive, w * s_j is one level up, and by Deodhar's
         lemma it stays in the set unless w(alpha_j) is a simple root
-        alpha_i with i in I, when w * s_j = s_i * w.
+        alpha_i with i in I, when w * s_j = s_i * w.  Each element u of
+        the next level is built once, from w = u * s_j with j the least
+        right descent of u: the step is taken only when u sends no
+        alpha_j', j' < j, to a negative root, read as
+        u(alpha_j') = w(s_j(alpha_j')).
+
+        Each step goes one up in length, so an element's level is its
+        length and is recorded as such.  The size of every level is
+        asserted against W^I(q), which comes from the root heights and
+        not from the search.
         """
         key = frozenset(I)
         got = self._min_left.get(key)
         if got is None:
             m = self.rs.n_positive
             blocked = {i - 1 for i in key}
-            steps = [(j - 1, itemgetter(*s.perm))
+            steps = [(j - 1, itemgetter(*s.perm), s.perm[:j - 1])
                      for j, s in self._simples.items()]
+            sizes = self.min_left_poincare(key)
             got = []
             level = [self.identity]
+            depth = 0
             while level:
+                assert depth < len(sizes) and len(level) == sizes[depth], (
+                    f"level {depth} of the search does not match W^I(q)")
+                for w in level:
+                    w._length = depth
                 level.sort(key=self.word)
                 got.extend(level)
-                above = {}
+                depth += 1
+                above = []
                 for w in level:
                     wp = w.perm
-                    for a, step in steps:
+                    for a, step, lower in steps:
                         img = wp[a]
-                        if img < m and img not in blocked:
-                            prod = step(wp)
-                            if prod not in above:
-                                above[prod] = self._intern(prod)
-                level = list(above.values())
+                        if img < m and img not in blocked and all(
+                                wp[k] < m for k in lower):
+                            above.append(self._intern(step(wp)))
+                level = above
+            assert depth == len(sizes), "the search stopped below the top"
             self._min_left[key] = got
         return got
 

@@ -266,6 +266,8 @@ def _stratify(datum):
     through Theta-orbits from the first unvisited element, and its
     degree is the length of the cycle.  Should Theta or tau fail to act
     on the minimal set as the theory says, ThetaActionLeaks is raised.
+    Members and strata are ordered by the rank of each element under
+    ExtWeylGroup.sort_key, computed once.
     """
     twist = compute_twist(datum)
     ext = datum.ext
@@ -276,6 +278,10 @@ def _stratify(datum):
     position = {(a.w.perm, a.omega): idx for idx, a in enumerate(reps)}
     decompositions = [ext.canonical_decomposition(a, I, J) for a in reps]
     lengths = [ext.decomposition_length(dec, I, J) for dec in decompositions]
+    rank = [0] * len(reps)
+    for r, idx in enumerate(sorted(range(len(reps)),
+                                   key=lambda idx: ext.sort_key(reps[idx]))):
+        rank[idx] = r
 
     def locate(b, action):
         idx = position.get((b.w.perm, b.omega))
@@ -302,6 +308,7 @@ def _stratify(datum):
                 "extended length is not constant on a subgroup orbit")
         return orbit
 
+    split = tau.is_identity()
     seen = set()
     strata = []
     for start in range(len(reps)):
@@ -314,7 +321,7 @@ def _stratify(datum):
             seen |= orbit
             members += orbit
             degree += 1
-            if tau.is_identity():
+            if split:
                 break
             image = {locate(tau.apply_ext(reps[idx]), "Galois action")
                      for idx in orbit}
@@ -334,15 +341,17 @@ def _stratify(datum):
         length = ell.pop()
         aut_dim = datum.flag_dim - length
         assert aut_dim >= 0
-        elements = sorted((reps[idx] for idx in members), key=ext.sort_key)
-        strata.append(Stratum(
-            rep=elements[0],
-            elements=tuple(elements),
+        members.sort(key=rank.__getitem__)
+        strata.append((aut_dim, degree, rank[members[0]], Stratum(
+            rep=reps[members[0]],
+            elements=tuple(map(reps.__getitem__, members)),
             length=length,
             aut_dim=aut_dim,
             degree=degree,
-        ))
-    strata.sort(key=lambda s: (s.aut_dim, s.degree, ext.sort_key(s.rep)))
+        )))
+    # Ranks differ between strata, so two Stratum objects are never
+    # compared.
+    strata = [entry[-1] for entry in sorted(strata)]
     return _Stratification(twist, reps, decompositions, lengths, strata)
 
 

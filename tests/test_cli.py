@@ -338,6 +338,69 @@ def test_json_text_rejects_other_types(value):
         _json_text(value)
 
 
+# Row lists as the strata command writes them: dicts with one key set,
+# whose words are shared objects.  The pool mixes lists and tuples whose
+# values compare equal across types, (1, 0) and (True, False), so a cache
+# keyed by value would mix them up.
+SHARED_WORDS = st.lists(st.one_of(
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.lists(st.integers(-3, 3), max_size=4).map(tuple),
+    st.lists(st.booleans(), max_size=3).map(tuple),
+    st.lists(st.sampled_from([2 ** 64, -2 ** 64, 0]), max_size=2)),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def row_lists(draw):
+    keys = draw(st.lists(JSON_KEYS, min_size=1, max_size=5, unique=True))
+    pool = draw(SHARED_WORDS)
+    values = st.one_of(JSON_LEAVES, st.sampled_from(pool), JSON_TREES)
+    rows = [{key: draw(values) for key in keys}
+            for _ in range(draw(st.integers(2, 6)))]
+    # One row may break the shared key set.
+    flaw = draw(st.sampled_from([None, "lacks a key", "has an extra key",
+                                 "is not a dict"]))
+    if flaw is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        if flaw == "lacks a key":
+            del rows[i][draw(st.sampled_from(keys))]
+        elif flaw == "has an extra key":
+            extra = draw(JSON_KEYS.filter(lambda k: k not in keys))
+            rows[i][extra] = draw(values)
+        else:
+            rows[i] = draw(st.one_of(JSON_LEAVES, st.sampled_from(pool)))
+    return rows
+
+
+@settings(deadline=None)
+@given(row_lists())
+@example([{}])
+@example([{}, {}])
+@example([{"a": (1, 0)}, {"a": (True, False)}, {"a": [1, 0]}])
+@example([{"a": 1, "b": "é\n"}, {"a": True, "b": None}])
+@example([{"a": {"x": ()}}, {"a": {}}])
+def test_row_templates_match_json_dumps(rows):
+    assert _json_text(rows) == json.dumps(rows, indent=2, sort_keys=True)
+    nested = {"rows": rows, "more": [rows]}
+    assert _json_text(nested) == json.dumps(nested, indent=2,
+                                            sort_keys=True)
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": 1}, {"a": 1.5}],
+    [{"a": (1, 2)}, {"a": (1, 2.0)}],
+    [{"a": [1]}, {"a": [1.0]}],
+    [{"a": {"b": 0.5}}, {"a": {}}],
+], ids=["int then float", "float in a tuple", "float in a list",
+        "float in a nested dict"])
+def test_row_templates_reject_floats(rows):
+    with pytest.raises(TypeError):
+        _json_text(rows)
+    shared = (1, 2)
+    with pytest.raises(TypeError):
+        _json_text([{"a": shared}, {"a": shared}] + rows)
+
+
 def _commands(config):
     path = str(CONFIGS / config)
     if "h" in json.loads((CONFIGS / config).read_text()):

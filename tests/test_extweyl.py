@@ -332,6 +332,64 @@ def test_conjugation_permutes_reflections_and_is_multiplicative(case):
         assert gamma.apply_weyl(u) == ext.twist_weyl(k, u)
 
 
+def z2_ext(family, rank, action):
+    """Component group Z/2 whose generator acts by the signed action."""
+    t = tables(family, rank)
+    omega = OmegaGroup(t.rs, ["1", "u"], [[0, 1], [1, 0]],
+                       [tuple(range(1, rank + 1)), action])
+    return ExtWeylGroup(t, omega)
+
+
+SIGNED_CASES = {
+    "A1xA1 (-1, 2)": lambda: z2_ext("A1xA1", 2, (-1, 2)),
+    "A1xA1 (-2, -1)": lambda: z2_ext("A1xA1", 2, (-2, -1)),
+    "A1 sign twist": minus_one_ext,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNED_CASES))
+def test_signed_conjugation_carries_left_descents(case):
+    """canonical_decomposition asserts that the conjugated Weyl part is
+    minimal for the conjugated type.  A signed action that preserves the
+    pairing is -1 on whole components times a diagram map, so the
+    conjugation carries left descents along |sigma| and the check holds
+    for every element, every component and every pair of types."""
+    ext = SIGNED_CASES[case]()
+    t = ext.tables
+    rank = ext.rs.rank
+
+    def left_descents(w):
+        return frozenset(i for i in range(1, rank + 1)
+                         if not t.is_min_left(w, {i}))
+
+    for k in range(len(ext.omega)):
+        for w in group(t):
+            wpp = ext.twist_weyl(k, w)
+            assert wpp.length == w.length
+            assert left_descents(wpp) == ext.omega.conjugate_subset(
+                k, left_descents(w))
+    for I in subsets(range(1, rank + 1)):
+        for J in subsets(range(1, rank + 1)):
+            for a in ext.min_reps(I):
+                dec = ext.canonical_decomposition(a, I, J)
+                Ipp = ext.omega.conjugate_subset(
+                    ext.omega.inverse(a.omega), I)
+                assert t.is_min_left(dec.wpp, Ipp)
+                assert ext.twist_weyl(a.omega, dec.wpp) == a.w
+
+
+def test_identity_action_permutes_no_root():
+    for ext in (trivial_ext("A", 3), swap_ext(), minus_one_ext()):
+        rs = ext.rs
+        identity = ext.omega.identity_index
+        assert ext.omega.root_perm(identity) == tuple(range(len(rs.roots)))
+    ext = z2_ext("A1xA1", 2, (-1, 2))
+    rs = ext.rs
+    k = ext.omega.index("u")
+    assert act_root(ext.omega, k, rs.simple_root(1)) == -rs.simple_root(1)
+    assert act_root(ext.omega, k, rs.simple_root(2)) == rs.simple_root(2)
+
+
 TWO = ["1", "u"]
 SWAP_TABLE = [[0, 1], [1, 0]]
 

@@ -160,6 +160,16 @@ def test_reflection_permutes_other_positives():
         assert rs.reflect(i, alpha) == -alpha
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3),
+                                         ("D", 4), ("G", 2), ("F", 4),
+                                         ("E", 6), ("A1xA1", 2)])
+def test_reflection_perm_matches_reflecting_every_root(family, rank):
+    rs = system(family, rank)
+    for i in range(1, rank + 1):
+        assert rs.reflection_perm(i) == tuple(
+            rs.ordinal(rs.reflect(i, r)) for r in rs.roots)
+
+
 def test_reflect_rejects_non_roots():
     rs = system("A", 2)
     with pytest.raises(RootNotInSystem):

@@ -225,6 +225,30 @@ def test_on_demand_tables_match_enumeration(family, rank):
             [w.perm for w in inside if w.length == longest]
 
 
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4),
+                                         ("F", 4), ("G", 2), ("A1xA1", 2)])
+def test_min_left_records_each_length(family, rank):
+    """min_left sets every length to the search level; recount the
+    inversions of each representative from its permutation."""
+    t = CosetTables(system(family, rank))
+    m = t.rs.n_positive
+    for I in subsets(range(1, rank + 1)):
+        for w in t.min_left(I):
+            assert w.length == sum(1 for k in range(m) if w.perm[k] >= m)
+
+
+def test_min_left_checks_each_level_against_the_poincare_polynomial(
+        monkeypatch):
+    t = CosetTables(system("A", 2))
+    # The true W(q) of A2 is 1 + 2q + 2q^2 + q^3.
+    for wrong in ((1, 2, 1, 1), (1, 2, 2), (1, 2, 2, 1, 0)):
+        monkeypatch.setattr(t, "min_left_poincare", lambda I: wrong)
+        with pytest.raises(AssertionError):
+            t.min_left(())
+    monkeypatch.undo()
+    assert [w.length for w in t.min_left(())] == [0, 1, 1, 2, 2, 3]
+
+
 TWIST_SYSTEMS = ([("A", r) for r in range(1, 6)] +
                  [("B", r) for r in range(2, 5)] +
                  [("C", 3), ("D", 4), ("D", 5), ("F", 4), ("G", 2),
