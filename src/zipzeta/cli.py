@@ -240,12 +240,6 @@ def parse_config(path):
         raise ParseError(f"config: malformed value ({exc})") from None
 
 
-def _word_json(tables, w):
-    """The canonical word, the table's shared tuple: repeated words are
-    one object, so the JSON writer renders each once."""
-    return tables.word(w)
-
-
 def _coeff_json(c):
     if isinstance(c, QLaurent):
         return c.to_json()
@@ -267,7 +261,7 @@ def _strata_rows(datum, strata):
     tables = datum.tables
     omega = datum.omega
     return [{
-        "rep_word": _word_json(tables, s.rep.w),
+        "rep_word": tables.word(s.rep.w),
         "rep_omega": omega.label(s.rep.omega),
         "orbit_size": s.size,
         "length": s.length,
@@ -309,11 +303,11 @@ def _cmd_strata(args):
     tables = datum.tables
     label = datum.omega.label
     minimal = [{
-        "weyl_word": _word_json(tables, a.w),
+        "weyl_word": tables.word(a.w),
         "omega": label(a.omega),
-        "conjugated_word": _word_json(tables, dec.wpp),
-        "double_min_word": _word_json(tables, dec.y),
-        "parabolic_word": _word_json(tables, dec.w_J),
+        "conjugated_word": tables.word(dec.wpp),
+        "double_min_word": tables.word(dec.y),
+        "parabolic_word": tables.word(dec.w_J),
         "length": length,
     } for a, dec, length in zip(found.reps, found.decompositions,
                                 found.lengths)]
@@ -324,8 +318,8 @@ def _cmd_strata(args):
         "flag_dim": datum.flag_dim,
         "twist": {
             "J": sorted(twist.J),
-            "w1_word": _word_json(tables, twist.w1),
-            "w2_word": _word_json(tables, twist.w2),
+            "w1_word": tables.word(twist.w1),
+            "w2_word": tables.word(twist.w2),
         },
         "minimal_set": minimal,
         "strata": _strata_rows(datum, found.strata),

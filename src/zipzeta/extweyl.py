@@ -347,10 +347,6 @@ class ExtWeylGroup:
         return len([k for k in outside_J
                     if rp[yp[k]] in negative_outside_I]) + dec.w_J.length
 
-    def sort_key(self, a):
-        word = self.tables.word(a.w)
-        return (len(word), word, a.omega)
-
 
 class DiagramAutomorphism:
     """A pairing-preserving permutation of the simple roots together

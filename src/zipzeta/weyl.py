@@ -9,14 +9,14 @@ stripping the left descent with the least simple index.
 CosetTables builds only what it is asked for.  Elements are interned the
 first time they are reached, so each has one shared copy; the group
 order, and the number of minimal left coset representatives of each
-length, come from the root heights; the representatives themselves
-come from a search over that set alone, never over the whole group.
-The tables memoize words, minimal coset representatives, the longest
-elements of parabolic subgroups and one descent-stripping
-decomposition: for w minimal in W_I w, the split w = x * w_J with x
-minimal in its double coset and w_J inside W_J.  It is unique and
-length-additive; the code asserts this against the definitions on
-every call.
+length, come from the root heights; the representatives themselves,
+with their words and in word order, come from a search over that set
+alone.  The tables memoize words, minimal coset representatives, their
+Poincare polynomials, the longest elements of parabolic subgroups and
+one descent-stripping decomposition: for w minimal in W_I w, the split
+w = x * w_J with x minimal in its double coset and w_J inside W_J.  It
+is unique and length-additive; the code asserts this against the
+definitions on every call.
 
 enumerate_group additionally returns the whole group as a tuple.  The
 library never needs that; tests use it as the reference the on-demand
@@ -166,6 +166,7 @@ class CosetTables:
                          for i in range(1, rs.rank + 1)}
         self._words = {_identity_perm(rs): ()}
         self._min_left = {}
+        self._poincare = {}
         self._longest = {}
 
     def _intern(self, perm):
@@ -194,22 +195,25 @@ class CosetTables:
         is the number of positive roots outside I, the length of the
         longest representative.
         """
-        rs = self.rs
-        whole = _degree_product(r.height for r in rs.positive_roots)
-        inside = _degree_product(rs.roots[k].height
-                                 for k in rs.subsystem_ordinals(I)
-                                 if k < rs.n_positive)
-        # Long division from the top; both polynomials are monic.
-        rem = list(whole)
-        top = len(inside) - 1
-        quotient = [0] * (len(whole) - top)
-        for i in reversed(range(len(quotient))):
-            c = quotient[i] = rem[i + top]
-            for j, b in enumerate(inside):
-                rem[i + j] -= c * b
-        assert not any(rem), "W_I(q) does not divide W(q)"
-        assert len(quotient) - 1 == len(rs.positive_outside(I))
-        return tuple(quotient)
+        got = self._poincare.get(frozenset(I))
+        if got is None:
+            rs = self.rs
+            whole = _degree_product(r.height for r in rs.positive_roots)
+            inside = _degree_product(rs.roots[k].height
+                                     for k in rs.subsystem_ordinals(I)
+                                     if k < rs.n_positive)
+            # Long division from the top; both polynomials are monic.
+            rem = list(whole)
+            top = len(inside) - 1
+            quotient = [0] * (len(whole) - top)
+            for i in reversed(range(len(quotient))):
+                c = quotient[i] = rem[i + top]
+                for j, b in enumerate(inside):
+                    rem[i + j] -= c * b
+            assert not any(rem), "W_I(q) does not divide W(q)"
+            assert len(quotient) - 1 == len(rs.positive_outside(I))
+            got = self._poincare[frozenset(I)] = tuple(quotient)
+        return got
 
     def simple_reflection(self, i):
         return self._simples[i]
@@ -221,11 +225,11 @@ class CosetTables:
     def word(self, w):
         """ShortLex-least reduced word, as a tuple of simple indices.
 
-        Stripping the least left descent at every step yields exactly the
-        lexicographically least reduced word.  The words of intermediate
-        results are memoized, so the words of a set of elements cost at
-        most the sum of their lengths in steps, and one step per element
-        over the whole group.
+        min_left records the words of the representatives it builds; any
+        other element, such as w_J, is stripped: the least left descent at
+        every step yields exactly the lexicographically least reduced
+        word.  The words of intermediate results are memoized, so the
+        words of a set of elements cost at most the sum of their lengths.
         """
         self._check(w)
         got = self._words.get(w.perm)
@@ -293,7 +297,7 @@ class CosetTables:
 
     def min_left(self, I):
         """The minimal left coset representatives of W_I, in (length,
-        word) order.
+        word) order, with their words recorded.
 
         They are closed under prefixes of reduced words, a lower ideal of
         the right weak order (Bjorner-Brenti, GTM 231, ch. 2), so a
@@ -301,24 +305,29 @@ class CosetTables:
         level without visiting anything else.  For w in the set and
         w(alpha_j) positive, w * s_j is one level up, and by Deodhar's
         lemma it stays in the set unless w(alpha_j) is a simple root
-        alpha_i with i in I, when w * s_j = s_i * w.  Each element u of
-        the next level is built once, from w = u * s_j with j the least
-        right descent of u: the step is taken only when u sends no
-        alpha_j', j' < j, to a negative root, read as
-        u(alpha_j') = w(s_j(alpha_j')).
+        alpha_i with i in I, when w * s_j = s_i * w.
 
-        Each step goes one up in length, so an element's level is its
-        length and is recorded as such.  The size of every level is
-        asserted against W^I(q), which comes from the root heights and
-        not from the search.
+        Each level is visited in word order and each element's ascents
+        in increasing j; the first (w, j) to reach u gives word(u) =
+        word(w) + (j,).  Proof, by induction on the level: a prefix of a
+        ShortLex-least word is least for its element, so word(u) is the
+        least word(u * s_j) + (j,) over the right descents j of u, each
+        u * s_j one level down, and the pairs come in that order.  So the
+        next level comes out in word order too.
+
+        An element's level is its length and is recorded as such.  The
+        size of every level is asserted against W^I(q), which comes from
+        the root heights, and each word against any stripped before.
         """
         key = frozenset(I)
         got = self._min_left.get(key)
         if got is None:
             m = self.rs.n_positive
             blocked = {i - 1 for i in key}
-            steps = [(j - 1, itemgetter(*s.perm), s.perm[:j - 1])
-                     for j, s in self._simples.items()]
+            # u = w * s_j is keyed by its simple-root images, built once.
+            steps = [(j - 1, (j,), itemgetter(*s.perm[:self.rs.rank]),
+                      itemgetter(*s.perm))
+                     for j, s in sorted(self._simples.items())]
             sizes = self.min_left_poincare(key)
             got = []
             level = [self.identity]
@@ -326,20 +335,22 @@ class CosetTables:
             while level:
                 assert depth < len(sizes) and len(level) == sizes[depth], (
                     f"level {depth} of the search does not match W^I(q)")
-                for w in level:
-                    w._length = depth
-                level.sort(key=self.word)
                 got.extend(level)
                 depth += 1
-                above = []
+                up = {}
                 for w in level:
                     wp = w.perm
-                    for a, step, lower in steps:
+                    for a, letter, name, step in steps:
                         img = wp[a]
-                        if img < m and img not in blocked and all(
-                                wp[k] < m for k in lower):
-                            above.append(self._intern(step(wp)))
-                level = above
+                        if img < m and img not in blocked:
+                            up.setdefault(name(wp), (wp, letter, step))
+                level = [self._intern(step(wp)) for wp, _, step in up.values()]
+                # Interleaving words with permutations fragmented memory.
+                for u, (wp, letter, _) in zip(level, up.values()):
+                    u._length = depth
+                    word = self._words[wp] + letter
+                    known = self._words.setdefault(u.perm, word)
+                    assert known == word, "search and stripping disagree"
             assert depth == len(sizes), "the search stopped below the top"
             self._min_left[key] = got
         return got

@@ -266,8 +266,8 @@ def _stratify(datum):
     through Theta-orbits from the first unvisited element, and its
     degree is the length of the cycle.  Should Theta or tau fail to act
     on the minimal set as the theory says, ThetaActionLeaks is raised.
-    Members and strata are ordered by the rank of each element under
-    ExtWeylGroup.sort_key, computed once.
+    Members and strata are ordered by (length, word, component), a rank
+    read off the index, since min_reps lists components in word order.
     """
     twist = compute_twist(datum)
     ext = datum.ext
@@ -278,10 +278,8 @@ def _stratify(datum):
     position = {(a.w.perm, a.omega): idx for idx, a in enumerate(reps)}
     decompositions = [ext.canonical_decomposition(a, I, J) for a in reps]
     lengths = [ext.decomposition_length(dec, I, J) for dec in decompositions]
-    rank = [0] * len(reps)
-    for r, idx in enumerate(sorted(range(len(reps)),
-                                   key=lambda idx: ext.sort_key(reps[idx]))):
-        rank[idx] = r
+    n = len(datum.omega)
+    rank = [i * n + k for k in range(n) for i in range(len(reps) // n)]
 
     def locate(b, action):
         idx = position.get((b.w.perm, b.omega))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zipzeta import (ExtWeylGroup, ZetaProduct, ZipDatum, classify,
-                     zeta_from_strata)
+                     weyl, zeta_from_strata)
 from zipzeta.cli import MAX_COUNT_DEGREE, MAX_SERIES_ORDER, _json_text, main
 from zipzeta.zipstrata import FACTOR_LIMIT
 
@@ -251,6 +251,43 @@ def test_validation_failure_exit_2(tmp_path, capsys):
     }))
     code, out, err = run(capsys, ["strata", str(cfg)])
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("exc", [TypeError("unhashable type: 'list'"),
+                                 KeyError("diagram_action")])
+def test_malformed_values_exit_2(exc, monkeypatch, capsys):
+    """A TypeError or KeyError from ZipDatum on a config that passed the
+    shape checks is reported as a malformed value, not a traceback."""
+    def raise_exc(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("zipzeta.cli.ZipDatum", raise_exc)
+    code, out, err = run(capsys, ["zeta", O4])
+    assert code == 2 and out == ""
+    assert err == f"error: config: malformed value ({exc})\n"
+
+
+def test_split_zeta_builds_each_poincare_polynomial_once(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    """ZipDatum and zeta_function both read W^I(q); the tables build it
+    once, from the degrees of W and of W_I alone."""
+    cfg = tmp_path / "a3.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -1, 0], [-1, 2, -1],
+                                          [0, -1, 2]], "I": [1, 3]}))
+    heights = []
+    real = weyl._degree_product
+
+    def counted(hs):
+        heights.append(sorted(hs))
+        return real(heights[-1])
+
+    monkeypatch.setattr(weyl, "_degree_product", counted)
+    doc = run_json(capsys, ["zeta", str(cfg)])
+    assert doc["factors"]
+    # The positive roots of A3 have heights 1, 1, 1, 2, 2, 3; those of
+    # W_I, I = {1, 3}, are alpha_1 and alpha_3.
+    assert heights == [[1, 1, 1, 2, 2, 3], [1, 1]]
 
 
 def test_mismatch_exit_3(monkeypatch, capsys):

@@ -255,6 +255,49 @@ TWIST_SYSTEMS = ([("A", r) for r in range(1, 6)] +
                   ("A1xA1", 2)])
 
 
+def _search_and_stripped_words(rs, I):
+    """The words min_left records on fresh tables, and the words found
+    by stripping on other fresh tables that never run min_left."""
+    search = CosetTables(rs)
+    reps = search.min_left(I)
+    strip = CosetTables(rs)
+    return ([search.word(w) for w in reps],
+            [strip.word(strip.canonical(w)) for w in reps])
+
+
+def _parabolics(family, rank):
+    if family == "E":
+        return [[i for i in range(1, rank + 1) if i != k]
+                for k in range(1, rank + 1)]
+    return list(subsets(range(1, rank + 1)))
+
+
+@pytest.mark.parametrize("family,rank", TWIST_SYSTEMS + [("E", 6)])
+def test_search_words_are_the_stripped_words_in_order(family, rank):
+    """Every parabolic of the small systems, and the maximal parabolics
+    of E6: the search's word of each representative is its stripped
+    word, and the stripped words strictly increase along each level."""
+    rs = system(family, rank)
+    for I in _parabolics(family, rank):
+        found, stripped = _search_and_stripped_words(rs, I)
+        assert found == stripped, I
+        keys = [(len(word), word) for word in stripped]
+        assert all(a < b for a, b in zip(keys, keys[1:])), I
+
+
+def test_min_left_checks_words_it_finds_against_stripped_ones():
+    t = CosetTables(system("A", 3))
+    for w in group(tables("A", 3)):
+        t.word(t.canonical(w))
+    assert [len(t.word(w)) for w in t.min_left(())] == \
+        [w.length for w in group(tables("A", 3))]
+    t = CosetTables(system("A", 2))
+    s1, s2 = t.simple_reflection(1), t.simple_reflection(2)
+    t._words[(s1 * s2).perm] = (2, 1)
+    with pytest.raises(AssertionError, match="search and stripping"):
+        t.min_left(())
+
+
 @pytest.mark.parametrize("family,rank", TWIST_SYSTEMS)
 def test_twist_w1_is_shortest_in_its_double_coset(family, rank):
     """w1 against the double coset W_J * w0 * W_I built by closure under

@@ -411,6 +411,27 @@ def test_strata_match_the_brute_force_closure():
         assert got == reference_strata(d), (cartan, I, kw)
 
 
+def test_classify_orders_strata_by_dimension_degree_and_word():
+    """Strata by (aut_dim, degree, len(word), word, component) of their
+    representative, the first of its members in the same order; words
+    are stripped on fresh tables, apart from the search's."""
+    for cartan, I, kw in _oracle_data():
+        d = ZipDatum(cartan, I, **kw)
+        fresh = CosetTables(d.rs)
+
+        def key(a):
+            word = fresh.word(fresh.canonical(a.w))
+            return (len(word), word, a.omega)
+
+        strata = classify(d)
+        for s in strata:
+            keys = [key(a) for a in s.elements]
+            assert s.rep == s.elements[0], (cartan, I, kw)
+            assert all(a < b for a, b in zip(keys, keys[1:])), (cartan, I, kw)
+        order = [(s.aut_dim, s.degree) + key(s.rep) for s in strata]
+        assert all(a < b for a, b in zip(order, order[1:])), (cartan, I, kw)
+
+
 def test_point_count_numeric():
     strata = classify(ZipDatum([[2]], []))
     assert point_count(strata, 1, q=2) == Fraction(3, 2)
