@@ -3,13 +3,13 @@
 Commands read a JSON config and write a single JSON document to stdout
 (schema field 1), deterministically serialized, so runs are
 byte-for-byte reproducible.  --pretty switches to an aligned text view
-of the same data.  _json_text writes the document: its bytes are those of
-json.dumps(doc, indent=2, sort_keys=True), without the pure-Python
-encoder that indent forces; json itself only parses input.  A list of
-dicts that share one set of keys, such as the minimal_set and strata
-rows, is written from one row template: the key heads are built once
-per list, and each word, a tuple the Weyl tables share between rows, is
-rendered once.
+of the same data.  _write_json writes the document in parts, never
+joined: its bytes are those of json.dumps(doc, indent=2, sort_keys=True),
+without the pure-Python encoder that indent forces; json itself only
+parses input.  A list of dicts that share one set of keys, such as the
+minimal_set and strata rows, is written from one row template: the key
+heads are built once per list, and each word, a tuple the Weyl tables
+share between rows, is rendered once.
 
 Exit codes: 0 on success, 2 on any parse or validation failure, 3 when
 the census oracle disagrees with the predicted count.
@@ -31,7 +31,7 @@ ZIP_KEYS = {"schema", "cartan", "I", "omega", "phi0", "q0", "e", "theta"}
 BT_KEYS = {"schema", "h", "d", "p", "n"}
 
 # Largest accepted --series order and --v degree.  One cap suits both
-# rings: BT(6,3) to order 100 takes 2 s symbolic and 0.15 s numeric.
+# rings: BT(6,3) to order 100 takes about 0.5 s symbolic and 0.2 s numeric.
 MAX_SERIES_ORDER = 100
 MAX_COUNT_DEGREE = 100
 
@@ -39,74 +39,84 @@ MAX_COUNT_DEGREE = 100
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_text(value):
-    """The text json.dumps(value, indent=2, sort_keys=True) gives, for
-    dicts with str keys, lists, tuples, str, int, bool and None, without
-    the pure-Python encoder that indent forces on json.dumps.  Any other
-    type raises TypeError."""
-    out = []
-    _emit_json(value, "\n", out)
-    return "".join(out)
+def _write_json(value, stream):
+    """Write to stream the text json.dumps(value, indent=2, sort_keys=True)
+    gives, for dicts with str keys, lists, tuples, str, int, bool and
+    None, and a final newline, without the pure-Python encoder that indent
+    forces on json.dumps.  The text is never joined whole: its parts go
+    to stream joined 4096 at a time, so an unbuffered stream is not
+    written once per part.  Any other type raises TypeError."""
+    chunk = []
+
+    def write(part):
+        chunk.append(part)
+        if len(chunk) == 4096:
+            stream.write("".join(chunk))
+            chunk.clear()
+
+    _emit_json(value, "\n", write)
+    chunk.append("\n")
+    stream.write("".join(chunk))
 
 
-def _emit_json(value, newline, out):
-    """Append the text of value to out; newline is a line break followed
-    by the indentation of the line value starts on."""
+def _emit_json(value, newline, write):
+    """Pass the text of value to write, in parts; newline is a line
+    break followed by the indentation of the line value starts on."""
     if isinstance(value, str):
-        out.append(_encode_str(value))
+        write(_encode_str(value))
     elif value is None:
-        out.append("null")
+        write("null")
     elif value is True:
-        out.append("true")
+        write("true")
     elif value is False:
-        out.append("false")
+        write("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         if all(type(x) is int for x in value):
-            out.append("[" + inner + ("," + inner).join(map(repr, value))
-                       + newline + "]")
+            write("[" + inner + ("," + inner).join(map(repr, value))
+                  + newline + "]")
             return
-        if type(value[0]) is dict and _emit_rows(value, inner, out):
-            out.append(newline + "]")
+        if type(value[0]) is dict and _emit_rows(value, inner, write):
+            write(newline + "]")
             return
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _emit_json(item, inner, out)
+            write(sep)
+            _emit_json(item, inner, write)
             sep = "," + inner
-        out.append(newline + "]")
+        write(newline + "]")
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            _emit_json(value[key], inner, out)
+            write(sep + _encode_str(key) + ": ")
+            _emit_json(value[key], inner, write)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")
 
 
-def _emit_rows(rows, inner, out):
-    """Append the text of a list of dicts that share one non-empty set
-    of str keys, from one template, up to its closing bracket; inner is
-    the line break and indentation of the rows.  The heads of the keys
-    are built once.  Ints and strings are written directly, and each
-    list or tuple object is rendered once for the call: rows hold their
-    values for the whole call, so no id is reused.  Any other value
-    takes the generic path.  Returns False, having appended nothing,
-    when the rows do not share such keys."""
+def _emit_rows(rows, inner, write):
+    """Pass to write the text of a list of dicts that share one
+    non-empty set of str keys, from one template, up to its closing
+    bracket; inner is the line break and indentation of the rows.  The
+    heads of the keys are built once.  Ints and strings are written
+    directly, and each list or tuple object is rendered once for the
+    call: rows hold their values for the whole call, so no id is
+    reused.  Any other value takes the generic path.  Returns False,
+    having written nothing, when the rows do not share such keys."""
     keys = rows[0].keys()
     if not keys or not all(isinstance(k, str) for k in keys) or not all(
             type(row) is dict and row.keys() == keys for row in rows):
@@ -120,25 +130,25 @@ def _emit_rows(rows, inner, out):
     rendered = {}
     sep = "[" + inner
     for row in rows:
-        out.append(sep)
+        write(sep)
         for head, key in template:
-            out.append(head)
+            write(head)
             v = row[key]
             t = type(v)
             if t is int:
-                out.append(int.__repr__(v))
+                write(int.__repr__(v))
             elif t is str:
-                out.append(_encode_str(v))
+                write(_encode_str(v))
             elif t is tuple or t is list:
                 text = rendered.get(id(v))
                 if text is None:
                     parts = []
-                    _emit_json(v, deeper, parts)
+                    _emit_json(v, deeper, parts.append)
                     text = rendered[id(v)] = "".join(parts)
-                out.append(text)
+                write(text)
             else:
-                _emit_json(v, deeper, out)
-        out.append(close)
+                _emit_json(v, deeper, write)
+        write(close)
         sep = "," + inner
     return True
 
@@ -508,7 +518,7 @@ def main(argv=None):
             "predicted": str(exc.predicted),
             "observed": str(exc.observed),
         }
-        print(_json_text(doc))
+        _write_json(doc, sys.stdout)
         return 3
     except (ZipzetaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -516,7 +526,7 @@ def main(argv=None):
     if args.pretty:
         print(_render_pretty(doc))
     else:
-        print(_json_text(doc))
+        _write_json(doc, sys.stdout)
     return 0
 
 

@@ -7,15 +7,17 @@ A zeta function here is a finite product of factors
 with integer multiplicities, collected from the strata invariants
 (aut_dim a, degree f).  Each t^k coefficient c_k and each point count
 N_v is a polynomial in q^-1 with nonnegative integer coefficients, so one
-integer engine serves both: c_k is carried as z^(top*k) * c_k(1/z), top
-the largest aut_dim, at z = q or, for symbolic q, at a power of two whose
-digits are the coefficients (Kronecker substitution).
+integer engine serves both rings: c_k is carried as z^(top*k) * c_k(1/z),
+top the largest aut_dim, at z = q or, for symbolic q, at a power of two
+whose digits are the coefficients (Kronecker substitution).  Decoding
+gives a Fraction for numeric q and a QLaurent of ints for symbolic q.
 
 The series expansion is computed two independent ways and compared:
 once by dividing by the factors in turn, and once through the point
 counts N_v = sum of degree * q^(-a*v) over factors with f dividing v,
-via exp(sum_v N_v t^v / v).  The t^v / v weighting is the normalization
-used throughout this package.
+via exp(sum_v N_v t^v / v), with one running sum per factor, so each
+order costs one product per factor.  The t^v / v weighting is the
+normalization used throughout this package.
 """
 
 from __future__ import annotations
@@ -29,72 +31,31 @@ from .errors import PoleEvaluation, _is_int
 
 
 class QLaurent:
-    """Laurent polynomial in one symbol with Fraction coefficients,
-    stored sparsely as exponent -> coefficient with no zero entries."""
+    """Laurent polynomial in q with nonnegative integer coefficients, as
+    decoded, stored sparsely as exponent -> coefficient with no zero
+    entries."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        coeffs = {int(e): Fraction(c) for e, c in (coeffs or {}).items()}
-        self.coeffs = {e: c for e, c in coeffs.items() if c}
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, exp, coeff=1):
-        return cls({exp: Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
     def __eq__(self, other):
-        if isinstance(other, QLaurent):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QLaurent.term(0, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QLaurent.term(0, other)
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return QLaurent(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QLaurent({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QLaurent.term(0, other)
-        return self + (-other)
+        if not isinstance(other, QLaurent):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QLaurent({e: c * other for e, c in self.coeffs.items()})
+        if isinstance(other, int):
+            return QLaurent({e: c * other for e, c in self.coeffs.items()
+                             if c * other})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return QLaurent(out)
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return QLaurent({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
-
-    def evaluate(self, q):
-        q = Fraction(q)
-        return sum((c * q ** e for e, c in self.coeffs.items()), Fraction(0))
 
     def to_json(self):
         return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
@@ -118,14 +79,16 @@ class QLaurent:
 def _decode(code, shift, q, z):
     """code / z^shift: a Fraction for numeric q; for symbolic q, the
     QLaurent whose q^(i - shift) coefficient is base-z digit i of code,
-    sliced from one binary string so decoding is linear in its size."""
+    zero digits dropped, sliced from one binary string so decoding is
+    linear in its size."""
     if q is not None:
         return Fraction(code, q ** shift)
     bits = z.bit_length() - 1
     n = code.bit_length() // bits + 1
     text = format(code, f"0{n * bits}b")
-    return QLaurent({i - shift: int(text[(n - 1 - i) * bits:(n - i) * bits], 2)
-                     for i in range(n)})
+    digits = (int(text[(n - 1 - i) * bits:(n - i) * bits], 2)
+              for i in range(n))
+    return QLaurent({i - shift: d for i, d in enumerate(digits) if d})
 
 
 class ZetaProduct:
@@ -137,9 +100,9 @@ class ZetaProduct:
     def __init__(self, factors):
         clean = {}
         for (a, f), mult in factors.items():
-            a, f, mult = int(a), int(f), int(mult)
-            if f < 1 or mult < 0 or a < 0:
-                raise ValueError(f"bad factor ({a},{f}) x {mult}")
+            if not (_is_int(a) and _is_int(f) and _is_int(mult)
+                    and f >= 1 and mult >= 0 and a >= 0):
+                raise ValueError(f"bad factor ({a!r},{f!r}) x {mult!r}")
             if mult:
                 clean[(a, f)] = clean.get((a, f), 0) + mult
         self.factors = clean
@@ -170,8 +133,9 @@ class ZetaProduct:
     def n_value(self, v, q=None):
         """Point count N_v: sum of f * q^(-a*v) over factors whose f
         divides v, with multiplicity; v must be at least 1."""
-        if v < 1:
-            raise ValueError(f"point count degree {v} is below 1")
+        if not (_is_int(v) and v >= 1):
+            raise ValueError(f"point count degree must be an int of at "
+                             f"least 1, got {v!r}")
         top, z = self._encoding(v, q)
         return _decode(self._n_code(v, top, z), top * v, q, z)
 
@@ -189,12 +153,20 @@ class ZetaProduct:
 
     def series_exp(self, order, q=None):
         """Coefficients of t^0..t^order via exp of the weighted point
-        counts: the coefficient recurrence of exp(sum_v N_v t^v / v)."""
+        counts, by the log-derivative recurrence k c_k = sum_j N_j c_(k-j)
+        grouped by factor: a factor (a, f) of multiplicity mult adds
+        mult * f * run[k], where run[k] = sum_(m>=1) (q^-a)^(f m) c_(k-f m)
+        is kept as the running sum run[k] = step * (c_(k-f) + run[k-f])."""
         top, z = self._encoding(order, q)
-        nv = [0] + [self._n_code(v, top, z) for v in range(1, order + 1)]
+        runs = [(mult * f, f, z ** ((top - a) * f), [0] * (order + 1))
+                for (a, f), mult in self.factor_items()]
         series = [1] + [0] * order
         for k in range(1, order + 1):
-            acc = sum(nv[j] * series[k - j] for j in range(1, k + 1))
+            acc = 0
+            for weight, f, step, run in runs:
+                if k >= f:
+                    run[k] = step * (series[k - f] + run[k - f])
+                    acc += weight * run[k]
             series[k], rem = divmod(acc, k)
             assert rem == 0, f"t^{k} coefficient is not integral"
         return [_decode(c, top * k, q, z) for k, c in enumerate(series)]
@@ -256,11 +228,12 @@ class SeriesExpansion:
 def expand_series(zeta, order, q=None):
     """Expand to the given order, computing the product form and the
     exponential point-count form independently and insisting they
-    agree.  Raises ValueError on a negative order."""
-    if order < 0:
-        raise ValueError(f"series order {order} is negative")
+    agree.  Raises ValueError unless order is a nonnegative int."""
+    if not (_is_int(order) and order >= 0):
+        raise ValueError(f"series order must be a nonnegative int, "
+                         f"got {order!r}")
     by_product = zeta.series_product(order, q)
     by_exp = zeta.series_exp(order, q)
     assert by_product == by_exp, "series routes disagree"
-    assert by_product[0] == (1 if q is not None else QLaurent.one())
+    assert by_product[0] == (1 if q is not None else QLaurent({0: 1}))
     return SeriesExpansion(tuple(by_product), order, q)

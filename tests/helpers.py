@@ -8,8 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from zipzeta import (CosetTables, OmegaGroup, ExtWeylElement, ExtWeylGroup,
-                     QLaurent, build_root_system, cartan_matrix,
-                     compute_twist, direct_sum, enumerate_group)
+                     build_root_system, cartan_matrix, compute_twist,
+                     direct_sum, enumerate_group)
 from zipzeta.fforacle import (CensusClass, _rref, enumerate_gl, gl_order,
                               mat_frob, mat_frob_inv, mat_inv, mat_mul,
                               mat_rank, twisted_action)
@@ -272,37 +272,65 @@ def census_by_sweep(F, h, d):
     return tuple(sorted(classes, key=lambda c: c.rep))
 
 
+def _sum(x, y):
+    """x + y for Fractions, or for Laurent polynomials in q held as
+    {exponent: int} dicts with no zero entries."""
+    if not isinstance(x, dict):
+        return x + y
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _product(x, y):
+    """x * y, in the same two rings as _sum."""
+    if not isinstance(x, dict):
+        return x * y
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _scaled(x, n):
+    """n * x for an int n, in the same two rings as _sum."""
+    if not isinstance(x, dict):
+        return n * x
+    return {e: n * c for e, c in x.items() if n * c}
+
+
 def reference_series(zeta, order, q=None):
     """Coefficients of t^0..t^order by the binomial expansion of each
-    factor, multiplied out in Fraction arithmetic for numeric q and in
-    QLaurent arithmetic for symbolic q.  It shares no code with the
-    integer engine of ZetaProduct, which the tests compare against it."""
-    if q is None:
-        zero, one, q_power = QLaurent(), QLaurent.one(), QLaurent.term
-    else:
-        zero, one = Fraction(0), Fraction(1)
-
-        def q_power(exp):
-            return Fraction(q) ** exp
-    series = [one] + [zero] * order
+    factor, multiplied out in Fraction arithmetic for numeric q and on
+    plain {exponent: int} dicts for symbolic q.  It shares no code with
+    the integer engine of ZetaProduct, which the tests compare against
+    it."""
+    def term(exp, coeff):
+        return {exp: coeff} if q is None else coeff * Fraction(q) ** exp
+    zero = {} if q is None else Fraction(0)
+    series = [term(0, 1)] + [zero] * order
     for (a, f), mult in zeta.factor_items():
         factor = [zero] * (order + 1)
         for k in range(order // f + 1):
-            coeff = math.comb(k + mult - 1, mult - 1)
-            factor[f * k] = coeff * q_power(-a * f * k)
+            factor[f * k] = term(-a * f * k, math.comb(k + mult - 1, mult - 1))
         out = [zero] * (order + 1)
         for i, ci in enumerate(series):
             for j in range(order + 1 - i):
-                out[i + j] = out[i + j] + ci * factor[j]
+                out[i + j] = _sum(out[i + j], _product(ci, factor[j]))
         series = out
     return series
 
 
 def reference_point_counts(series):
-    """N_1..N_order (index 0 unused) recovered from series coefficients
-    by the log-derivative identity k c_k = sum_j N_j c_(k-j)."""
+    """N_1..N_order (index 0 unused) recovered from reference_series
+    coefficients by the log-derivative identity
+    k c_k = sum_j N_j c_(k-j)."""
     nv = [None]
     for k in range(1, len(series)):
-        rest = sum((nv[j] * series[k - j] for j in range(1, k)), 0 * series[0])
-        nv.append(k * series[k] - rest)
+        value = _scaled(series[k], k)
+        for j in range(1, k):
+            value = _sum(value, _scaled(_product(nv[j], series[k - j]), -1))
+        nv.append(value)
     return nv

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from zipzeta import (ExtWeylGroup, ZetaProduct, ZipDatum, classify,
                      weyl, zeta_from_strata)
-from zipzeta.cli import MAX_COUNT_DEGREE, MAX_SERIES_ORDER, _json_text, main
+from zipzeta.cli import MAX_COUNT_DEGREE, MAX_SERIES_ORDER, _write_json, main
 from zipzeta.zipstrata import FACTOR_LIMIT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -340,6 +341,17 @@ def test_pretty_rendering(capsys):
         "{'-2': '3', '-1': '4', '0': '3'}]"]
 
 
+def written(value):
+    """What _write_json writes for value, collected from its parts."""
+    stream = io.StringIO()
+    _write_json(value, stream)
+    return stream.getvalue()
+
+
+def dumped(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 # Keys that sort differently as strings and as numbers, and strings that
 # need escapes: quotes, backslashes, control characters, non-ASCII and
 # characters outside the basic plane.
@@ -363,7 +375,7 @@ JSON_TREES = st.recursive(
 @example([1, True, 0, False, None, -2 ** 70, 2 ** 70])
 @example({"\u00e9\x00\n\"\\": "\U0001f600\ud800\x1f\t", "": [-1, 0, 2 ** 64]})
 def test_json_text_matches_json_dumps(tree):
-    assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert written(tree) == dumped(tree)
 
 
 @pytest.mark.parametrize("value", [
@@ -372,7 +384,7 @@ def test_json_text_matches_json_dumps(tree):
 ])
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
-        _json_text(value)
+        written(value)
 
 
 # Row lists as the strata command writes them: dicts with one key set,
@@ -417,10 +429,9 @@ def row_lists(draw):
 @example([{"a": 1, "b": "é\n"}, {"a": True, "b": None}])
 @example([{"a": {"x": ()}}, {"a": {}}])
 def test_row_templates_match_json_dumps(rows):
-    assert _json_text(rows) == json.dumps(rows, indent=2, sort_keys=True)
+    assert written(rows) == dumped(rows)
     nested = {"rows": rows, "more": [rows]}
-    assert _json_text(nested) == json.dumps(nested, indent=2,
-                                            sort_keys=True)
+    assert written(nested) == dumped(nested)
 
 
 @pytest.mark.parametrize("rows", [
@@ -432,10 +443,10 @@ def test_row_templates_match_json_dumps(rows):
         "float in a nested dict"])
 def test_row_templates_reject_floats(rows):
     with pytest.raises(TypeError):
-        _json_text(rows)
+        written(rows)
     shared = (1, 2)
     with pytest.raises(TypeError):
-        _json_text([{"a": shared}, {"a": shared}] + rows)
+        written([{"a": shared}, {"a": shared}] + rows)
 
 
 def _commands(config):

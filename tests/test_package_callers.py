@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zipzeta"
 # Public accessors kept for library users, though the package itself
 # never calls them.
 ACCESSORS = {"entry", "reflect", "is_positive_ordinal", "simple_reflection",
-             "is_zero", "evaluate", "act", "neg", "sub"}
+             "evaluate", "act", "neg", "sub"}
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 from hypothesis import example, given, settings, strategies as st
 
 from zipzeta import (QLaurent, WeylElement, ZetaProduct, ZipDatum, classify,
@@ -23,15 +21,6 @@ def system_with_subsets(draw):
     I = frozenset(draw(st.sets(st.integers(1, rank))))
     J = frozenset(draw(st.sets(st.integers(1, rank))))
     return t, I, J
-
-
-@st.composite
-def laurent(draw):
-    coeffs = draw(st.dictionaries(
-        st.integers(-6, 6),
-        st.fractions(min_value=-9, max_value=9, max_denominator=12),
-        max_size=5))
-    return QLaurent(coeffs)
 
 
 @settings(deadline=None)
@@ -79,37 +68,39 @@ def test_reflections_are_involutions(spec, data):
 
 
 @settings(deadline=None)
-@given(laurent(), laurent(), laurent())
-def test_qlaurent_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + QLaurent() == a
-    assert a * QLaurent.one() == a
-    assert a - a == QLaurent()
-    for q in (2, Fraction(1, 3)):
-        assert (a * b).evaluate(q) == a.evaluate(q) * b.evaluate(q)
-        assert (a + b).evaluate(q) == a.evaluate(q) + b.evaluate(q)
-
-
-@settings(deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(1, 4)),
                        st.integers(1, 60), min_size=1, max_size=4),
        st.sampled_from([None, 2, 3, 7]), st.integers(0, 8))
 @example({(0, 1): 60}, None, 8)
 @example({(0, 1): 60, (1, 1): 60, (3, 2): 60}, None, 8)
+@example({(0, 2): 3, (2, 3): 2, (1, 1): 1}, None, 8)
+@example({(0, 2): 3, (2, 3): 2, (1, 1): 1}, 3, 8)
+@example({(1, 3): 2, (0, 4): 1, (2, 2): 5}, None, 7)
+@example({(1, 3): 2, (0, 4): 1, (2, 2): 5}, 7, 7)
 def test_series_routes_always_agree(factors, q, order):
     """Both routes and the point counts against the reference expansion:
     the decoder and the digit width are shared by the routes, so only
-    the reference can catch a fault there."""
+    the reference can catch a fault there.  The examples mix factors of
+    degree f >= 2 at orders that no f divides, where each running sum of
+    the exp route starts late and stops between its steps."""
     z = ZetaProduct(factors)
     expected = reference_series(z, order, q)
-    assert z.series_product(order, q) == expected
-    assert z.series_exp(order, q) == expected
+    assert plain(z.series_product(order, q)) == expected
+    assert plain(z.series_exp(order, q)) == expected
     nv = reference_point_counts(expected)
-    assert [z.n_value(v, q) for v in range(1, order + 1)] == nv[1:]
+    assert plain(z.n_value(v, q) for v in range(1, order + 1)) == nv[1:]
+
+
+def plain(values):
+    """Symbolic values as the {exponent: int} dicts reference_series
+    uses, after checking that they hold only nonzero ints."""
+    out = []
+    for value in values:
+        if isinstance(value, QLaurent):
+            assert all(type(c) is int and c for c in value.coeffs.values())
+            value = value.coeffs
+        out.append(value)
+    return out
 
 
 EXT_POOL = [

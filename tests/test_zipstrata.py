@@ -450,12 +450,11 @@ def test_point_count_skips_non_dividing_degrees():
 def test_point_count_symbolic():
     d = quad_datum(theta=["1"])
     strata = classify(d)
-    assert point_count(strata, 1).coeffs == {
-        0: Fraction(2), -1: Fraction(2)}
-    assert point_count(strata, 2).coeffs == {
-        0: Fraction(2), -2: Fraction(2)}
-    n1 = point_count(strata, 1)
-    assert n1.evaluate(Fraction(2)) == point_count(strata, 1, q=2)
+    assert point_count(strata, 1).coeffs == {0: 2, -1: 2}
+    assert point_count(strata, 2).coeffs == {0: 2, -2: 2}
+    n1 = point_count(strata, 1).coeffs
+    assert sum(c * Fraction(2) ** e for e, c in n1.items()) == \
+        point_count(strata, 1, q=2)
 
 
 def test_theta_action_leak_guard(monkeypatch):
