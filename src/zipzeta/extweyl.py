@@ -6,7 +6,7 @@ roots (entry -j at position i means alpha_i maps to -alpha_j).  Signs
 are allowed because some presentations act by -1 on the root lattice;
 unsigned actions permute the positive roots.  Actions may be
 non-faithful.  Any pairing-preserving signed permutation extends to a
-permutation of the whole root system, which is precomputed per element.
+permutation of the whole root system, built per element on first use.
 
 The extended group is the semidirect product: elements are pairs
 (w, omega) standing for the product w * omega, so
@@ -64,7 +64,7 @@ def _root_perm(rs, action):
     """The permutation of root ordinals induced by a pairing-preserving
     signed permutation of the simple roots."""
     if action == _identity_signed(rs.rank):
-        return tuple(range(len(rs.roots)))
+        return tuple(range(2 * rs.n_positive))
     perm = []
     for r in rs.roots:
         coords = [0] * rs.rank
@@ -158,7 +158,10 @@ class OmegaGroup:
         self.identity_index = identity
         self._inverse = tuple(inverse)
         self._index = {lab: k for k, lab in enumerate(labels)}
-        self._root_perms = [_root_perm(rs, a) for a in acts]
+
+    @cached_property
+    def _root_perms(self):
+        return [_root_perm(self.rs, a) for a in self.actions]
 
     def __len__(self):
         return len(self.labels)

@@ -9,17 +9,17 @@ so the simple reflection s_i acts on a root with coordinates (a_1, ...)
 by subtracting (sum_j a_j * c[i][j]) from the i-th coordinate.  Simple
 roots are indexed 1..rank in the public interface.
 
-A system is built by closing the simple roots under the simple
-reflections, within the positive roots.  Non-finite input is rejected
-before the closure starts, by the definiteness of the symmetrized
-matrix, and so is a system whose diagram components must have more
-positive roots than the cap.
+`degrees` names each component of the Dynkin diagram by its shape and
+reads the degrees of its Weyl group off the standard table.  That alone
+decides finite type and gives the exact number of positive roots,
+sum(d - 1).  A system closes its roots under the simple reflections
+only when they are first read, and asserts that count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from .errors import (GroupTooLarge, InvalidCartan, NotFiniteType,
                      RootNotInSystem, _is_int)
@@ -168,24 +168,47 @@ class RootSystem:
 
     Ordinals 0..m-1 are the positive roots sorted by height (ties broken
     so that simple root i gets ordinal i-1); ordinals m..2m-1 are the
-    negatives in the same order, so negation is a shift by m.
+    negatives in the same order, so negation is a shift by m.  The count
+    m is known from the degrees; the roots are closed on first read.
     """
 
-    def __init__(self, cartan, positive_roots):
+    def __init__(self, cartan, n_positive):
         self.cartan = cartan
         self.rank = cartan.rank
-        self.positive_roots = list(positive_roots)
-        self.n_positive = len(self.positive_roots)
-        self.roots = self.positive_roots + [-r for r in self.positive_roots]
-        self._ordinal = {r: k for k, r in enumerate(self.roots)}
-        self._reflection_perms = {}
+        self.n_positive = n_positive
         self._subsystem_ordinals = {}
         self._positive_outside = {}
-        for i in range(1, self.rank + 1):
-            assert self.roots[i - 1] == self.simple_root(i)
+
+    @cached_property
+    def positive_roots(self):
+        """The closure of the simple roots under the simple reflections,
+        which s_i takes through the positive roots but alpha_i (Humphreys,
+        "Reflection groups and Coxeter groups", 1.4)."""
+        simples = [self.simple_root(i) for i in range(1, self.rank + 1)]
+        seen = frontier = set(simples)
+        while frontier:
+            # s_i sends alpha_i, and only alpha_i, below zero.
+            frontier = {_reflect_coords(self.cartan, i, r) for r in frontier
+                        for i in range(1, self.rank + 1)
+                        if r != simples[i - 1]} - seen
+            assert all(r.is_positive() for r in frontier)
+            seen |= frontier
+        assert len(seen) == self.n_positive, "the degrees miscount the roots"
+        positives = sorted(
+            seen, key=lambda r: (r.height, tuple(-c for c in r.coords)))
+        assert positives[:self.rank] == simples
+        return positives
+
+    @cached_property
+    def roots(self):
+        return self.positive_roots + [-r for r in self.positive_roots]
+
+    @cached_property
+    def _ordinal(self):
+        return {r: k for k, r in enumerate(self.roots)}
 
     def __len__(self):
-        return len(self.roots)
+        return 2 * self.n_positive
 
     def simple_root(self, i):
         coords = [0] * self.rank
@@ -214,20 +237,17 @@ class RootSystem:
         return _reflect_coords(self.cartan, i, root)
 
     def reflection_perm(self, i):
-        """s_i as a permutation of root ordinals."""
-        perm = self._reflection_perms.get(i)
-        if perm is None:
-            # A root with pairing 0 is fixed and keeps its ordinal; the
-            # negative half is the positive one shifted by m, since
-            # s_i(-r) = -s_i(r).
-            m = self.n_positive
-            half = []
-            for k, r in enumerate(self.positive_roots):
-                image = _reflect_coords(self.cartan, i, r)
-                half.append(k if image is r else self.ordinal(image))
-            perm = tuple(half + [k + m if k < m else k - m for k in half])
-            self._reflection_perms[i] = perm
-        return perm
+        """s_i as a permutation of root ordinals, built afresh: the
+        Weyl tables keep the one copy the library reads."""
+        # A root with pairing 0 is fixed and keeps its ordinal; the
+        # negative half is the positive one shifted by m, since
+        # s_i(-r) = -s_i(r).
+        m = self.n_positive
+        half = []
+        for k, r in enumerate(self.positive_roots):
+            image = _reflect_coords(self.cartan, i, r)
+            half.append(k if image is r else self.ordinal(image))
+        return tuple(half + [k + m if k < m else k - m for k in half])
 
     def subsystem_ordinals(self, subset):
         """Ordinals of the roots supported on the given simple indices."""
@@ -258,97 +278,83 @@ class RootSystem:
         return f"RootSystem(rank={self.rank}, positive={self.n_positive})"
 
 
-def _check_finite_type(cartan):
-    """Raise NotFiniteType unless the matrix is of finite type; return
-    the ranks of the components of its diagram.
+def _component_degrees(c, adj, comp):
+    """The degrees of a connected diagram, or None if it is not of
+    finite type."""
+    n = len(comp)
+    bonds = [(c[i][j] * c[j][i], i, j) for i in comp for j in adj[i] if i < j]
+    heavy = [bond for bond in bonds if bond[0] > 1]
+    branch = [i for i in comp if len(adj[i]) > 2]
+    if len(bonds) != n - 1 or len(heavy) + len(branch) > 1:
+        return None  # a cycle, or more than one bond or branch to place
+    if heavy:
+        bond, i, j = heavy[0]
+        if bond == 2 and 1 in (len(adj[i]), len(adj[j])):
+            return list(range(2, 2 * n + 1, 2))  # B_n, C_n
+        return {(2, 4): [2, 6, 8, 12], (3, 2): [2, 6]}.get((bond, n))
+    if not branch:
+        return list(range(2, n + 2))  # A_n
+    arms = []
+    for prev, i in [(branch[0], j) for j in adj[branch[0]]]:
+        arms.append(1)
+        while len(adj[i]) == 2:
+            prev, i = i, sum(adj[i]) - prev  # the next node along the arm
+            arms[-1] += 1
+    arms.sort()
+    if len(arms) != 3 or arms[0] != 1 or arms[1] > 2:
+        return None
+    if arms[1] == 1:
+        return list(range(2, 2 * n - 1, 2)) + [n]  # D_n
+    return {6: [2, 5, 6, 8, 9, 12], 7: [2, 6, 8, 10, 12, 14, 18],
+            8: [2, 8, 12, 14, 18, 20, 24, 30]}.get(n)  # E6, E7, E8
 
-    Finite type means symmetrizable, diag(eps) * C symmetric for some
-    positive eps, with a positive definite symmetrization (Kac,
-    Infinite-dimensional Lie algebras, ch. 4).  eps is propagated along
-    the edges of each component; definiteness is read off the pivots of
-    exact elimination, whose products are the leading minors.
+
+def degrees(cartan, nodes=None):
+    """The degrees of the Weyl group of the diagram on the given 1-based
+    nodes (all of them when nodes is None), as one flat list.
+
+    Each connected component is named by its shape (Humphreys,
+    "Reflection groups and Coxeter groups", 2.4; degrees from 3.7).  With
+    every bond product c_ij * c_ji equal to 1, a path is A_n, and a tree
+    with one branch node is D_n or E6-E8 when two of its arms have one
+    node, or one and two.  A path with one double bond is B_n or C_n with
+    the bond at an end, F4 with it in the middle of four nodes; a triple
+    bond alone is G2.  Any other diagram raises NotFiniteType.
     """
+    rank = cartan.rank
+    nodes = range(1, rank + 1) if nodes is None else nodes
+    for i in nodes:
+        if not _is_int(i) or not 1 <= i <= rank:
+            raise ValueError(f"parabolic index {i!r} out of range")
     c = cartan.entries
-    n = cartan.rank
-    eps = [None] * n
-    ranks = []
-    for start in range(n):
-        if eps[start] is not None:
-            continue
-        eps[start] = Fraction(1)
-        stack = [start]
-        ranks.append(0)
-        while stack:
-            i = stack.pop()
-            ranks[-1] += 1
-            for j in range(n):
-                if j == i or c[i][j] == 0:
-                    continue
-                want = eps[i] * c[i][j] / c[j][i]
-                if eps[j] is None:
-                    eps[j] = want
-                    stack.append(j)
-                elif eps[j] != want:
-                    raise NotFiniteType("the Cartan matrix is not "
-                                        "symmetrizable")
-    m = [[eps[i] * c[i][j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if m[k][k] <= 0:
-            raise NotFiniteType(
-                f"the symmetrized Cartan matrix is not positive definite "
-                f"(leading minor {k + 1})")
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            if factor:
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    return ranks
-
-
-def _too_many(count):
-    return GroupTooLarge(f"the root system has at least {count} positive "
-                         f"roots, over the cap of {DEFAULT_ROOT_CAP}")
+    left = {i - 1 for i in nodes}
+    adj = {i: [j for j in left if j != i and c[i][j]] for i in left}
+    out = []
+    while left:
+        comp = [min(left)]
+        for i in comp:
+            comp += [j for j in adj[i] if j not in comp]
+        left -= set(comp)
+        got = _component_degrees(c, adj, comp)
+        if got is None:
+            raise NotFiniteType(f"the diagram on nodes "
+                                f"{sorted(k + 1 for k in comp)} is not of "
+                                "finite type")
+        out += got
+    return out
 
 
 def build_root_system(cartan):
-    """Close the simple roots under simple reflections.
+    """The root system of a Cartan matrix, its roots not yet closed.
 
     Raises NotFiniteType if the matrix is not of finite type, and
     GroupTooLarge if the system has more than DEFAULT_ROOT_CAP positive
-    roots.  Both are found before the closure starts, the second as far
-    as the lower bound allows: a component of rank r has at least
-    r(r + 1)/2 positive roots, as many as A_r.  The closure walks the
-    positive roots alone, since s_i sends every positive root but
-    alpha_i to a positive root (Humphreys, "Reflection groups and
-    Coxeter groups", 1.4), and checks the cap after each level.
+    roots; the count sum(d - 1) over the degrees is exact.
     """
     if not isinstance(cartan, CartanMatrix):
         cartan = CartanMatrix(cartan)
-    least = sum(r * (r + 1) // 2 for r in _check_finite_type(cartan))
-    if least > DEFAULT_ROOT_CAP:
-        raise _too_many(least)
-    simples = [
-        Root(tuple(1 if j == i else 0 for j in range(cartan.rank)))
-        for i in range(cartan.rank)
-    ]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        next_frontier = []
-        for root in frontier:
-            # s_i sends alpha_i, and only alpha_i, below zero.
-            own = root.coords.index(1) + 1 if root.height == 1 else None
-            for i in range(1, cartan.rank + 1):
-                if i == own:
-                    continue
-                image = _reflect_coords(cartan, i, root)
-                if image not in seen:
-                    assert image.is_positive()
-                    seen.add(image)
-                    next_frontier.append(image)
-        if len(seen) > DEFAULT_ROOT_CAP:
-            raise _too_many(len(seen))
-        frontier = next_frontier
-    positives = sorted(
-        seen, key=lambda r: (r.height, tuple(-c for c in r.coords)))
-    return RootSystem(cartan, positives)
+    count = sum(d - 1 for d in degrees(cartan))
+    if count > DEFAULT_ROOT_CAP:
+        raise GroupTooLarge(f"the root system has at least {count} positive "
+                            f"roots, over the cap of {DEFAULT_ROOT_CAP}")
+    return RootSystem(cartan, count)

@@ -9,14 +9,14 @@ stripping the left descent with the least simple index.
 CosetTables builds only what it is asked for.  Elements are interned the
 first time they are reached, so each has one shared copy; the group
 order, and the number of minimal left coset representatives of each
-length, come from the root heights; the representatives themselves,
-with their words and in word order, come from a search over that set
-alone.  The tables memoize words, minimal coset representatives, their
-Poincare polynomials, the longest elements of parabolic subgroups and
-one descent-stripping decomposition: for w minimal in W_I w, the split
-w = x * w_J with x minimal in its double coset and w_J inside W_J.  It
-is unique and length-additive; the code asserts this against the
-definitions on every call.
+length, come from the degrees, with no root built; the representatives
+themselves, with their words and in word order, come from a search over
+that set alone.  The tables memoize words, minimal coset
+representatives, their Poincare polynomials, the longest elements of
+parabolic subgroups and one descent-stripping decomposition: for w
+minimal in W_I w, the split w = x * w_J with x minimal in its double
+coset and w_J inside W_J.  It is unique and length-additive; the code
+asserts this against the definitions on every call.
 
 enumerate_group additionally returns the whole group as a tuple.  The
 library never needs that; tests use it as the reference the on-demand
@@ -26,10 +26,12 @@ search is compared against.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
 
 from .errors import GroupTooLarge, MixedGroups, NotMinimalRep
+from .rootsystem import degrees
 
 DEFAULT_GROUP_CAP = 100000
 
@@ -98,28 +100,23 @@ def _identity_perm(rs):
     return tuple(range(2 * rs.n_positive))
 
 
-def _degree_product(heights):
-    """Poincare polynomial of the Weyl group whose positive roots have
-    these heights, as integer coefficients: entry l counts the elements
-    of length l.
+def _degree_product(ds):
+    """The product of the q-integers [d]_q = 1 + q + ... + q^(d-1) over
+    the degrees, as integer coefficients.
 
-    By Kostant, the number of exponents equal to k is n_k - n_(k+1),
-    where n_k counts the positive roots of height k.  Each degree d is
-    an exponent plus one, and the polynomial is the product of the
-    q-integers [d]_q = 1 + q + ... + q^(d-1), so its value at q = 1 is
-    the order of the group.  Each is multiplied in as
+    Over the degrees of a Weyl group this is its Poincare polynomial:
+    entry l counts the elements of length l, and its value at q = 1 is
+    the order of the group.  Each factor is multiplied in as
     (1 - q^d) / (1 - q): subtract a copy shifted by d, then take running
     sums, whose last is 0.
     """
-    counts = Counter(heights)
     poly = [1]
-    for k, n in counts.items():
-        for _ in range(n - counts.get(k + 1, 0)):
-            out = poly + [0] * (k + 1)
-            for i, c in enumerate(poly, start=k + 1):
-                out[i] -= c
-            *poly, rest = accumulate(out)
-            assert rest == 0
+    for d in ds:
+        out = poly + [0] * d
+        for i, c in enumerate(poly, start=d):
+            out[i] -= c
+        *poly, rest = accumulate(out)
+        assert rest == 0
     return poly
 
 
@@ -162,12 +159,15 @@ class CosetTables:
         self.rs = rs
         self._by_perm = {}
         self.identity = self._intern(_identity_perm(rs))
-        self._simples = {i: self._intern(rs.reflection_perm(i))
-                         for i in range(1, rs.rank + 1)}
         self._words = {_identity_perm(rs): ()}
         self._min_left = {}
         self._poincare = {}
         self._longest = {}
+
+    @cached_property
+    def _simples(self):
+        return {i: self._intern(self.rs.reflection_perm(i))
+                for i in range(1, self.rs.rank + 1)}
 
     def _intern(self, perm):
         """The table's one copy of the element with this permutation."""
@@ -190,29 +190,25 @@ class CosetTables:
         """Coefficients of W^I(q) = W(q) / W_I(q): entry l counts the
         minimal left coset representatives of W_I of length l.
 
-        Both Poincare polynomials come from the degrees, so nothing is
-        enumerated.  The division is exact, and the quotient's degree
-        is the number of positive roots outside I, the length of the
-        longest representative.
+        Both are products of q-integers over the degrees, so nothing is
+        enumerated: the degrees W and W_I share cancel, the rest of W's
+        are multiplied and the rest of W_I's divided out, exactly.  The
+        degree is the length of the longest representative.
         """
-        got = self._poincare.get(frozenset(I))
+        key = frozenset(I)
+        got = self._poincare.get(key)
         if got is None:
-            rs = self.rs
-            whole = _degree_product(r.height for r in rs.positive_roots)
-            inside = _degree_product(rs.roots[k].height
-                                     for k in rs.subsystem_ordinals(I)
-                                     if k < rs.n_positive)
-            # Long division from the top; both polynomials are monic.
-            rem = list(whole)
-            top = len(inside) - 1
-            quotient = [0] * (len(whole) - top)
-            for i in reversed(range(len(quotient))):
-                c = quotient[i] = rem[i + top]
-                for j, b in enumerate(inside):
-                    rem[i + j] -= c * b
-            assert not any(rem), "W_I(q) does not divide W(q)"
-            assert len(quotient) - 1 == len(rs.positive_outside(I))
-            got = self._poincare[frozenset(I)] = tuple(quotient)
+            whole = Counter(degrees(self.rs.cartan))
+            inside = Counter(degrees(self.rs.cartan, key))
+            got = _degree_product((whole - inside).elements())
+            for d in (inside - whole).elements():
+                # Divide by [d]_q: times 1 - q, then over 1 - q^d.
+                got = [a - b for a, b in zip(got + [0], [0] + got)]
+                for i in range(d, len(got)):
+                    got[i] += got[i - d]
+                assert not any(got[-d:]), "W_I(q) does not divide W(q)"
+                del got[-d:]
+            got = self._poincare[key] = tuple(got)
         return got
 
     def simple_reflection(self, i):
@@ -317,18 +313,18 @@ class CosetTables:
 
         An element's level is its length and is recorded as such.  The
         size of every level is asserted against W^I(q), which comes from
-        the root heights, and each word against any stripped before.
+        the degrees, and each word against any stripped before.
         """
         key = frozenset(I)
         got = self._min_left.get(key)
         if got is None:
+            sizes = self.min_left_poincare(key)
             m = self.rs.n_positive
             blocked = {i - 1 for i in key}
             # u = w * s_j is keyed by its simple-root images, built once.
             steps = [(j - 1, (j,), itemgetter(*s.perm[:self.rs.rank]),
                       itemgetter(*s.perm))
                      for j, s in sorted(self._simples.items())]
-            sizes = self.min_left_poincare(key)
             got = []
             level = [self.identity]
             depth = 0

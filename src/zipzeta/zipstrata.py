@@ -34,7 +34,7 @@ from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
                      ThetaActionLeaks, ThetaDoesNotPreserveI,
                      ThetaNotSubgroup, _is_int)
 from .extweyl import DiagramAutomorphism, ExtWeylGroup, OmegaGroup
-from .rootsystem import CartanMatrix, build_root_system
+from .rootsystem import build_root_system
 from . import weyl
 from .weyl import CosetTables
 from .zetafn import ZetaProduct, zeta_from_strata
@@ -77,9 +77,10 @@ class ZipDatum:
     form.  Construction performs every consistency check; a constructed
     datum is safe to classify.
 
-    The number of minimal coset representatives, |W| / |W_I|, is
-    predicted before any is built and bounded by weyl.DEFAULT_GROUP_CAP.
-    That bounds split data too, although zeta_function builds none of their
+    The checks read only the Cartan pairing and the degrees, so a split
+    datum never builds a root.  flag_dim is the degree of W^I(q), and
+    |W^I| = |W| / |W_I| is bounded by weyl.DEFAULT_GROUP_CAP.  That bounds
+    split data too, although zeta_function builds none of their
     representatives: lifting the cap there would change which inputs
     are accepted, so it is left for a deliberate change.
     """
@@ -92,8 +93,6 @@ class ZipDatum:
             raise ValueError("e must be a positive integer")
         self.e = e
 
-        if not isinstance(cartan, CartanMatrix):
-            cartan = CartanMatrix(cartan)
         self.rs = build_root_system(cartan)
         self.tables = CosetTables(self.rs)
 
@@ -105,17 +104,13 @@ class ZipDatum:
             self.omega = OmegaGroup(self.rs, labels, omega["table"], actions)
         self.ext = ExtWeylGroup(self.tables, self.omega)
 
-        I = frozenset(parabolic_type)
-        for i in I:
-            if not _is_int(i) or not 1 <= i <= self.rs.rank:
-                raise ValueError(f"parabolic index {i!r} out of range")
-        self.parabolic_type = I
+        I = self.parabolic_type = frozenset(parabolic_type)
         size = self.tables.min_left_count(I)
         if size > weyl.DEFAULT_GROUP_CAP:
             raise GroupTooLarge(
                 f"the parabolic type has {size} minimal coset "
                 f"representatives, over the cap of {weyl.DEFAULT_GROUP_CAP}")
-        self.flag_dim = len(self.rs.positive_outside(I))
+        self.flag_dim = len(self.tables.min_left_poincare(I)) - 1
 
         if phi0 is None:
             self.sigma = DiagramAutomorphism.identity(self.ext)

@@ -3,13 +3,14 @@ re-enumerate the same groups, and the whole-group and test-only helpers
 the library itself never needs."""
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 
-from zipzeta import (CosetTables, OmegaGroup, ExtWeylElement, ExtWeylGroup,
-                     build_root_system, cartan_matrix, compute_twist,
-                     direct_sum, enumerate_group)
+from zipzeta import (CosetTables, NotFiniteType, OmegaGroup, ExtWeylElement,
+                     ExtWeylGroup, build_root_system, cartan_matrix,
+                     compute_twist, direct_sum, enumerate_group)
+from zipzeta.weyl import _degree_product
 from zipzeta.fforacle import (CensusClass, _rref, enumerate_gl, gl_order,
                               mat_frob, mat_frob_inv, mat_inv, mat_mul,
                               mat_rank, twisted_action)
@@ -86,6 +87,88 @@ def is_based(omega, k):
 def subsystem(rs, subset):
     """Roots supported on the given set of simple indices."""
     return frozenset(rs.roots[k] for k in rs.subsystem_ordinals(subset))
+
+
+def reference_finite_type(cartan):
+    """Raise NotFiniteType unless the matrix is of finite type; return
+    the ranks of the components of its diagram.  The definiteness check
+    that the type recognizer `rootsystem.degrees` replaced, kept as its
+    reference.
+
+    Finite type means symmetrizable, diag(eps) * C symmetric for some
+    positive eps, with a positive definite symmetrization (Kac,
+    Infinite-dimensional Lie algebras, ch. 4).  eps is propagated along
+    the edges of each component; definiteness is read off the pivots of
+    exact elimination, whose products are the leading minors.
+    """
+    c = cartan.entries
+    n = cartan.rank
+    eps = [None] * n
+    ranks = []
+    for start in range(n):
+        if eps[start] is not None:
+            continue
+        eps[start] = Fraction(1)
+        stack = [start]
+        ranks.append(0)
+        while stack:
+            i = stack.pop()
+            ranks[-1] += 1
+            for j in range(n):
+                if j == i or c[i][j] == 0:
+                    continue
+                want = eps[i] * c[i][j] / c[j][i]
+                if eps[j] is None:
+                    eps[j] = want
+                    stack.append(j)
+                elif eps[j] != want:
+                    raise NotFiniteType("the Cartan matrix is not "
+                                        "symmetrizable")
+    m = [[eps[i] * c[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            raise NotFiniteType(
+                f"the symmetrized Cartan matrix is not positive definite "
+                f"(leading minor {k + 1})")
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            if factor:
+                for j in range(k, n):
+                    m[i][j] -= factor * m[k][j]
+    return ranks
+
+
+def kostant_degrees(heights):
+    """The degrees of the Weyl group whose positive roots have these
+    heights, in increasing order.  By Kostant, the number of exponents
+    equal to k is n_k - n_(k+1), where n_k counts the positive roots of
+    height k, and each degree is an exponent plus one."""
+    counts = Counter(heights)
+    return sorted(k + 1 for k, n in counts.items()
+                  for _ in range(n - counts.get(k + 1, 0)))
+
+
+def reference_poincare(t, I):
+    """W^I(q) as W(q) / W_I(q) by long division, with both Poincare
+    polynomials built from the degrees Kostant reads off the closed
+    roots' heights."""
+    rs = t.rs
+    whole = _degree_product(kostant_degrees(
+        r.height for r in rs.positive_roots))
+    inside = _degree_product(kostant_degrees(
+        rs.roots[k].height for k in rs.subsystem_ordinals(I)
+        if k < rs.n_positive))
+    # Long division from the top; both polynomials are monic.
+    rem = list(whole)
+    top = len(inside) - 1
+    quotient = [0] * (len(whole) - top)
+    for i in reversed(range(len(quotient))):
+        c = quotient[i] = rem[i + top]
+        for j, b in enumerate(inside):
+            rem[i + j] -= c * b
+    assert not any(rem), "W_I(q) does not divide W(q)"
+    assert len(quotient) - 1 == len(rs.positive_outside(I))
+    return tuple(quotient)
 
 
 def reference_strata(datum):

@@ -276,19 +276,45 @@ def test_split_zeta_builds_each_poincare_polynomial_once(tmp_path,
     cfg = tmp_path / "a3.json"
     cfg.write_text(json.dumps({"cartan": [[2, -1, 0], [-1, 2, -1],
                                           [0, -1, 2]], "I": [1, 3]}))
-    heights = []
-    real = weyl._degree_product
+    calls = []
+    real = weyl.degrees
 
-    def counted(hs):
-        heights.append(sorted(hs))
-        return real(heights[-1])
+    def counted(cartan, nodes=None):
+        calls.append(real(cartan, nodes))
+        return calls[-1]
 
-    monkeypatch.setattr(weyl, "_degree_product", counted)
+    monkeypatch.setattr(weyl, "degrees", counted)
     doc = run_json(capsys, ["zeta", str(cfg)])
     assert doc["factors"]
-    # The positive roots of A3 have heights 1, 1, 1, 2, 2, 3; those of
-    # W_I, I = {1, 3}, are alpha_1 and alpha_3.
-    assert heights == [[1, 1, 1, 2, 2, 3], [1, 1]]
+    # One call for the degrees of A3, one for those of W_I, I = {1, 3},
+    # which is A1 x A1.
+    assert calls == [[2, 3, 4], [2, 2]]
+
+
+LAZY_ROUTE_ARGS = [
+    pytest.param([cmd, str(CONFIGS / config), *rest],
+                 id=" ".join([cmd, config, *rest]))
+    for config in ("gl-2-1.json", "gl-3-1.json", "o4.json")
+    for cmd, *rest in (["zeta"], ["count", "--v", "3"])]
+LAZY_ROUTE_ARGS += [
+    pytest.param(["bt", BT212], id="bt bt-2-1-2.json"),
+    pytest.param(["bt", "--h", "141", "--d", "1", "--p", "2"],
+                 id="bt --h 141 --d 1 --p 2")]
+
+
+@pytest.mark.parametrize("argv", LAZY_ROUTE_ARGS)
+def test_split_commands_never_close_the_roots(argv, monkeypatch, capsys):
+    """Split zeta, count and bt read W^I(q) and flag_dim off the degrees:
+    they build no root, and no reflection."""
+    closed = run(capsys, argv)
+    assert closed[0] == 0, closed[2]
+
+    def closure_must_not_run(*args):
+        raise AssertionError("a root was reflected")
+
+    monkeypatch.setattr("zipzeta.rootsystem._reflect_coords",
+                        closure_must_not_run)
+    assert run(capsys, argv) == closed
 
 
 def test_mismatch_exit_3(monkeypatch, capsys):
