@@ -312,6 +312,8 @@ def _cmd_strata(args):
     twist = found.twist
     tables = datum.tables
     label = datum.omega.label
+    decompose = datum.ext.canonical_decomposition
+    I = datum.parabolic_type
     minimal = [{
         "weyl_word": tables.word(a.w),
         "omega": label(a.omega),
@@ -319,8 +321,8 @@ def _cmd_strata(args):
         "double_min_word": tables.word(dec.y),
         "parabolic_word": tables.word(dec.w_J),
         "length": length,
-    } for a, dec, length in zip(found.reps, found.decompositions,
-                                found.lengths)]
+    } for a, length in zip(found.reps, found.lengths)
+        for dec in [decompose(a, I, twist.J)]]
     return {
         "schema": 1,
         "kind": "strata",

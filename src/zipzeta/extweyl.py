@@ -18,7 +18,12 @@ whose Weyl part is a minimal left-coset representative.  Every element
 of it factors as omega * y * w_J with y minimal in a double coset, and
 the extended length counts the positive roots outside J that the map
 omega * y sends to negative roots outside I, plus the length of w_J.
-On elements of the plain Weyl group this restricts to the usual length.
+It is counted on (w, omega) without factoring: omega * y * w_J is
+w * omega, W_J permutes the positive roots outside J and y keeps those
+of J positive.  So it counts the positive roots outside J that w * omega
+sends to negative roots outside I, plus the positive roots of J that
+omega^{-1} * w * omega makes negative, that is, that w * omega sends
+into omega(Phi^-).  When omega acts without signs this is the length of w.
 """
 
 from __future__ import annotations
@@ -249,9 +254,7 @@ class ExtWeylGroup:
         self.tables = tables
         self.omega = omega
         self.rs = tables.rs
-        # Constants of the decomposition and the length, per (component,
-        # I) and per (I, J), built on first use.
-        self._conjugated_types = {}
+        # Root sets of the length per (I, J, component), built on first use.
         self._length_sets = {}
 
     def element(self, w, omega):
@@ -294,6 +297,15 @@ class ExtWeylGroup:
                 for k in range(len(self.omega))
                 for w in self.tables.min_left(I)]
 
+    def _check_min(self, a, I):
+        """MixedGroups unless a belongs to this group, NotInExtMinSet
+        unless it lies in the minimal set for I."""
+        if a.group is not self:
+            raise MixedGroups("element belongs to a different extended group")
+        if not self.tables.is_min_left(a.w, I):
+            raise NotInExtMinSet(
+                "Weyl part has a left descent in the parabolic type")
+
     def canonical_decomposition(self, a, I, J):
         """Factor a = omega * w'' = omega * y * w_J.
 
@@ -302,19 +314,10 @@ class ExtWeylGroup:
         coset as y * w_J.  Raises NotInExtMinSet when a is not in the
         minimal set for I.
         """
-        if a.group is not self:
-            raise MixedGroups("element belongs to a different extended group")
-        I = frozenset(I)
-        J = frozenset(J)
-        if not self.tables.is_min_left(a.w, I):
-            raise NotInExtMinSet(
-                "Weyl part has a left descent in the parabolic type")
+        self._check_min(a, I)
         kinv = self.omega.inverse(a.omega)
         wpp = self.twist_weyl(kinv, a.w)
-        Ipp = self._conjugated_types.get((kinv, I))
-        if Ipp is None:
-            Ipp = self._conjugated_types[kinv, I] = (
-                self.omega.conjugate_subset(kinv, I))
+        Ipp = self.omega.conjugate_subset(kinv, I)
         # A signed map that preserves the pairing keeps one sign on each
         # component of the diagram, so on the roots it is a diagram
         # automorphism times -1 on some components.  The sign commutes
@@ -327,28 +330,25 @@ class ExtWeylGroup:
         return ExtDecomposition(a.omega, wpp, y, w_J)
 
     def extended_length(self, a, I, J):
-        """Count positive roots outside J sent by omega * y to negative
-        roots outside I, plus the length of w_J."""
-        return self.decomposition_length(
-            self.canonical_decomposition(a, I, J), I, J)
-
-    def decomposition_length(self, dec, I, J):
-        """The extended length of the element whose canonical
-        decomposition for (I, J) is dec."""
-        key = (frozenset(I), frozenset(J))
+        """The extended length of a, counted on (w, omega) as the module
+        docstring describes, over root lists moved by omega once per key."""
+        self._check_min(a, I)
+        key = (frozenset(I), frozenset(J), a.omega)
         sets = self._length_sets.get(key)
         if sets is None:
             rs = self.rs
             m = rs.n_positive
+            rp = self.omega.root_perm(a.omega)
             inside_I = rs.subsystem_ordinals(I)
             sets = self._length_sets[key] = (
-                rs.positive_outside(J),
-                frozenset(k for k in range(m, 2 * m) if k not in inside_I))
-        outside_J, negative_outside_I = sets
-        rp = self.omega.root_perm(dec.omega_index)
-        yp = dec.y.perm
-        return len([k for k in outside_J
-                    if rp[yp[k]] in negative_outside_I]) + dec.w_J.length
+                [rp[k] for k in rs.positive_outside(J)],
+                frozenset(k for k in range(m, 2 * m) if k not in inside_I),
+                [rp[k] for k in rs.subsystem_ordinals(J) if k < m],
+                frozenset(rp[k] for k in range(m, 2 * m)))
+        outside_J, negative_outside_I, positive_J, omega_negative = sets
+        wp = a.w.perm
+        return (len([k for k in outside_J if wp[k] in negative_outside_I])
+                + len([k for k in positive_J if wp[k] in omega_negative]))
 
 
 class DiagramAutomorphism:

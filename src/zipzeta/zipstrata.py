@@ -233,13 +233,12 @@ class Stratum:
 
 class _Stratification(NamedTuple):
     """Everything one pass of the stratification computes: the twist,
-    the minimal set with the canonical decomposition and extended length
-    of each element in the order of ExtWeylGroup.min_reps, and the
-    strata."""
+    the minimal set with the extended length of each element in the
+    order of ExtWeylGroup.min_reps, and the strata.  Nothing is
+    decomposed: the lengths are read off the elements."""
 
     twist: Twist
     reps: list
-    decompositions: list
     lengths: list
     strata: list
 
@@ -255,7 +254,7 @@ def _stratify(datum):
     """The stratification of classify, with the data it passes through,
     in one walk over the minimal set.
 
-    Each element is decomposed once, which gives its extended length.
+    Each element's extended length is read off it once.
     The Theta-orbit of a is its direct image {t * a * psi(t)^{-1}},
     since that map is a group action.  A stratum is the cycle tau walks
     through Theta-orbits from the first unvisited element, and its
@@ -271,8 +270,7 @@ def _stratify(datum):
     J = twist.J
     reps = ext.min_reps(I)
     position = {(a.w.perm, a.omega): idx for idx, a in enumerate(reps)}
-    decompositions = [ext.canonical_decomposition(a, I, J) for a in reps]
-    lengths = [ext.decomposition_length(dec, I, J) for dec in decompositions]
+    lengths = [ext.extended_length(a, I, J) for a in reps]
     n = len(datum.omega)
     rank = [i * n + k for k in range(n) for i in range(len(reps) // n)]
 
@@ -345,7 +343,7 @@ def _stratify(datum):
     # Ranks differ between strata, so two Stratum objects are never
     # compared.
     strata = [entry[-1] for entry in sorted(strata)]
-    return _Stratification(twist, reps, decompositions, lengths, strata)
+    return _Stratification(twist, reps, lengths, strata)
 
 
 def zeta_function(datum):

@@ -206,6 +206,21 @@ def reference_strata(datum):
     return out
 
 
+def reference_extended_length(ext, a, I, J):
+    """The extended length through the canonical decomposition
+    a = omega * y * w_J: the positive roots outside J that omega * y
+    sends to negative roots outside I, plus the length of w_J.  The
+    route that ExtWeylGroup.extended_length replaced by a count on
+    (w, omega), kept as its reference."""
+    rs = ext.rs
+    inside_I = rs.subsystem_ordinals(I)
+    dec = ext.canonical_decomposition(a, I, J)
+    rp = ext.omega.root_perm(dec.omega_index)
+    images = (rp[dec.y.perm[k]] for k in rs.positive_outside(J))
+    return sum(1 for k in images
+               if k >= rs.n_positive and k not in inside_I) + dec.w_J.length
+
+
 def mat_identity(h):
     return tuple(tuple(1 if i == j else 0 for j in range(h)) for i in range(h))
 
@@ -233,6 +248,15 @@ def flip_ext():
     t = tables("A", 2)
     omega = OmegaGroup(t.rs, ["1", "f"], [[0, 1], [1, 0]],
                        [(1, 2), (2, 1)])
+    return ExtWeylGroup(t, omega)
+
+
+@lru_cache(maxsize=None)
+def signed_flip_ext():
+    """Type A3 with a component acting as the diagram flip times -1."""
+    t = tables("A", 3)
+    omega = OmegaGroup(t.rs, ["1", "u"], [[0, 1], [1, 0]],
+                       [(1, 2, 3), (-3, -2, -1)])
     return ExtWeylGroup(t, omega)
 
 

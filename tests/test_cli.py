@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zipzeta import (ExtWeylGroup, ZetaProduct, ZipDatum, classify,
-                     weyl, zeta_from_strata)
-from zipzeta.cli import MAX_COUNT_DEGREE, MAX_SERIES_ORDER, _write_json, main
+from zipzeta import (CosetTables, ExtWeylGroup, ZetaProduct, ZipDatum,
+                     classify, weyl, zeta_from_strata)
+from zipzeta.cli import (MAX_COUNT_DEGREE, MAX_SERIES_ORDER, _write_json,
+                         main, parse_config)
 from zipzeta.zipstrata import FACTOR_LIMIT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -574,6 +575,40 @@ def test_strata_decomposes_each_minimal_element_once(config, tmp_path,
     monkeypatch.setattr(ExtWeylGroup, "canonical_decomposition", counted)
     doc = run_json(capsys, ["strata", str(path)])
     assert len(seen) == len(set(seen)) == len(doc["minimal_set"])
+
+
+def _no_decomposition(self, w, I, J):
+    raise AssertionError("an element was decomposed")
+
+
+@pytest.mark.parametrize("config,command", [
+    (config, command) for config in ("a2-flip.json", "a3a3-swap-flip.json")
+    for command in ("zeta --series 4", "count --v 3")], ids=lambda v: v)
+def test_zeta_and_count_decompose_nothing(config, command, capsys,
+                                         monkeypatch):
+    """Twisted data are stratified, and the lengths are read off the
+    elements: only strata prints the decompositions."""
+    monkeypatch.setattr(CosetTables, "decompose_left", _no_decomposition)
+    cmd, *rest = command.split()
+    code, out, err = run(capsys, [cmd, str(CONFIGS / config), *rest])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[config][command]
+
+
+def test_classify_decomposes_nothing(monkeypatch):
+    """Theta = {1, sigma} here, so the strata join subgroup orbits."""
+    path = str(CONFIGS / "a3a3-swap-flip.json")
+
+    def summary():
+        datum = parse_config(path)
+        assert len(datum.theta_indices) == 2
+        return [(datum.tables.word(s.rep.w), s.rep.omega, s.length,
+                 s.degree, s.size) for s in classify(datum)]
+
+    expected = summary()
+    monkeypatch.setattr(CosetTables, "decompose_left", _no_decomposition)
+    assert summary() == expected
 
 
 SPLIT_ROUTE_ARGS = [

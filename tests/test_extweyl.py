@@ -6,8 +6,9 @@ from zipzeta import (CosetTables, DiagramAutomorphism, ExtWeylGroup,
                      InvalidFrobenius, InvalidOmegaTable, MixedGroups,
                      NotInExtMinSet, OmegaGroup)
 from helpers import (act_root, ext_elements, flip_ext, from_word, group,
-                     is_based, min_double, minus_one_ext, subsets, swap_ext,
-                     system, tables, trivial_ext)
+                     is_based, min_double, minus_one_ext,
+                     reference_extended_length, signed_flip_ext, subsets,
+                     swap_ext, system, tables, trivial_ext)
 
 
 def test_swap_group_acts_on_roots():
@@ -132,6 +133,8 @@ def test_not_in_min_set_raises():
     bad = ext.element(ext.tables.simple_reflection(1), "1")
     with pytest.raises(NotInExtMinSet):
         ext.canonical_decomposition(bad, {1}, {1})
+    with pytest.raises(NotInExtMinSet):
+        ext.extended_length(bad, {1}, {1})
 
 
 def test_worked_decomposition_rows():
@@ -378,6 +381,36 @@ def test_signed_conjugation_carries_left_descents(case):
                 assert ext.twist_weyl(a.omega, dec.wpp) == a.w
 
 
+ORACLE_CASES = {
+    "A1xA1 swap": swap_ext,
+    "A1 minus one": minus_one_ext,
+    "A2 flip": flip_ext,
+    "A1xA1 (-1, 2)": lambda: z2_ext("A1xA1", 2, (-1, 2)),
+    "A1xA1 (-2, -1)": lambda: z2_ext("A1xA1", 2, (-2, -1)),
+    "A3 (-3, -2, -1)": signed_flip_ext,
+    **{f"{family}{rank}": lambda family=family, rank=rank: trivial_ext(
+        family, rank) for family, rank in [("A", 3), ("B", 3), ("C", 3),
+                                           ("D", 4), ("G", 2), ("A", 4)]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_extended_length_matches_the_decomposition(case):
+    """The count on (w, omega) against the count through the canonical
+    decomposition, on every element of every minimal set and every J.
+    A component acting without signs gives the length of w."""
+    ext = ORACLE_CASES[case]()
+    rank = ext.rs.rank
+    for I in subsets(range(1, rank + 1)):
+        reps = ext.min_reps(I)
+        for J in subsets(range(1, rank + 1)):
+            for a in reps:
+                length = ext.extended_length(a, I, J)
+                assert length == reference_extended_length(ext, a, I, J)
+                if is_based(ext.omega, a.omega):
+                    assert length == a.w.length
+
+
 def test_identity_action_permutes_no_root():
     for ext in (trivial_ext("A", 3), swap_ext(), minus_one_ext()):
         rs = ext.rs
@@ -423,6 +456,10 @@ def test_omega_group_validation(labels, table, actions, message):
     (MixedGroups, "element belongs to a different extended group",
      lambda sext, other: sext.canonical_decomposition(other.identity,
                                                       (), ())),
+    pytest.param(
+        MixedGroups, "element belongs to a different extended group",
+        lambda sext, other: sext.extended_length(other.identity, (), ()),
+        id="MixedGroups-extended_length"),
     (InvalidFrobenius, "diagram map is not a permutation",
      lambda sext, other: DiagramAutomorphism(other, (True, 2), (0,))),
     (InvalidFrobenius, "component map is not a permutation",

@@ -8,7 +8,7 @@ from zipzeta.fforacle import (FqField, _verify_admissible, enumerate_gl,
                               mat_mul, twisted_action)
 from helpers import (candidates_by_scan, coded_pair, flip_ext, group,
                      minus_one_ext, reference_point_counts, reference_series,
-                     swap_ext, tables, trivial_ext)
+                     signed_flip_ext, swap_ext, tables, trivial_ext)
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
            ("D", 4), ("A1xA1", 2), ("G", 2)]
@@ -105,7 +105,7 @@ def plain(values):
 
 EXT_POOL = [
     (swap_ext, 2), (minus_one_ext, 1), (flip_ext, 2),
-    (lambda: trivial_ext("B", 2), 2),
+    (lambda: trivial_ext("B", 2), 2), (signed_flip_ext, 3),
 ]
 
 

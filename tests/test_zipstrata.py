@@ -490,25 +490,21 @@ def test_galois_action_leak_guard():
         classify(d)
 
 
-def _plant_length(monkeypatch, datum, stratum):
-    """Make decomposition_length one too large on the representative of
+def _plant_length(monkeypatch, stratum):
+    """Make extended_length one too large on the representative of
     stratum, and on nothing else."""
-    twist = compute_twist(datum)
-    dec = datum.ext.canonical_decomposition(
-        stratum.rep, datum.parabolic_type, twist.J)
-    target = (dec.omega_index, dec.wpp)
-    original = ExtWeylGroup.decomposition_length
+    original = ExtWeylGroup.extended_length
 
-    def planted(self, d, I, J):
-        return original(self, d, I, J) + ((d.omega_index, d.wpp) == target)
+    def planted(self, a, I, J):
+        return original(self, a, I, J) + (a == stratum.rep)
 
-    monkeypatch.setattr(ExtWeylGroup, "decomposition_length", planted)
+    monkeypatch.setattr(ExtWeylGroup, "extended_length", planted)
 
 
 def test_length_must_be_constant_on_subgroup_orbits(monkeypatch):
     d = quad_datum(parabolic=[], theta=["1", "sigma"])
     stratum = next(s for s in classify(d) if s.size == 2)
-    _plant_length(monkeypatch, d, stratum)
+    _plant_length(monkeypatch, stratum)
     with pytest.raises(ThetaActionLeaks, match="not constant on a "
                        "subgroup orbit"):
         classify(d)
@@ -517,7 +513,7 @@ def test_length_must_be_constant_on_subgroup_orbits(monkeypatch):
 def test_length_must_be_constant_on_galois_orbits(monkeypatch):
     d = ZipDatum(A2, [], phi0={"diagram_perm": [2, 1]})
     stratum = next(s for s in classify(d) if s.degree == 2)
-    _plant_length(monkeypatch, d, stratum)
+    _plant_length(monkeypatch, stratum)
     with pytest.raises(ThetaActionLeaks, match="not constant on a "
                        "Galois orbit"):
         classify(d)
