@@ -23,7 +23,10 @@ codes, A's rows then B's, whose order is that of the nested pair.
 Vector sums, scalings, dot products and entrywise p-th roots are
 lookups in tables over the q^h row codes (`RowTables`), as in the
 Meat-Axe (Parker, "The computer calculation of modular characters",
-1984).  Every pair is still checked against the rank and product
+1984).  The field itself is built the same way: F_(p^k) is F_p^k, with
+sums from the row tables of F_p and a product by Horner's rule in x, and
+its modulus is irreducible exactly when every nonzero element comes out
+with an inverse.  Every pair is still checked against the rank and product
 conditions; a row basis and a column basis of each distinct A, and the
 rank of each distinct B, are computed once.
 
@@ -53,56 +56,18 @@ DEFAULT_SIZE_BOUND = 64
 DEFAULT_SEARCH_BOUND = 2 ** 24
 
 
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
-def _poly_mod(p, f, g):
-    """Remainder of f by g over F_p, both little-endian."""
-    g = list(_poly_trim(tuple(x % p for x in g)))
-    dg = len(g) - 1
-    lead_inv = pow(g[-1], -1, p)
-    f = list(_poly_trim(tuple(x % p for x in f)))
-    while f and len(f) - 1 >= dg:
-        factor = (f[-1] * lead_inv) % p
-        shift = len(f) - 1 - dg
-        for i in range(dg + 1):
-            f[shift + i] = (f[shift + i] - factor * g[i]) % p
-        f = list(_poly_trim(tuple(f)))
-    return tuple(f)
-
-
-def _poly_mul(p, f, g):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return tuple(out)
-
-
-def _is_irreducible(p, poly):
-    """poly: little-endian monic of degree >= 1 over F_p."""
-    k = len(poly) - 1
-    if k == 1:
-        return True
-    for dd in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=dd):
-            g = tuple(tail) + (1,)
-            if not _poly_mod(p, poly, g):
-                return False
-    return True
-
-
 class FqField:
     """The field with p^k elements, encoded as integers 0..p^k-1.
 
-    The integer x stands for the residue-ring element whose base-p
-    digits of x (little-endian) are the coefficients.  The modulus
-    defaults to the lexicographically least monic irreducible of degree
-    k, coefficients compared from the leading end down.
+    F_(p^k) is F_p^k with a product.  The base-p digits of x are the
+    coefficients of its residue class, constant term lowest, so x is the
+    row code of those coefficients, leading one first, in
+    FqField(p).row_tables(k), whose tables give the sums.  Times x
+    shifts the digits up, folding the x^k digit back through the
+    modulus; a product is Horner's rule over one factor's digits.  The
+    modulus is irreducible exactly when every nonzero element gets an
+    inverse; it defaults to the lexicographically least monic
+    irreducible of degree k, compared from the leading coefficient down.
     """
 
     # modulus is for tests alone: it is the one way to check that the
@@ -119,69 +84,55 @@ class FqField:
         self.k = k
         self.q = p ** k
         if modulus is None:
-            modulus = self._least_modulus(p, k)
+            for desc in itertools.product(range(p), repeat=k):
+                if self._build_tables(tuple(reversed(desc)) + (1,)):
+                    break
+            else:
+                raise AssertionError("no irreducible polynomial found")
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of the right degree")
-            if not _is_irreducible(p, modulus):
+            if not self._build_tables(modulus):
                 raise ValueError("modulus is reducible")
-        self.modulus = modulus
-        self._build_tables()
         self._row_tables = {}
 
-    @staticmethod
-    def _least_modulus(p, k):
-        for desc in itertools.product(range(p), repeat=k):
-            poly = tuple(reversed(desc)) + (1,)
-            if _is_irreducible(p, poly):
-                return poly
-        raise AssertionError("no irreducible polynomial found")
-
-    def _digits(self, x):
-        out = []
-        for _ in range(self.k):
-            out.append(x % self.p)
-            x //= self.p
-        return tuple(out)
-
-    def _encode(self, digits):
-        x = 0
-        for d in reversed(digits):
-            x = x * self.p + d
-        return x
-
-    def _build_tables(self):
+    def _build_tables(self, modulus):
+        """Build the tables of F_p[x]/(modulus), little-endian monic;
+        False, on the first element with no inverse, when it is not a
+        field."""
         p, k, q = self.p, self.k, self.q
-        digits = [self._digits(x) for x in range(q)]
-        self._add = [[0] * q for _ in range(q)]
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                s = self._encode(tuple((x + y) % p
-                                       for x, y in zip(digits[a], digits[b])))
-                self._add[a][b] = s
-                self._add[b][a] = s
-                prod = _poly_mod(p, _poly_mul(p, digits[a], digits[b]),
-                                 self.modulus)
-                prod = prod + (0,) * (k - len(prod))
-                m = self._encode(prod[:k])
-                self._mul[a][b] = m
-                self._mul[b][a] = m
-        self._neg = [self._encode(tuple((-x) % p for x in digits[a]))
-                     for a in range(q)]
-        self._inv = [None] * q
+        if k == 1:
+            add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            mul = [[a * b % p for b in range(p)] for a in range(p)]
+        else:
+            rows = FqField(p).row_tables(k)
+            add, scale, digits = rows.add, rows.scale, rows.digits
+            low = rows.encode(reversed(modulus[:k]))
+            times_x = [add[u % (q // p) * p][scale[-digits[u][0] % p][low]]
+                       for u in range(q)]
+            # b = x * (b // p) + b % p: one Horner step from a product
+            # already made.
+            mul = []
+            for a in range(q):
+                row = [0] * q
+                for b in range(1, q):
+                    row[b] = add[times_x[row[b // p]]][scale[b % p][a]]
+                mul.append(row)
+        inv = [None] * q
         for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-            assert self._inv[a] is not None
+            if 1 not in mul[a]:
+                return False
+            inv[a] = mul[a].index(1)
+        self.modulus = modulus
+        # -1 is the constant p - 1.
+        self._add, self._mul, self._neg, self._inv = add, mul, mul[p - 1], inv
         self._frob = [self.pow(a, p) for a in range(q)]
         assert sorted(self._frob) == list(range(q))
         self._frob_inv = [0] * q
         for a, b in enumerate(self._frob):
             self._frob_inv[b] = a
+        return True
 
     def elements(self):
         return range(self.q)

@@ -16,7 +16,10 @@ representatives, their Poincare polynomials, the longest elements of
 parabolic subgroups and one descent-stripping decomposition: for w
 minimal in W_I w, the split w = x * w_J with x minimal in its double
 coset and w_J inside W_J.  It is unique and length-additive; the code
-asserts this against the definitions on every call.
+asserts this against the definitions on every call.  x, the end of the
+strip of right descents in J, is memoized per J for every element the
+strip passes through: those are prefixes of w, so decomposing the
+representatives in word order costs one strip step each.
 
 enumerate_group additionally returns the whole group as a tuple.  The
 library never needs that; tests use it as the reference the on-demand
@@ -163,6 +166,7 @@ class CosetTables:
         self._min_left = {}
         self._poincare = {}
         self._longest = {}
+        self._strips = {}
 
     @cached_property
     def _simples(self):
@@ -371,9 +375,13 @@ class CosetTables:
         """Split w = x * w_J with x the minimal double-coset element.
 
         Requires w minimal in W_I * w (NotMinimalRep otherwise).  Strips
-        right descents in J, least index first.  Asserts uniqueness
-        consequences: lengths add, x is minimal on both sides, and w_J
-        is minimal in its coset of the induced subset.
+        right descents in J, least index first, until it meets an
+        element whose x is memoized; x depends on the permutation and J
+        alone, and is recorded for every element stripped.  An element
+        with no right descent in J is its own x and touches no memo.
+        Asserts uniqueness consequences: lengths add, x is minimal on
+        both sides, and w_J is minimal in its coset of the induced
+        subset.
         """
         self._check(w)
         I = frozenset(I)
@@ -385,13 +393,22 @@ class CosetTables:
         m = self.rs.n_positive
         x = w
         sweep = sorted(J)
+        stripped = []
         while True:
             for j in sweep:
                 if x.perm[j - 1] >= m:
-                    x = self.canonical(x * self._simples[j])
                     break
             else:
                 break
+            memo = self._strips.setdefault(J, {})
+            got = memo.get(x.perm)
+            if got is not None:
+                x = got
+                break
+            stripped.append(x.perm)
+            x = self.canonical(x * self._simples[j])
+        for perm in stripped:
+            memo[perm] = x
         # When nothing was stripped (always when J is empty), x is w and
         # w_J is the identity; no inverse or product is needed.
         w_J = self.identity if x is w else self.canonical(x.inverse() * w)

@@ -2,6 +2,7 @@
 re-enumerate the same groups, and the whole-group and test-only helpers
 the library itself never needs."""
 
+import itertools
 import math
 from collections import Counter, deque
 from fractions import Fraction
@@ -377,6 +378,89 @@ def census_by_sweep(F, h, d):
                                    aut_count=stab))
         unvisited -= orbit
     return tuple(sorted(classes, key=lambda c: c.rep))
+
+
+def _poly_trim(f):
+    while f and f[-1] == 0:
+        f = f[:-1]
+    return f
+
+
+def _poly_mod(p, f, g):
+    """Remainder of f by g over F_p, both little-endian."""
+    g = list(_poly_trim(tuple(x % p for x in g)))
+    dg = len(g) - 1
+    lead_inv = pow(g[-1], -1, p)
+    f = list(_poly_trim(tuple(x % p for x in f)))
+    while f and len(f) - 1 >= dg:
+        factor = (f[-1] * lead_inv) % p
+        shift = len(f) - 1 - dg
+        for i in range(dg + 1):
+            f[shift + i] = (f[shift + i] - factor * g[i]) % p
+        f = list(_poly_trim(tuple(f)))
+    return tuple(f)
+
+
+def _poly_mul(p, f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _is_irreducible(p, poly):
+    """poly: little-endian monic of degree >= 1 over F_p; trial division
+    by every monic of degree up to half its own."""
+    k = len(poly) - 1
+    for dd in range(1, k // 2 + 1):
+        for tail in itertools.product(range(p), repeat=dd):
+            if not _poly_mod(p, poly, tuple(tail) + (1,)):
+                return False
+    return True
+
+
+def reference_field(p, k, modulus=None):
+    """The tables of F_(p^k) by polynomial arithmetic over F_p:
+    (modulus, add, mul, neg, inv, frob, frob_inv), in FqField's
+    encoding (the base-p digits of a code, little-endian, are the
+    coefficients), or the ValueError text for a bad modulus.  It shares
+    no code with FqField, which builds the same tables on F_p's row
+    tables; the default modulus is the least irreducible by trial
+    division, coefficients compared from the leading end down."""
+    if modulus is None:
+        for desc in itertools.product(range(p), repeat=k):
+            modulus = tuple(reversed(desc)) + (1,)
+            if _is_irreducible(p, modulus):
+                break
+    else:
+        modulus = tuple(int(c) % p for c in modulus)
+        if len(modulus) != k + 1 or modulus[-1] != 1:
+            return "modulus must be monic of the right degree"
+        if not _is_irreducible(p, modulus):
+            return "modulus is reducible"
+    q = p ** k
+    digits = [tuple(x // p ** i % p for i in range(k)) for x in range(q)]
+
+    def encode(poly):
+        return sum(c * p ** i for i, c in enumerate(poly))
+
+    add = [[encode((x + y) % p for x, y in zip(digits[a], digits[b]))
+            for b in range(q)] for a in range(q)]
+    mul = [[encode(_poly_mod(p, _poly_mul(p, digits[a], digits[b]),
+                             modulus)) for b in range(q)] for a in range(q)]
+    neg = [encode(-x % p for x in digits[a]) for a in range(q)]
+    inv = [None] + [next(b for b in range(1, q) if mul[a][b] == 1)
+                    for a in range(1, q)]
+    frob = []
+    for a in range(q):
+        power = 1
+        for _ in range(p):
+            power = mul[power][a]
+        frob.append(power)
+    frob_inv = [frob.index(a) for a in range(q)]
+    return modulus, add, mul, neg, inv, frob, frob_inv
 
 
 def _sum(x, y):

@@ -11,7 +11,8 @@ from zipzeta.fforacle import (_candidates, _verify_admissible, apply_move,
                               gl_order, mat_inv, mat_mul, mat_rank,
                               primitive_element, twisted_action)
 from helpers import (candidates_by_scan, census_by_sweep, coded_pair,
-                     decoded_pair, mat_identity, reference_admissible)
+                     decoded_pair, mat_identity, reference_admissible,
+                     reference_field)
 
 
 def test_field_construction_errors():
@@ -54,6 +55,37 @@ def test_default_moduli_are_least():
     assert FqField(2, 2).modulus == (1, 1, 1)
     assert FqField(2, 3).modulus == (1, 1, 0, 1)
     assert FqField(3, 2).modulus == (1, 0, 1)
+
+
+def _field_cases():
+    """The default field of every prime power up to 64, and every monic
+    modulus of degree k, reducible ones too, for p^k up to 27."""
+    powers = [(p, k) for p in range(2, 65) if all(p % r for r in range(2, p))
+              for k in range(1, 7) if p ** k <= 64]
+    return ([(p, k, None) for p, k in powers] +
+            [(p, k, tail + (1,)) for p, k in powers if p ** k <= 27
+             for tail in itertools.product(range(p), repeat=k)])
+
+
+def test_field_tables_match_the_polynomial_reference():
+    """The seven tables built on F_p's row tables equal those of plain
+    polynomial arithmetic, and a reducible modulus is refused with the
+    same message."""
+    cases = _field_cases()
+    assert len(cases) == 216
+    refused = 0
+    for p, k, modulus in cases:
+        want = reference_field(p, k, modulus)
+        try:
+            F = FqField(p, k, modulus)
+        except ValueError as e:
+            got = str(e)
+            refused += 1
+        else:
+            got = (F.modulus, F._add, F._mul, F._neg, F._inv, F._frob,
+                   F._frob_inv)
+        assert got == want, (p, k, modulus)
+    assert refused == 62
 
 
 def test_explicit_modulus_validation():

@@ -6,6 +6,7 @@ import pytest
 from zipzeta import (CosetTables, GroupTooLarge, MixedGroups, NotMinimalRep,
                      ZipDatum, build_root_system, compute_twist,
                      enumerate_group)
+from zipzeta.weyl import WeylElement
 from helpers import from_word, group, min_double, subsets, system, tables
 
 
@@ -152,6 +153,51 @@ def test_double_cosets_partition_group():
         assert not (coset & union)
         union |= coset
     assert len(union) == len(t)
+
+
+@pytest.mark.parametrize("family,rank,I,J", [
+    ("A", 7, {1, 2, 3, 5, 6, 7}, {1, 2, 3, 5, 6, 7}),
+    ("A", 4, (), {1, 3, 4}),
+    ("B", 3, {1}, {2, 3}),
+    ("D", 4, {2}, {1, 2, 3}),
+])
+def test_decompose_left_strips_each_element_once(monkeypatch, family, rank,
+                                                 I, J):
+    """Decomposing min_left(I) in its own order, each element costs at
+    most one product by a simple reflection: the rest of its strip is a
+    prefix already decomposed."""
+    t = CosetTables(system(family, rank))
+    reps = t.min_left(I)
+    rep_ids = {id(w) for w in reps}
+    simple_ids = {id(t.simple_reflection(i)) for i in range(1, rank + 1)}
+    products = []
+    multiply = WeylElement.__mul__
+
+    def counted(self, other):
+        if id(self) in rep_ids and id(other) in simple_ids:
+            products[-1] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    for w in reps:
+        products.append(0)
+        t.decompose_left(w, I, J)
+    assert max(products) == 1
+    assert sum(products) < len(reps)
+
+
+def test_decompose_left_keeps_each_strip_to_its_own_J():
+    """Two J interleaved on one table give what fresh tables give, each
+    element decomposed with nothing memoized."""
+    rs = system("A", 4)
+    t = CosetTables(rs)
+    Js = ({1, 2}, {2, 3, 4})
+    for w in t.min_left({4}):
+        for J in Js:
+            fresh = CosetTables(rs)
+            x, w_J = t.decompose_left(w, {4}, J)
+            want = fresh.decompose_left(fresh.canonical(w), {4}, J)
+            assert (x.perm, w_J.perm) == tuple(u.perm for u in want)
 
 
 ORACLE_SYSTEMS = ([("A", r) for r in range(1, 6)] +
