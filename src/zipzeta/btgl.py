@@ -19,7 +19,7 @@ from the stack's groupoid count.  bt_zeta is therefore a function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotPrime, _is_int
 from .zipstrata import ZipDatum, _least_factor, classify, zeta_function
@@ -33,23 +33,23 @@ def _check_prime(p):
         raise NotPrime(f"{p} = {f} * {p // f} is not a prime")
 
 
-@dataclass(frozen=True)
-class BTParams:
+class BTParams(namedtuple("BTParams", "h d p n")):
     """Height, dimension, characteristic and truncation level."""
 
-    h: int
-    d: int
-    p: int
-    n: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.h) or self.h < 1:
+    def __new__(cls, h, d, p, n=1):
+        if not _is_int(h) or h < 1:
             raise ValueError("height must be a positive integer")
-        if not _is_int(self.d) or not 0 <= self.d <= self.h:
+        if not _is_int(d) or not 0 <= d <= h:
             raise ValueError("dimension must lie between 0 and the height")
-        _check_prime(self.p)
-        if not _is_int(self.n) or self.n < 1:
+        _check_prime(p)
+        if not _is_int(n) or n < 1:
             raise ValueError("truncation level must be a positive integer")
+        return super().__new__(cls, h, d, p, n)
+
+    # _replace builds through _make, so the new fields are checked too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def bt_datum(params):

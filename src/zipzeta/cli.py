@@ -11,16 +11,17 @@ minimal_set and strata rows, is written from one row template: the key
 heads are built once per list, and each word, a tuple the Weyl tables
 share between rows, is rendered once.
 
-Exit codes: 0 on success, 2 on any parse or validation failure, 3 when
-the census oracle disagrees with the predicted count.
+Exit codes: 0 on success, 1 when stdout is closed before the document
+is written, 2 on any parse or validation failure, 3 when the census
+oracle disagrees with the predicted count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from .btgl import BTParams, bt_zeta
 from .errors import MismatchDetected, ParseError, ZipzetaError, _is_int
@@ -155,7 +156,8 @@ def _emit_rows(rows, inner, write):
 
 def _load_json(path):
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from None
     try:
@@ -181,7 +183,8 @@ def parse_config(path):
     doc = _load_json(path)
     _expect(isinstance(doc, dict), "config", "expected a JSON object")
     if "schema" in doc:
-        _expect(doc["schema"] == 1, "config.schema", "unsupported schema")
+        _expect(_is_int(doc["schema"]) and doc["schema"] == 1,
+                "config.schema", "unsupported schema")
     if "h" in doc or "d" in doc or "p" in doc:
         unknown = set(doc) - BT_KEYS
         _expect(not unknown, "config", f"unknown keys {sorted(unknown)}")
@@ -508,8 +511,20 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point fd 1 at the null device, so the
+        # flush at interpreter exit is silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args):
+    """Run the command and write its document; returns the exit code."""
     try:
         doc = args.handler(args)
     except MismatchDetected as exc:

@@ -28,8 +28,8 @@ into omega(Phi^-).  When omega acts without signs this is the length of w.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import (InvalidFrobenius, InvalidOmegaTable, MixedGroups,
                      NotInExtMinSet, _is_int)
@@ -237,11 +237,7 @@ class ExtWeylElement:
         return f"ExtWeylElement({word}, {self.group.omega.label(self.omega)!r})"
 
 
-class ExtDecomposition(NamedTuple):
-    omega_index: int
-    wpp: object
-    y: object
-    w_J: object
+ExtDecomposition = namedtuple("ExtDecomposition", "omega_index wpp y w_J")
 
 
 class ExtWeylGroup:

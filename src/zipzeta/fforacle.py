@@ -46,7 +46,7 @@ stratification; that is the point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (FieldTooLarge, MismatchDetected, SearchSpaceTooLarge,
@@ -326,24 +326,11 @@ def _rank_count(q, h, d):
     return top * top // gl_order(q, d)
 
 
-@dataclass(frozen=True)
-class CensusClass:
-    rep: tuple
-    orbit_size: int
-    aut_count: int
+CensusClass = namedtuple("CensusClass", "rep orbit_size aut_count")
 
-
-@dataclass(frozen=True)
-class CensusReport:
-    p: int
-    k: int
-    q: int
-    h: int
-    d: int
-    candidate_count: int
-    group_order: int
-    classes: tuple
-    groupoid_cardinality: Fraction
+CensusReport = namedtuple(
+    "CensusReport", "p k q h d candidate_count group_order classes "
+    "groupoid_cardinality")
 
 
 def _combine(add, scale, coeffs, rows):
@@ -630,16 +617,9 @@ def enumerate_census(field, h, d):
         classes=tuple(classes), groupoid_cardinality=groupoid)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    h: int
-    d: int
-    p: int
-    k: int
-    predicted: Fraction
-    observed: Fraction
-    ok: bool  # always True (crosscheck raises otherwise); oracle prints it
-    census: CensusReport
+# ok is always True (crosscheck raises otherwise); oracle prints it.
+CrosscheckReport = namedtuple(
+    "CrosscheckReport", "h d p k predicted observed ok census")
 
 
 def crosscheck(params, k=1):

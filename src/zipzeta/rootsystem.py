@@ -18,7 +18,7 @@ only when they are first read, and asserts that count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (GroupTooLarge, InvalidCartan, NotFiniteType,
@@ -126,14 +126,10 @@ def direct_sum(*matrices):
     return CartanMatrix(out)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(namedtuple("Root", "coords")):
     """A root as an integer coordinate tuple over the simple roots."""
 
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
+    __slots__ = ()
 
     @property
     def height(self):

@@ -23,8 +23,7 @@ normalization used throughout this package.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import PoleEvaluation, _is_int
@@ -216,13 +215,9 @@ def zeta_from_strata(strata):
     return ZetaProduct(Counter((s.aut_dim, s.degree) for s in strata))
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
-    """Truncated power series in t; coefficient i multiplies t^i."""
-
-    coefficients: tuple
-    order: int
-    q: object
+SeriesExpansion = namedtuple("SeriesExpansion", "coefficients order q")
+SeriesExpansion.__doc__ = """Truncated power series in t; coefficient i
+multiplies t^i."""
 
 
 def expand_series(zeta, order, q=None):

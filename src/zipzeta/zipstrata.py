@@ -25,9 +25,8 @@ stratifying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import (BadPrimePower, FrobeniusDoesNotFixI,
                      FrobeniusDoesNotFixTheta, GroupTooLarge,
@@ -160,14 +159,10 @@ class ZipDatum:
         return tuple(self.omega.label(k) for k in self.theta_indices)
 
 
-@dataclass
-class Twist:
+class Twist(namedtuple("Twist", "datum J w1 w2")):
     """Twisting data derived from a datum."""
 
-    datum: ZipDatum
-    J: frozenset
-    w1: object
-    w2: object
+    __slots__ = ()
 
     def psi(self, a):
         """The twisted Frobenius on the extended group: conjugate of the
@@ -216,31 +211,21 @@ def compute_twist(datum):
     return Twist(datum, J, w1, w2)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(namedtuple("Stratum", "rep elements length aut_dim degree")):
     """One Galois orbit of subgroup orbits in the minimal set."""
 
-    rep: object
-    elements: tuple
-    length: int
-    aut_dim: int
-    degree: int
+    __slots__ = ()
 
     @property
     def size(self):
         return len(self.elements)
 
 
-class _Stratification(NamedTuple):
-    """Everything one pass of the stratification computes: the twist,
-    the minimal set with the extended length of each element in the
-    order of ExtWeylGroup.min_reps, and the strata.  Nothing is
-    decomposed: the lengths are read off the elements."""
-
-    twist: Twist
-    reps: list
-    lengths: list
-    strata: list
+_Stratification = namedtuple("_Stratification", "twist reps lengths strata")
+_Stratification.__doc__ = """Everything one pass of the stratification
+computes: the twist, the minimal set with the extended length of each
+element in the order of ExtWeylGroup.min_reps, and the strata.  Nothing
+is decomposed: the lengths are read off the elements."""
 
 
 def classify(datum):

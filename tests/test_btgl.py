@@ -35,6 +35,25 @@ def test_params_validation():
     BTParams(2, 1, 2, 10)
 
 
+@pytest.mark.parametrize("change, error, message", [
+    ({"p": 4}, NotPrime, "4 = 2 * 2 is not a prime"),
+    ({"d": 3}, ValueError, "dimension must lie between 0 and the height"),
+    ({"h": 0, "d": 0}, ValueError, "height must be a positive integer"),
+    ({"n": True}, ValueError, "truncation level must be a positive integer"),
+])
+def test_params_validated_however_built(change, error, message):
+    # The same checks run positionally, by keyword and through _replace.
+    base = BTParams(2, 1, 2)
+    fields = dict(base._asdict(), **change)
+    for build in (lambda: BTParams(*fields.values()),
+                  lambda: BTParams(**fields),
+                  lambda: base._replace(**change)):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+    assert base._replace(n=3) == BTParams(2, 1, 2, 3)
+
+
 def test_height_one():
     for d in (0, 1):
         strata = bt_strata(BTParams(1, d, 2))

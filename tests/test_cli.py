@@ -159,13 +159,16 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     bad_json.write_text("{")
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"cartan": [[2]], "I": [], "zz": 1}))
-    schema = tmp_path / "schema.json"
-    schema.write_text(json.dumps({"schema": 2, "cartan": [[2]], "I": []}))
+    schemas = []
+    for value in (2, True, 1.0):
+        schemas.append(tmp_path / f"schema-{value}.json")
+        schemas[-1].write_text(json.dumps(
+            {"schema": value, "cartan": [[2]], "I": []}))
     cases = [
         ["strata", str(tmp_path / "missing.json")],
         ["strata", str(bad_json)],
         ["strata", str(unknown)],
-        ["strata", str(schema)],
+        *(["strata", str(schema)] for schema in schemas),
         ["strata", BT212],
         ["zeta", BT212],
         ["bt", O4],
@@ -643,6 +646,13 @@ def test_zeta_and_count_match_the_classify_route(argv, monkeypatch, capsys):
     assert run(capsys, argv) == closed
 
 
+def _src_env():
+    """The environment with the package's src directory on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 LAZY_CENSUS = """
 import contextlib, io, json, sys
 import zipzeta
@@ -665,12 +675,10 @@ CENSUS_NAMES = {"CensusReport", "CrosscheckReport", "FqField", "crosscheck",
 def test_only_the_oracle_loads_the_census_module():
     argvs = [["zeta", O4, "--series", "2"], ["count", O4, "--v", "2"],
              ["strata", O4], ["bt", "--h", "2", "--d", "1", "--p", "2"]]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", LAZY_CENSUS,
                            json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=_src_env(),
+                          check=True)
     got = json.loads(proc.stdout)
     assert got["codes"] == [0, 0, 0, 0]
     assert got["loaded"] is False
@@ -682,3 +690,21 @@ def test_only_the_oracle_loads_the_census_module():
     assert len(got["all"]) == len(set(got["all"])) == 63
     assert set(got["all"]) == set(got["public"]) - {"cli"} | CENSUS_NAMES
     assert "fforacle" in got["public"]
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # A5 with I empty: about 0.5 MB of strata, far more than a pipe holds.
+    n = 5
+    config = tmp_path / "a5.json"
+    config.write_text(json.dumps({"cartan": [
+        [2 if i == j else -(abs(i - j) == 1) for j in range(n)]
+        for i in range(n)], "I": []}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zipzeta.cli", "strata", str(config)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

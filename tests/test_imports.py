@@ -1,7 +1,10 @@
 """Every import in the package and the test suite is used: an AST scan
-that fails on a name imported but never referenced."""
+that fails on a name imported but never referenced.  The CLI and the
+census load none of the heavy standard modules."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,18 @@ def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == \
         [(1, "os")]
     assert unused_imports("from a import b as c\nc()\n") == []
+
+
+# Records are namedtuples, so no module of the package needs these.
+HEAVY = ("dataclasses", "typing", "inspect", "pathlib")
+
+
+def test_cli_and_census_load_no_heavy_module():
+    # -S skips site, whose .pth files may import typing or pathlib first.
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+              "import zipzeta.cli, zipzeta.fforacle\n"
+              f"print(*(m for m in {HEAVY!r} if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
