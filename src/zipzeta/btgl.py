@@ -22,6 +22,7 @@ import math
 from collections import namedtuple
 
 from .errors import NotPrime, _is_int
+from .rootsystem import _check_root_count
 from .zipstrata import ZipDatum, _least_factor, classify, zeta_function
 
 
@@ -54,8 +55,11 @@ class BTParams(namedtuple("BTParams", "h d p n")):
 
 def bt_datum(params):
     """The zip datum of the level-one stack: type A of rank h-1 with the
-    node d removed from the parabolic type."""
+    node d removed from the parabolic type.  Type A_(h-1) has C(h, 2)
+    positive roots, so the root cap is checked before the h^2 matrix is
+    built."""
     h, d = params.h, params.d
+    _check_root_count(math.comb(h, 2))
     rank = h - 1
     cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
                for j in range(rank)] for i in range(rank)]

@@ -77,7 +77,9 @@ class FqField:
         _check_prime(p)
         if not _is_int(k) or k < 1:
             raise ValueError("degree must be a positive integer")
-        if p ** k > DEFAULT_SIZE_BOUND:
+        # p^k is over the bound once k reaches its bit length, as p >= 2,
+        # so no power past that is formed.
+        if p ** min(k, DEFAULT_SIZE_BOUND.bit_length()) > DEFAULT_SIZE_BOUND:
             raise FieldTooLarge(
                 f"{p}^{k} exceeds the bound {DEFAULT_SIZE_BOUND}")
         self.p = p
@@ -459,15 +461,11 @@ def _verify_admissible(T, d, pairs):
             assert not any(map(products.__getitem__, B))
 
 
-def twisted_action(F, g, pair, g_frob_inv=None, g_frob_inv2=None):
+def twisted_action(F, g, pair):
     """Base change: (A, B) -> (g A (g^[p])^-1, g B (g^[1/p])^-1)."""
     A, B = pair
-    if g_frob_inv is None:
-        g_frob_inv = mat_inv(F, mat_frob(F, g))
-    if g_frob_inv2 is None:
-        g_frob_inv2 = mat_inv(F, mat_frob_inv(F, g))
-    return (mat_mul(F, mat_mul(F, g, A), g_frob_inv),
-            mat_mul(F, mat_mul(F, g, B), g_frob_inv2))
+    return (mat_mul(F, mat_mul(F, g, A), mat_inv(F, mat_frob(F, g))),
+            mat_mul(F, mat_mul(F, g, B), mat_inv(F, mat_frob_inv(F, g))))
 
 
 def primitive_element(F):
@@ -561,6 +559,13 @@ def enumerate_census(field, h, d):
         raise ValueError("rank must lie between 0 and the height")
     F = field
     q = F.q
+    # The row-code tables alone hold q^(2h) >= 2^(2h * floor(log2 q))
+    # entries, so past the bound's bit length the census is refused
+    # before any number far over the bound is formed.
+    if 2 * h * (q.bit_length() - 1) > DEFAULT_SEARCH_BOUND.bit_length():
+        raise SearchSpaceTooLarge(
+            f"the row-code tables alone, 2 * {q}^{2 * h} entries, exceed "
+            f"the bound {DEFAULT_SEARCH_BOUND}")
     n_candidates = _rank_count(q, h, d) * gl_order(q, h - d)
     # What gets built: the candidates and the row-code tables add and
     # dot, Q^2 entries each (Q = q^h).

@@ -350,7 +350,12 @@ def build_root_system(cartan):
     if not isinstance(cartan, CartanMatrix):
         cartan = CartanMatrix(cartan)
     count = sum(d - 1 for d in degrees(cartan))
+    _check_root_count(count)
+    return RootSystem(cartan, count)
+
+
+def _check_root_count(count):
+    """Raise GroupTooLarge when count positive roots exceed the cap."""
     if count > DEFAULT_ROOT_CAP:
         raise GroupTooLarge(f"the root system has at least {count} positive "
                             f"roots, over the cap of {DEFAULT_ROOT_CAP}")
-    return RootSystem(cartan, count)

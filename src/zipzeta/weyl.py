@@ -4,22 +4,28 @@ Elements are permutations of root ordinals.  The length of an element is
 its inversion count, the number of positive roots sent negative, which
 equals the length of any reduced word for it.  The canonical word of an
 element is its ShortLex-least reduced word, obtained by repeatedly
-stripping the left descent with the least simple index.
+stripping the left descent with the least simple index.  Left descents
+are read off the permutation alone: s_i is one exactly when a negative
+root is sent to alpha_i, so no test of minimality builds an inverse.
 
-CosetTables builds only what it is asked for.  Elements are interned the
+CosetTables keeps only what it is asked for.  Elements are interned the
 first time they are reached, so each has one shared copy; the group
 order, and the number of minimal left coset representatives of each
 length, come from the degrees, with no root built; the representatives
 themselves, with their words and in word order, come from a search over
-that set alone.  The tables memoize words, minimal coset
-representatives, their Poincare polynomials, the longest elements of
-parabolic subgroups and one descent-stripping decomposition: for w
-minimal in W_I w, the split w = x * w_J with x minimal in its double
-coset and w_J inside W_J.  It is unique and length-additive; the code
-asserts this against the definitions on every call.  x, the end of the
-strip of right descents in J, is memoized per J for every element the
-strip passes through: those are prefixes of w, so decomposing the
-representatives in word order costs one strip step each.
+that set alone.  Any other element has its word recorded when it is
+asked for, and only its own: the suffixes stripped on the way are not
+kept, so a request costs at most the element's length.  The tables also
+memoize minimal coset representatives, their Poincare polynomials, the
+longest elements of parabolic subgroups and one descent-stripping
+decomposition: for w minimal in W_I w, the split w = x * w_J with x
+minimal in its double coset and w_J inside W_J.  It is unique and
+length-additive; the code asserts this against the definitions on every
+call.  x, the end of the strip of right descents in J, is memoized per J
+for every element the strip passes through.  Unlike the suffixes of a
+word, those are kept: they are prefixes of w, so W^I representatives
+that a walk over W^I decomposes too, and in word order each
+decomposition costs one strip step.
 
 enumerate_group additionally returns the whole group as a tuple.  The
 library never needs that; tests use it as the reference the on-demand
@@ -57,15 +63,6 @@ class WeylElement:
             self._length = sum(1 for k in range(m) if self.perm[k] >= m)
         return self._length
 
-    @property
-    def inv_perm(self):
-        if self._inv is None:
-            inv = [0] * len(self.perm)
-            for k, p in enumerate(self.perm):
-                inv[p] = k
-            self._inv = tuple(inv)
-        return self._inv
-
     def is_identity(self):
         """True for the identity, the one element of length 0 (the
         length is cached)."""
@@ -80,7 +77,13 @@ class WeylElement:
                            tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self):
-        w = WeylElement(self.rs, self.inv_perm)
+        # Memoized: decompose_left inverts each x once per row it serves.
+        if self._inv is None:
+            inv = [0] * len(self.perm)
+            for k, p in enumerate(self.perm):
+                inv[p] = k
+            self._inv = tuple(inv)
+        w = WeylElement(self.rs, self._inv)
         w._inv = self.perm
         w._length = self._length
         return w
@@ -228,8 +231,9 @@ class CosetTables:
         min_left records the words of the representatives it builds; any
         other element, such as w_J, is stripped: the least left descent at
         every step yields exactly the lexicographically least reduced
-        word.  The words of intermediate results are memoized, so the
-        words of a set of elements cost at most the sum of their lengths.
+        word.  Stripping stops at the first element whose word is known,
+        and only the word of w itself is recorded, so a request costs at
+        most the length of w and adds at most one entry.
         """
         self._check(w)
         got = self._words.get(w.perm)
@@ -237,7 +241,7 @@ class CosetTables:
             return got
         m = self.rs.n_positive
         rank = self.rs.rank
-        chain = []
+        letters = []
         cur = w.perm
         while cur not in self._words:
             # i is a left descent when a negative root is sent to alpha_i.
@@ -246,14 +250,10 @@ class CosetTables:
             low = min(cur[m:])
             if low >= rank:
                 raise AssertionError("non-identity element with no descent")
-            i = low + 1
-            chain.append((cur, i))
-            cur = itemgetter(*cur)(self._simples[i].perm)
-        suffix = self._words[cur]
-        for perm, i in reversed(chain):
-            suffix = (i,) + suffix
-            self._words[perm] = suffix
-        return self._words[w.perm]
+            letters.append(low + 1)
+            cur = itemgetter(*cur)(self._simples[low + 1].perm)
+        got = self._words[w.perm] = tuple(letters) + self._words[cur]
+        return got
 
     def canonical(self, w):
         """The table's own copy of w, so caches are shared."""
@@ -283,12 +283,9 @@ class CosetTables:
 
     def is_min_left(self, w, I):
         """True when w is the shortest element of W_I * w: no left
-        descent inside I."""
-        if not I:
-            return True
-        m = self.rs.n_positive
-        inv = w.inv_perm
-        return all(inv[i - 1] < m for i in I)
+        descent inside I, that is no negative root sent to alpha_i."""
+        return not I or {i - 1 for i in I}.isdisjoint(
+            w.perm[self.rs.n_positive:])
 
     def is_min_right(self, w, J):
         """True when w is the shortest element of w * W_J."""

@@ -103,7 +103,7 @@ class ZetaProduct:
                     and f >= 1 and mult >= 0 and a >= 0):
                 raise ValueError(f"bad factor ({a!r},{f!r}) x {mult!r}")
             if mult:
-                clean[(a, f)] = clean.get((a, f), 0) + mult
+                clean[(a, f)] = mult
         self.factors = clean
 
     def factor_items(self):

@@ -14,7 +14,7 @@ from zipzeta import (CosetTables, NotFiniteType, OmegaGroup, ExtWeylElement,
 from zipzeta.weyl import _degree_product
 from zipzeta.fforacle import (CensusClass, _rref, enumerate_gl, gl_order,
                               mat_frob, mat_frob_inv, mat_inv, mat_mul,
-                              mat_rank, twisted_action)
+                              mat_rank)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
@@ -368,7 +368,9 @@ def census_by_sweep(F, h, d):
         orbit = set()
         stab = 0
         for g, gfi, gfi2 in gl_data:
-            image = twisted_action(F, g, seed, gfi, gfi2)
+            # twisted_action, with the inverses built once per g.
+            image = (mat_mul(F, mat_mul(F, g, seed[0]), gfi),
+                     mat_mul(F, mat_mul(F, g, seed[1]), gfi2))
             assert image in candidate_set
             orbit.add(image)
             if image == seed:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -651,6 +652,46 @@ def _src_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+BT_WITHOUT_DATUM = """
+import zipzeta.btgl
+from zipzeta import BTParams, GroupTooLarge, bt_zeta
+def unreachable(*args, **kwargs):
+    raise AssertionError("the datum was built")
+zipzeta.btgl.ZipDatum = unreachable
+try:
+    bt_zeta(BTParams(10 ** 5, 1, 2))
+except GroupTooLarge as exc:
+    print(exc)
+"""
+
+
+def test_bt_root_cap_is_checked_before_the_datum():
+    # A_99999 would need a Cartan matrix of 10^10 entries; the cap is read
+    # off C(h, 2) first, in the words build_root_system uses.  The child's
+    # address space is capped, so a matrix built first fails fast instead
+    # of exhausting memory.
+    limit = 1 << 28
+    proc = subprocess.run(
+        [sys.executable, "-c", BT_WITHOUT_DATUM], capture_output=True,
+        text=True, env=_src_env(), timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("the root system has at least 4999950000 "
+                           "positive roots, over the cap of 10000\n")
+
+
+def test_huge_field_degree_is_refused_quickly():
+    # 3^(10^9) is never formed: a subprocess, so that a regression times
+    # out instead of hanging the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "zipzeta.cli", "oracle", "--h", "2", "--d",
+         "1", "--p", "3", "--k", str(10 ** 9)],
+        capture_output=True, text=True, env=_src_env(), timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: 3^1000000000 exceeds the bound 64\n"
 
 
 LAZY_CENSUS = """

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,17 @@ def test_search_space_guard(monkeypatch):
                              f"and row-table entries exceed the bound "
                              f"{2 ** 24}$"):
         enumerate_census(FqField(2, 6), 2, 1)
+
+
+def test_search_space_guard_refuses_before_counting():
+    # The exact count here has about 1.2 million digits; the row tables
+    # alone are over the bound, so it is never formed.
+    start = time.monotonic()
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=r"^the row-code tables alone, 2 \* 2\^4000 "
+                             r"entries, exceed the bound 16777216$"):
+        enumerate_census(FqField(2), 2000, 1000)
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize("k,h,d,candidates", [

@@ -1,11 +1,12 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from zipzeta import (CosetTables, GroupTooLarge, MixedGroups, NotMinimalRep,
-                     ZipDatum, build_root_system, compute_twist,
-                     enumerate_group)
+                     ZipDatum, build_root_system, cartan_matrix,
+                     compute_twist, direct_sum, enumerate_group)
 from zipzeta.weyl import WeylElement
 from helpers import from_word, group, min_double, subsets, system, tables
 
@@ -106,6 +107,52 @@ def test_min_left_coset_sizes(family, rank):
         assert len(reps) * len(subgroup) == len(t)
         cosets = {frozenset((u * w).perm for u in subgroup) for w in reps}
         assert len(cosets) == len(reps)
+
+
+def left_descents(t, w):
+    """The i with l(s_i * w) < l(w), each length an inversion count."""
+    return {i for i in range(1, t.rs.rank + 1)
+            if (t.simple_reflection(i) * w).length < w.length}
+
+
+@pytest.mark.parametrize("t", [
+    tables("A", 3), tables("B", 3), tables("G", 2), tables("D", 4),
+    CosetTables(build_root_system(direct_sum([[2]], cartan_matrix("A", 2))))],
+    ids=["A3", "B3", "G2", "D4", "A1xA2"])
+def test_is_min_left_is_its_definition(t):
+    """No left descent in I, by the definition l(s_i * w) > l(w) for all
+    i in I, on every element and every I."""
+    parabolics = list(subsets(range(1, t.rs.rank + 1)))
+    for w in group(t):
+        descents = left_descents(t, w)
+        for I in parabolics:
+            assert t.is_min_left(w, I) == descents.isdisjoint(I)
+
+
+def test_words_do_not_depend_on_request_order():
+    rs = system("B", 4)
+    elements = list(group(tables("B", 4)))
+    canonical = CosetTables(rs)
+    want = [canonical.word(canonical.canonical(w)) for w in elements]
+    shuffled = CosetTables(rs)
+    order = list(range(len(elements)))
+    random.Random(20).shuffle(order)
+    got = {k: shuffled.word(shuffled.canonical(elements[k])) for k in order}
+    assert [got[k] for k in range(len(elements))] == want
+
+
+def test_a_word_request_records_one_word():
+    """w0 of A3 lies outside W^I for I = {1, 2}.  Its word is stripped
+    through two suffixes outside W^I down to s3 * s2 * s1, whose word the
+    search recorded, and only w0's own is kept."""
+    t = CosetTables(system("A", 3))
+    t.min_left({1, 2})
+    w0 = t.longest_element()
+    before = len(t._words)
+    assert t.word(w0) == (1, 2, 1, 3, 2, 1)
+    assert len(t._words) == before + 1
+    assert t.word(w0) == (1, 2, 1, 3, 2, 1)
+    assert len(t._words) == before + 1
 
 
 def test_min_left_rejects_descent_elements():
@@ -259,7 +306,8 @@ def test_on_demand_tables_match_enumeration(family, rank):
     w0 = lazy.longest_element()
     assert [w0.perm] == [w.perm for w in top]
     for I in subsets(range(1, rank + 1)):
-        want = [w for w in group(full) if full.is_min_left(w, I)]
+        want = [w for w in group(full)
+                if left_descents(full, w).isdisjoint(I)]
         got = lazy.min_left(I)
         assert [w.perm for w in got] == [w.perm for w in want]
         assert [lazy.word(w) for w in got] == [full.word(w) for w in want]
