@@ -6,10 +6,11 @@ byte-for-byte reproducible.  --pretty switches to an aligned text view
 of the same data.  _write_json writes the document in parts, never
 joined: its bytes are those of json.dumps(doc, indent=2, sort_keys=True),
 without the pure-Python encoder that indent forces; json itself only
-parses input.  A list of dicts that share one set of keys, such as the
-minimal_set and strata rows, is written from one row template: the key
-heads are built once per list, and each word, a tuple the Weyl tables
-share between rows, is rendered once.
+parses input.  The minimal_set and strata rows of strata come from
+generators, run only after the whole stratification has succeeded, so
+each row is decomposed and written as it is made and no list of rows is
+held.  Consecutive dicts that share one set of keys are each written
+from one %-template, and each word in a row is rendered once.
 
 Exit codes: 0 on success, 1 when stdout is closed before the document
 is written, 2 on any parse or validation failure, 3 when the census
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from types import GeneratorType
 
 from .btgl import BTParams, bt_zeta
 from .errors import MismatchDetected, ParseError, ZipzetaError, _is_int
@@ -39,25 +41,42 @@ MAX_COUNT_DEGREE = 100
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+# The writer hands the stream text in pieces of about this many
+# characters (the text is ASCII, so bytes too).
+_CHUNK_SIZE = 1 << 16
+_INT_ONLY = frozenset({int})
+
 
 def _write_json(value, stream):
     """Write to stream the text json.dumps(value, indent=2, sort_keys=True)
     gives, for dicts with str keys, lists, tuples, str, int, bool and
     None, and a final newline, without the pure-Python encoder that indent
-    forces on json.dumps.  The text is never joined whole: its parts go
-    to stream joined 4096 at a time, so an unbuffered stream is not
-    written once per part.  Any other type raises TypeError."""
+    forces on json.dumps.  A generator is written as the list of what it
+    yields, so a producer of rows is written as it yields them.  The text
+    is never joined whole: its parts go to stream in chunks of about
+    _CHUNK_SIZE characters.  Any other type raises TypeError."""
     chunk = []
+    size = 0
 
     def write(part):
+        nonlocal size
         chunk.append(part)
-        if len(chunk) == 4096:
+        size += len(part)
+        if size >= _CHUNK_SIZE:
             stream.write("".join(chunk))
             chunk.clear()
+            size = 0
 
     _emit_json(value, "\n", write)
     chunk.append("\n")
     stream.write("".join(chunk))
+
+
+def _text(value, newline):
+    """The text of value, joined, for the line indentation newline."""
+    parts = []
+    _emit_json(value, newline, parts.append)
+    return "".join(parts)
 
 
 def _emit_json(value, newline, write):
@@ -73,24 +92,8 @@ def _emit_json(value, newline, write):
         write("false")
     elif isinstance(value, int):
         write(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        if all(type(x) is int for x in value):
-            write("[" + inner + ("," + inner).join(map(repr, value))
-                  + newline + "]")
-            return
-        if type(value[0]) is dict and _emit_rows(value, inner, write):
-            write(newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            write(sep)
-            _emit_json(item, inner, write)
-            sep = "," + inner
-        write(newline + "]")
+    elif isinstance(value, (list, tuple, GeneratorType)):
+        _emit_array(value, newline, write)
     elif isinstance(value, dict):
         if not value:
             write("{}")
@@ -109,49 +112,95 @@ def _emit_json(value, newline, write):
                         "is not JSON serializable")
 
 
-def _emit_rows(rows, inner, write):
-    """Pass to write the text of a list of dicts that share one
-    non-empty set of str keys, from one template, up to its closing
-    bracket; inner is the line break and indentation of the rows.  The
-    heads of the keys are built once.  Ints and strings are written
-    directly, and each list or tuple object is rendered once for the
-    call: rows hold their values for the whole call, so no id is
-    reused.  Any other value takes the generic path.  Returns False,
-    having written nothing, when the rows do not share such keys."""
-    keys = rows[0].keys()
-    if not keys or not all(isinstance(k, str) for k in keys) or not all(
-            type(row) is dict and row.keys() == keys for row in rows):
-        return False
-    deeper = inner + "  "
-    names = sorted(keys)
-    heads = ["{" + deeper + _encode_str(names[0]) + ": "]
-    heads += ["," + deeper + _encode_str(k) + ": " for k in names[1:]]
-    template = list(zip(heads, names))
-    close = inner + "}"
-    rendered = {}
+def _emit_array(items, newline, write):
+    """Pass to write the text of a list, a tuple or what a generator
+    yields.  Each dict whose keys are the non-empty str keys of the dict
+    before it is written from that dict's row template."""
+    if type(items) is not GeneratorType:
+        text = _ints_text(items, newline)
+        if text is not None:
+            write(text)
+            return
+    inner = newline + "  "
+    keys = template = None
     sep = "[" + inner
-    for row in rows:
-        write(sep)
-        for head, key in template:
-            write(head)
-            v = row[key]
-            t = type(v)
-            if t is int:
-                write(int.__repr__(v))
-            elif t is str:
-                write(_encode_str(v))
-            elif t is tuple or t is list:
-                text = rendered.get(id(v))
-                if text is None:
-                    parts = []
-                    _emit_json(v, deeper, parts.append)
-                    text = rendered[id(v)] = "".join(parts)
-                write(text)
-            else:
-                _emit_json(v, deeper, write)
-        write(close)
+    for item in items:
+        if type(item) is dict and item.keys() != keys:
+            keys = item.keys()
+            template = _row_template(keys, inner)
+        if type(item) is dict and template is not None:
+            write(sep + _fill_row(item, *template))
+        else:
+            write(sep)
+            _emit_json(item, inner, write)
         sep = "," + inner
-    return True
+    write("[]" if sep[0] == "[" else newline + "]")
+
+
+def _ints_format(count, newline):
+    """The %-format of a list of count ints that starts on a line
+    indented as newline is."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * count) + newline + "]"
+
+
+def _ints_text(items, newline):
+    """The text of a list or tuple of ints alone, bool excluded; None
+    when another type is in it.  The type check runs in C."""
+    if not items:
+        return "[]"
+    if not _INT_ONLY.issuperset(map(type, items)):
+        return None
+    return _ints_format(len(items), newline) % tuple(items)
+
+
+def _row_template(keys, inner):
+    """(names, %-template, deeper, formats) for dicts with these keys,
+    written at the indentation inner: names are the keys in sorted
+    order, the template takes the text of each value in that order,
+    deeper is the line break and indentation of a value, and formats
+    keeps the _ints_format of each length met there.  None when the
+    keys are not all str or there are none."""
+    if not keys or not all(isinstance(k, str) for k in keys):
+        return None
+    names = sorted(keys)
+    deeper = inner + "  "
+    heads = ["," + deeper + _encode_str(k).replace("%", "%%") + ": %s"
+             for k in names]
+    return names, "{" + "".join(heads)[1:] + inner + "}", deeper, {}
+
+
+def _fill_row(row, names, template, deeper, formats):
+    """The text of one row from its template.  Ints go to the template
+    as they are (%s writes an int as repr does), strings are escaped,
+    and each list or tuple object is rendered once for the row, however
+    many of its keys share it: one of ints alone from the format for
+    its length, built once per template."""
+    texts = []
+    rendered = {}
+    for v in map(row.__getitem__, names):
+        t = type(v)
+        if t is int:
+            texts.append(v)
+        elif t is str:
+            texts.append(_encode_str(v))
+        elif t is tuple or t is list:
+            text = rendered.get(id(v))
+            if text is None:
+                if not v:
+                    text = "[]"
+                elif _INT_ONLY.issuperset(map(type, v)):
+                    fmt = formats.get(len(v))
+                    if fmt is None:
+                        fmt = formats[len(v)] = _ints_format(len(v), deeper)
+                    text = fmt % tuple(v)
+                else:
+                    text = _text(v, deeper)
+                rendered[id(v)] = text
+            texts.append(text)
+        else:
+            texts.append(_text(v, deeper))
+    return template % tuple(texts)
 
 
 def _load_json(path):
@@ -273,14 +322,40 @@ def _echo(datum):
 def _strata_rows(datum, strata):
     tables = datum.tables
     omega = datum.omega
-    return [{
-        "rep_word": tables.word(s.rep.w),
-        "rep_omega": omega.label(s.rep.omega),
-        "orbit_size": s.size,
-        "length": s.length,
-        "aut_dim": s.aut_dim,
-        "degree": s.degree,
-    } for s in strata]
+    for s in strata:
+        yield {
+            "rep_word": tables.word(s.rep.w),
+            "rep_omega": omega.label(s.rep.omega),
+            "orbit_size": s.size,
+            "length": s.length,
+            "aut_dim": s.aut_dim,
+            "degree": s.degree,
+        }
+
+
+def _minimal_rows(datum, found):
+    """The minimal_set rows, one per element, decomposed as they are
+    written.  The word of an element that a row names twice is found
+    once: the conjugated part is the element itself when omega = 1, and
+    y is the conjugated part when nothing is stripped."""
+    word = datum.tables.word
+    label = datum.omega.label
+    decompose = datum.ext.canonical_decomposition
+    I = datum.parabolic_type
+    J = found.twist.J
+    for a, length in zip(found.reps, found.lengths):
+        dec = decompose(a, I, J)
+        weyl_word = word(a.w)
+        conjugated = weyl_word if dec.wpp is a.w else word(dec.wpp)
+        yield {
+            "weyl_word": weyl_word,
+            "omega": label(a.omega),
+            "conjugated_word": conjugated,
+            "double_min_word": (conjugated if dec.y is dec.wpp
+                                else word(dec.y)),
+            "parabolic_word": word(dec.w_J),
+            "length": length,
+        }
 
 
 def _check_range(flag, value, low, high):
@@ -310,22 +385,13 @@ def _require_bt(parsed):
 
 
 def _cmd_strata(args):
+    """The strata document.  Validation and the stratification are done
+    before it is returned; its two row lists are generators, so each
+    row is decomposed and formatted only as it is written."""
     datum = _require_zip(parse_config(args.config))
     found = _stratify(datum)
     twist = found.twist
     tables = datum.tables
-    label = datum.omega.label
-    decompose = datum.ext.canonical_decomposition
-    I = datum.parabolic_type
-    minimal = [{
-        "weyl_word": tables.word(a.w),
-        "omega": label(a.omega),
-        "conjugated_word": tables.word(dec.wpp),
-        "double_min_word": tables.word(dec.y),
-        "parabolic_word": tables.word(dec.w_J),
-        "length": length,
-    } for a, length in zip(found.reps, found.lengths)
-        for dec in [decompose(a, I, twist.J)]]
     return {
         "schema": 1,
         "kind": "strata",
@@ -336,7 +402,7 @@ def _cmd_strata(args):
             "w1_word": tables.word(twist.w1),
             "w2_word": tables.word(twist.w2),
         },
-        "minimal_set": minimal,
+        "minimal_set": _minimal_rows(datum, found),
         "strata": _strata_rows(datum, found.strata),
     }
 
@@ -443,7 +509,7 @@ def _render_pretty(doc):
         lines.append(f"J = {doc['twist']['J']}, "
                      f"w1 = {_cell(doc['twist']['w1_word'])}")
     for key in ("minimal_set", "strata", "classes", "values", "factors"):
-        rows = doc.get(key)
+        rows = list(doc.get(key, ()))
         if not rows:
             continue
         lines.append(f"{key}:")

@@ -32,7 +32,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from .errors import (InvalidFrobenius, InvalidOmegaTable, MixedGroups,
-                     NotInExtMinSet, _is_int)
+                     NotInExtMinSet, NotMinimalRep, _is_int)
+from .weyl import compose, conjugate
 
 
 def _compose_signed(outer, inner):
@@ -67,23 +68,22 @@ def _preserves_pairing(cartan, action):
 
 def _root_perm(rs, action):
     """The permutation of root ordinals induced by a pairing-preserving
-    signed permutation of the simple roots."""
+    signed permutation of the simple roots, of rs.perm_type."""
     if action == _identity_signed(rs.rank):
-        return tuple(range(2 * rs.n_positive))
+        return rs.perm_type(range(2 * rs.n_positive))
     perm = []
     for r in rs.roots:
         coords = [0] * rs.rank
         for c, s in zip(r.coords, action):
             coords[abs(s) - 1] = -c if s < 0 else c
         perm.append(rs.ordinal(type(r)(tuple(coords))))
-    return tuple(perm)
+    return rs.perm_type(perm)
 
 
 def _conjugate(tables, rp, rpinv, w):
     """rp * w * rp^{-1} for root permutations rp and rpinv = rp^{-1},
     as the table's copy."""
-    wp = w.perm
-    return tables._intern(tuple([rp[wp[b]] for b in rpinv]))
+    return tables._intern(conjugate(rp, w.perm, rpinv))
 
 
 class OmegaGroup:
@@ -239,6 +239,8 @@ class ExtWeylElement:
 
 ExtDecomposition = namedtuple("ExtDecomposition", "omega_index wpp y w_J")
 
+_NOT_MINIMAL = "Weyl part has a left descent in the parabolic type"
+
 
 class ExtWeylGroup:
     """Semidirect product of a Weyl group and a component group acting
@@ -293,14 +295,17 @@ class ExtWeylGroup:
                 for k in range(len(self.omega))
                 for w in self.tables.min_left(I)]
 
+    def _check_group(self, a):
+        """MixedGroups unless a belongs to this group."""
+        if a.group is not self:
+            raise MixedGroups("element belongs to a different extended group")
+
     def _check_min(self, a, I):
         """MixedGroups unless a belongs to this group, NotInExtMinSet
         unless it lies in the minimal set for I."""
-        if a.group is not self:
-            raise MixedGroups("element belongs to a different extended group")
+        self._check_group(a)
         if not self.tables.is_min_left(a.w, I):
-            raise NotInExtMinSet(
-                "Weyl part has a left descent in the parabolic type")
+            raise NotInExtMinSet(_NOT_MINIMAL)
 
     def canonical_decomposition(self, a, I, J):
         """Factor a = omega * w'' = omega * y * w_J.
@@ -308,26 +313,39 @@ class ExtWeylGroup:
         Here w'' is the conjugate of the Weyl part by omega^{-1}; it is
         minimal for the conjugated type, and splits through the double
         coset as y * w_J.  Raises NotInExtMinSet when a is not in the
-        minimal set for I.
+        minimal set for I.  With omega = 1, w'' is the Weyl part and
+        the conjugated type is I, so the entry test of decompose_left is
+        the one minimality test.
         """
-        self._check_min(a, I)
+        self._check_group(a)
         kinv = self.omega.inverse(a.omega)
-        wpp = self.twist_weyl(kinv, a.w)
-        Ipp = self.omega.conjugate_subset(kinv, I)
-        # A signed map that preserves the pairing keeps one sign on each
-        # component of the diagram, so on the roots it is a diagram
-        # automorphism times -1 on some components.  The sign commutes
-        # with W, so the conjugation sends s_i to s_|sigma(i)| and keeps
-        # lengths: it carries the left descents of a.w, none in I, onto
-        # those of wpp.
-        assert self.tables.is_min_left(wpp, Ipp), (
-            "conjugated Weyl part is not minimal for the conjugated type")
-        y, w_J = self.tables.decompose_left(wpp, Ipp, J)
+        if kinv == self.omega.identity_index:
+            wpp = self.tables.canonical(a.w)
+            Ipp = I
+        else:
+            if not self.tables.is_min_left(a.w, I):
+                raise NotInExtMinSet(_NOT_MINIMAL)
+            wpp = self.twist_weyl(kinv, a.w)
+            Ipp = self.omega.conjugate_subset(kinv, I)
+            # A signed map that preserves the pairing keeps one sign on
+            # each component of the diagram, so on the roots it is a
+            # diagram automorphism times -1 on some components.  The sign
+            # commutes with W, so the conjugation sends s_i to
+            # s_|sigma(i)| and keeps lengths: it carries the left descents
+            # of a.w, none in I, onto those of wpp.
+            assert self.tables.is_min_left(wpp, Ipp), (
+                "conjugated Weyl part is not minimal for the conjugated type")
+        try:
+            y, w_J = self.tables.decompose_left(wpp, Ipp, J)
+        except NotMinimalRep:
+            raise NotInExtMinSet(_NOT_MINIMAL) from None
         return ExtDecomposition(a.omega, wpp, y, w_J)
 
     def extended_length(self, a, I, J):
         """The extended length of a, counted on (w, omega) as the module
-        docstring describes, over root lists moved by omega once per key."""
+        docstring describes, over root lists moved by omega once per key.
+        The lists are held as permutations are, so compose() reads the
+        images of a whole list at once."""
         self._check_min(a, I)
         key = (frozenset(I), frozenset(J), a.omega)
         sets = self._length_sets.get(key)
@@ -337,14 +355,17 @@ class ExtWeylGroup:
             rp = self.omega.root_perm(a.omega)
             inside_I = rs.subsystem_ordinals(I)
             sets = self._length_sets[key] = (
-                [rp[k] for k in rs.positive_outside(J)],
+                rs.perm_type([rp[k] for k in rs.positive_outside(J)]),
                 frozenset(k for k in range(m, 2 * m) if k not in inside_I),
-                [rp[k] for k in rs.subsystem_ordinals(J) if k < m],
+                rs.perm_type([rp[k] for k in rs.subsystem_ordinals(J)
+                              if k < m]),
                 frozenset(rp[k] for k in range(m, 2 * m)))
         outside_J, negative_outside_I, positive_J, omega_negative = sets
         wp = a.w.perm
-        return (len([k for k in outside_J if wp[k] in negative_outside_I])
-                + len([k for k in positive_J if wp[k] in omega_negative]))
+        return (sum(map(negative_outside_I.__contains__,
+                        compose(wp, outside_J)))
+                + sum(map(omega_negative.__contains__,
+                          compose(wp, positive_J))))
 
 
 class DiagramAutomorphism:

@@ -172,6 +172,10 @@ class RootSystem:
         self.cartan = cartan
         self.rank = cartan.rank
         self.n_positive = n_positive
+        # The one choice of how a permutation of the ordinals is stored:
+        # bytes while every ordinal fits in a byte, else a tuple (the
+        # weyl module docstring says why).
+        self.perm_type = bytes if 2 * n_positive <= 256 else tuple
         self._subsystem_ordinals = {}
         self._positive_outside = {}
 
@@ -233,8 +237,8 @@ class RootSystem:
         return _reflect_coords(self.cartan, i, root)
 
     def reflection_perm(self, i):
-        """s_i as a permutation of root ordinals, built afresh: the
-        Weyl tables keep the one copy the library reads."""
+        """s_i as a permutation of root ordinals, of perm_type, built
+        afresh: the Weyl tables keep the one copy the library reads."""
         # A root with pairing 0 is fixed and keeps its ordinal; the
         # negative half is the positive one shifted by m, since
         # s_i(-r) = -s_i(r).
@@ -243,7 +247,7 @@ class RootSystem:
         for k, r in enumerate(self.positive_roots):
             image = _reflect_coords(self.cartan, i, r)
             half.append(k if image is r else self.ordinal(image))
-        return tuple(half + [k + m if k < m else k - m for k in half])
+        return self.perm_type(half + [k + m if k < m else k - m for k in half])
 
     def subsystem_ordinals(self, subset):
         """Ordinals of the roots supported on the given simple indices."""

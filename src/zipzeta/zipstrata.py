@@ -276,6 +276,9 @@ def _stratify(datum):
         moves.append((t, p.inverse()))
 
     def theta_orbit(idx):
+        if not moves:
+            # Theta = {1}: every orbit is a single element.
+            return {idx}
         a = reps[idx]
         orbit = {idx} | {locate(t * a * pinv, "subgroup action")
                          for t, pinv in moves}

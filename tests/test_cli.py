@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zipzeta import (CosetTables, ExtWeylGroup, ZetaProduct, ZipDatum,
-                     classify, weyl, zeta_from_strata)
+from zipzeta import (CosetTables, DiagramAutomorphism, ExtWeylGroup,
+                     ZetaProduct, ZipDatum, classify, cli, weyl,
+                     zeta_from_strata)
 from zipzeta.cli import (MAX_COUNT_DEGREE, MAX_SERIES_ORDER, _write_json,
-                         main, parse_config)
+                         build_parser, main, parse_config)
 from zipzeta.zipstrata import FACTOR_LIMIT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -480,6 +481,38 @@ def test_row_templates_reject_floats(rows):
         written([{"a": shared}, {"a": shared}] + rows)
 
 
+def _yielded(rows):
+    """A generator over rows, as the strata command hands its rows to
+    the writer."""
+    yield from rows
+
+
+@settings(deadline=None)
+@given(row_lists())
+@example([])
+@example([{"a%sb": 1, "%": (1, True), "%(x)s": None, "%%": "%d"}] * 2)
+@example([{"a": True, "b": None, "c": {"d": [(1, 2), ()]}, "e": (1, "x")},
+          {"a": False, "b": [None], "c": {}, "e": ("x", 2)}])
+@example([{"a": (1, 2)}, {"a": (1, 2), "b": 0}, {"a": (1, 2)}, 5, {}])
+def test_streamed_rows_match_json_dumps(rows):
+    assert written(_yielded(rows)) == dumped(rows)
+    nested = {"rows": _yielded(rows), "more": [_yielded(rows)]}
+    assert written(nested) == dumped({"rows": rows, "more": [rows]})
+
+
+def test_streamed_text_goes_out_in_chunks_of_bounded_size():
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(len(text))
+
+    rows = ({"word": tuple(range(k % 50)), "k": k} for k in range(20000))
+    _write_json({"rows": rows}, Stream())
+    assert len(writes) > 10
+    assert max(writes) < 2 * cli._CHUNK_SIZE
+
+
 def _commands(config):
     path = str(CONFIGS / config)
     if "h" in json.loads((CONFIGS / config).read_text()):
@@ -541,10 +574,30 @@ GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of `--pretty strata` for the same configs: the rows reach the
+# text view through generators, and the view must not change.
+PRETTY_STRATA_DIGESTS = {
+    "a2-flip.json": "3d91f1d041a9bf5681916e73c3bf7d73f097f9749a159084c72f401fac9d5b25",
+    "a3a3-swap-flip.json": "6e23c89be83f4b104e9d735c2a014c3ae2892cfe753e9a705ede6ee912acff0e",
+    "gl-2-1.json": "f8c81eeac1cd60a9e5c10465ad78d561db15936cd622a9cdf0e8542d8f16fbf4",
+    "gl-3-1.json": "112c5ce2c3c23cddccf8b8ebd0b01066c4815b3bd89a1802d893e2ac5df85fac",
+    "o4.json": "8301c148a9d968bda5c3b8779d1d4c4bc77ccf5d7557032394319e41273e983f",
+    "sl2-omega.json": "d836914bfd2924414665d37826a9863e2c7bdbd6513609b7cd5645ee9b9b4bd4",
+}
+
+
 def test_every_shipped_stratification_config_has_golden_digests():
     shipped = {p.name for p in CONFIGS.glob("*.json")
                if "cartan" in json.loads(p.read_text())}
-    assert shipped == set(GOLDEN_DIGESTS)
+    assert shipped == set(GOLDEN_DIGESTS) == set(PRETTY_STRATA_DIGESTS)
+
+
+@pytest.mark.parametrize("config", sorted(PRETTY_STRATA_DIGESTS))
+def test_pretty_strata_matches_golden_digest(config, capsys):
+    code, out, err = run(capsys, ["--pretty", "strata", str(CONFIGS / config)])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PRETTY_STRATA_DIGESTS[config]
 
 
 @pytest.mark.parametrize("config,command", [
@@ -579,6 +632,46 @@ def test_strata_decomposes_each_minimal_element_once(config, tmp_path,
     monkeypatch.setattr(ExtWeylGroup, "canonical_decomposition", counted)
     doc = run_json(capsys, ["strata", str(path)])
     assert len(seen) == len(set(seen)) == len(doc["minimal_set"])
+
+
+def test_strata_rows_are_decomposed_as_they_are_written(monkeypatch):
+    """_cmd_strata returns once the stratification is done; each row is
+    decomposed only when the writer reaches it."""
+    original = ExtWeylGroup.canonical_decomposition
+    calls = []
+
+    def counted(self, a, I, J):
+        calls.append(a)
+        return original(self, a, I, J)
+
+    monkeypatch.setattr(ExtWeylGroup, "canonical_decomposition", counted)
+    args = build_parser().parse_args(["strata", O4])
+    doc = cli._cmd_strata(args)
+    assert calls == []
+    stream = io.StringIO()
+    _write_json(doc, stream)
+    assert len(calls) == len(json.loads(stream.getvalue())["minimal_set"])
+
+
+def test_a_failed_stratification_writes_nothing(monkeypatch, capsys):
+    """A ZipzetaError in the middle of the Galois walk: every check runs
+    before the first row is written, so stdout stays empty."""
+    original = DiagramAutomorphism.apply_ext
+    calls = []
+
+    def leaking(self, a):
+        calls.append(a)
+        if len(calls) < 10:
+            return original(self, a)
+        ext = self.ext
+        return ext.element(ext.tables.longest_element(), a.omega)
+
+    monkeypatch.setattr(DiagramAutomorphism, "apply_ext", leaking)
+    code, out, err = run(capsys, ["strata",
+                                  str(CONFIGS / "a3a3-swap-flip.json")])
+    assert len(calls) == 10
+    assert (code, out) == (2, "")
+    assert err == "error: Galois action left the minimal set\n"
 
 
 def _no_decomposition(self, w, I, J):
@@ -749,3 +842,28 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def _type_a(n, I, **extra):
+    return json.dumps({"cartan": [
+        [2 if i == j else -(abs(i - j) == 1) for j in range(n)]
+        for i in range(n)], "I": I, **extra})
+
+
+# A16 has 272 roots, past the 256 a byte can number, so its elements are
+# tuples.  The digests were recorded when every system used tuples.
+@pytest.mark.parametrize("command,config,digest", [
+    ("strata", _type_a(16, list(range(2, 17))),
+     "90f1cbbb3ede8680730038cec209986778e911d745baf5f486cbf1c0242e2dc5"),
+    ("zeta", _type_a(16, list(range(2, 16)),
+                     phi0={"diagram_perm": list(range(16, 0, -1))}),
+     "738b091b17d3c5a6191e716faa2a0acd1d0a7cf7e867b9e060f057566485c12e"),
+], ids=["strata A16", "flip-twisted zeta A16"])
+def test_systems_over_256_roots_keep_tuples(command, config, digest,
+                                            tmp_path, capsys):
+    path = tmp_path / "a16.json"
+    path.write_text(config)
+    assert parse_config(str(path)).rs.perm_type is tuple
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -415,7 +415,8 @@ def test_identity_action_permutes_no_root():
     for ext in (trivial_ext("A", 3), swap_ext(), minus_one_ext()):
         rs = ext.rs
         identity = ext.omega.identity_index
-        assert ext.omega.root_perm(identity) == tuple(range(len(rs.roots)))
+        assert tuple(ext.omega.root_perm(identity)) == tuple(
+            range(len(rs.roots)))
     ext = z2_ext("A1xA1", 2, (-1, 2))
     rs = ext.rs
     k = ext.omega.index("u")

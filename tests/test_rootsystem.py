@@ -336,7 +336,7 @@ def test_reflection_permutes_other_positives():
 def test_reflection_perm_matches_reflecting_every_root(family, rank):
     rs = system(family, rank)
     for i in range(1, rank + 1):
-        assert rs.reflection_perm(i) == tuple(
+        assert tuple(rs.reflection_perm(i)) == tuple(
             rs.ordinal(rs.reflect(i, r)) for r in rs.roots)
 
 

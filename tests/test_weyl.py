@@ -3,11 +3,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zipzeta import (CosetTables, GroupTooLarge, MixedGroups, NotMinimalRep,
                      ZipDatum, build_root_system, cartan_matrix,
                      compute_twist, direct_sum, enumerate_group)
-from zipzeta.weyl import WeylElement
+from zipzeta.weyl import WeylElement, compose, conjugate, invert
 from helpers import from_word, group, min_double, subsets, system, tables
 
 
@@ -431,3 +432,50 @@ def test_on_demand_tables_do_not_list_the_group():
     twin = CosetTables(build_root_system([[2, -1], [-1, 2]]))
     with pytest.raises(MixedGroups):
         lazy.canonical(twin.identity)
+
+
+# Three permutations of one size, on both sides of 256 points: up to 256
+# the helpers are given bytes and tuples, beyond it tuples alone, as
+# RootSystem.perm_type stores them.
+PERMUTATION_TRIPLES = st.integers(1, 300).flatmap(lambda n: st.tuples(
+    *[st.permutations(range(n)).map(tuple)] * 3))
+
+
+def _reversed(n):
+    return tuple(range(n - 1, -1, -1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(PERMUTATION_TRIPLES)
+@example((_reversed(256), tuple(range(256)), _reversed(256)))
+@example(((1, 0) + tuple(range(2, 257)),) * 3)
+@example(((0,),) * 3)
+def test_permutation_helpers_match_the_tuple_reference(perms):
+    p, q, r = perms
+    n = len(p)
+    inverse = [0] * n
+    for k, i in enumerate(r):
+        inverse[i] = k
+    inverse = tuple(inverse)
+    want = {
+        "compose": tuple(map(p.__getitem__, q)),
+        "invert": inverse,
+        "conjugate": tuple(map(r.__getitem__, map(p.__getitem__, inverse))),
+    }
+    for form in (bytes, tuple) if n <= 256 else (tuple,):
+        P, Q, R = form(p), form(q), form(r)
+        got = {"compose": compose(P, Q), "invert": invert(R),
+               "conjugate": conjugate(R, P, invert(R))}
+        assert {k: type(v) for k, v in got.items()} == dict.fromkeys(
+            want, form)
+        assert {k: tuple(v) for k, v in got.items()} == want
+
+
+@pytest.mark.parametrize("family,rank,form", [
+    ("A", 15, bytes), ("A", 16, tuple), ("B", 11, bytes), ("B", 12, tuple),
+    ("D", 11, bytes), ("D", 12, tuple), ("E", 8, bytes)])
+def test_elements_are_bytes_up_to_256_roots(family, rank, form):
+    rs = system(family, rank)
+    assert rs.perm_type is form
+    s = CosetTables(rs).simple_reflection(1)
+    assert type(s.perm) is form and type((s * s).perm) is form
