@@ -137,13 +137,6 @@ def _emit_array(items, newline, write):
     write("[]" if sep[0] == "[" else newline + "]")
 
 
-def _ints_format(count, newline):
-    """The %-format of a list of count ints that starts on a line
-    indented as newline is."""
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(["%d"] * count) + newline + "]"
-
-
 def _ints_text(items, newline):
     """The text of a list or tuple of ints alone, bool excluded; None
     when another type is in it.  The type check runs in C."""
@@ -151,31 +144,30 @@ def _ints_text(items, newline):
         return "[]"
     if not _INT_ONLY.issuperset(map(type, items)):
         return None
-    return _ints_format(len(items), newline) % tuple(items)
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(repr, items)) + newline + "]"
 
 
 def _row_template(keys, inner):
-    """(names, %-template, deeper, formats) for dicts with these keys,
-    written at the indentation inner: names are the keys in sorted
-    order, the template takes the text of each value in that order,
-    deeper is the line break and indentation of a value, and formats
-    keeps the _ints_format of each length met there.  None when the
-    keys are not all str or there are none."""
+    """(names, %-template, deeper) for dicts with these keys, written
+    at the indentation inner: names are the keys in sorted order, the
+    template takes the text of each value in that order, and deeper is
+    the line break and indentation of a value.  None when the keys are
+    not all str or there are none."""
     if not keys or not all(isinstance(k, str) for k in keys):
         return None
     names = sorted(keys)
     deeper = inner + "  "
     heads = ["," + deeper + _encode_str(k).replace("%", "%%") + ": %s"
              for k in names]
-    return names, "{" + "".join(heads)[1:] + inner + "}", deeper, {}
+    return names, "{" + "".join(heads)[1:] + inner + "}", deeper
 
 
-def _fill_row(row, names, template, deeper, formats):
+def _fill_row(row, names, template, deeper):
     """The text of one row from its template.  Ints go to the template
     as they are (%s writes an int as repr does), strings are escaped,
     and each list or tuple object is rendered once for the row, however
-    many of its keys share it: one of ints alone from the format for
-    its length, built once per template."""
+    many of its keys share it."""
     texts = []
     rendered = {}
     for v in map(row.__getitem__, names):
@@ -187,14 +179,8 @@ def _fill_row(row, names, template, deeper, formats):
         elif t is tuple or t is list:
             text = rendered.get(id(v))
             if text is None:
-                if not v:
-                    text = "[]"
-                elif _INT_ONLY.issuperset(map(type, v)):
-                    fmt = formats.get(len(v))
-                    if fmt is None:
-                        fmt = formats[len(v)] = _ints_format(len(v), deeper)
-                    text = fmt % tuple(v)
-                else:
+                text = _ints_text(v, deeper)
+                if text is None:
                     text = _text(v, deeper)
                 rendered[id(v)] = text
             texts.append(text)
@@ -335,9 +321,7 @@ def _strata_rows(datum, strata):
 
 def _minimal_rows(datum, found):
     """The minimal_set rows, one per element, decomposed as they are
-    written.  The word of an element that a row names twice is found
-    once: the conjugated part is the element itself when omega = 1, and
-    y is the conjugated part when nothing is stripped."""
+    written."""
     word = datum.tables.word
     label = datum.omega.label
     decompose = datum.ext.canonical_decomposition
@@ -345,14 +329,11 @@ def _minimal_rows(datum, found):
     J = found.twist.J
     for a, length in zip(found.reps, found.lengths):
         dec = decompose(a, I, J)
-        weyl_word = word(a.w)
-        conjugated = weyl_word if dec.wpp is a.w else word(dec.wpp)
         yield {
-            "weyl_word": weyl_word,
+            "weyl_word": word(a.w),
             "omega": label(a.omega),
-            "conjugated_word": conjugated,
-            "double_min_word": (conjugated if dec.y is dec.wpp
-                                else word(dec.y)),
+            "conjugated_word": word(dec.wpp),
+            "double_min_word": word(dec.y),
             "parabolic_word": word(dec.w_J),
             "length": length,
         }

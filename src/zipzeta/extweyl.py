@@ -313,28 +313,20 @@ class ExtWeylGroup:
         Here w'' is the conjugate of the Weyl part by omega^{-1}; it is
         minimal for the conjugated type, and splits through the double
         coset as y * w_J.  Raises NotInExtMinSet when a is not in the
-        minimal set for I.  With omega = 1, w'' is the Weyl part and
-        the conjugated type is I, so the entry test of decompose_left is
-        the one minimality test.
+        minimal set for I.
         """
         self._check_group(a)
         kinv = self.omega.inverse(a.omega)
-        if kinv == self.omega.identity_index:
-            wpp = self.tables.canonical(a.w)
-            Ipp = I
-        else:
-            if not self.tables.is_min_left(a.w, I):
-                raise NotInExtMinSet(_NOT_MINIMAL)
-            wpp = self.twist_weyl(kinv, a.w)
-            Ipp = self.omega.conjugate_subset(kinv, I)
-            # A signed map that preserves the pairing keeps one sign on
-            # each component of the diagram, so on the roots it is a
-            # diagram automorphism times -1 on some components.  The sign
-            # commutes with W, so the conjugation sends s_i to
-            # s_|sigma(i)| and keeps lengths: it carries the left descents
-            # of a.w, none in I, onto those of wpp.
-            assert self.tables.is_min_left(wpp, Ipp), (
-                "conjugated Weyl part is not minimal for the conjugated type")
+        wpp = self.twist_weyl(kinv, a.w)
+        Ipp = self.omega.conjugate_subset(kinv, I)
+        # A signed map that preserves the pairing keeps one sign on each
+        # component of the diagram, so on the roots it is a diagram
+        # automorphism times -1 on some components.  The sign commutes
+        # with W, so the conjugation sends s_i to s_|sigma(i)| and keeps
+        # lengths: it carries the left descents of a.w onto those of wpp,
+        # and a.w is minimal for I exactly when wpp is minimal for Ipp.
+        # The entry test of decompose_left is therefore the one
+        # minimality test.
         try:
             y, w_J = self.tables.decompose_left(wpp, Ipp, J)
         except NotMinimalRep:

@@ -130,11 +130,12 @@ def test_min_reps_trivial_component_match_cosets():
 
 def test_not_in_min_set_raises():
     ext = swap_ext()
-    bad = ext.element(ext.tables.simple_reflection(1), "1")
-    with pytest.raises(NotInExtMinSet):
-        ext.canonical_decomposition(bad, {1}, {1})
-    with pytest.raises(NotInExtMinSet):
-        ext.extended_length(bad, {1}, {1})
+    for label in ("1", "sigma"):
+        bad = ext.element(ext.tables.simple_reflection(1), label)
+        with pytest.raises(NotInExtMinSet):
+            ext.canonical_decomposition(bad, {1}, {1})
+        with pytest.raises(NotInExtMinSet):
+            ext.extended_length(bad, {1}, {1})
 
 
 def test_worked_decomposition_rows():
@@ -352,11 +353,12 @@ SIGNED_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SIGNED_CASES))
 def test_signed_conjugation_carries_left_descents(case):
-    """canonical_decomposition asserts that the conjugated Weyl part is
-    minimal for the conjugated type.  A signed action that preserves the
-    pairing is -1 on whole components times a diagram map, so the
-    conjugation carries left descents along |sigma| and the check holds
-    for every element, every component and every pair of types."""
+    """canonical_decomposition tests minimality on the conjugated Weyl
+    part and the conjugated type alone.  A signed action that preserves
+    the pairing is -1 on whole components times a diagram map, so the
+    conjugation carries left descents along |sigma|, and that test
+    agrees with the test on the Weyl part and I for every element,
+    every component and every pair of types."""
     ext = SIGNED_CASES[case]()
     t = ext.tables
     rank = ext.rs.rank
