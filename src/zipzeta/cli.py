@@ -40,10 +40,6 @@ MAX_COUNT_DEGREE = 100
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-
-# The writer hands the stream text in pieces of about this many
-# characters (the text is ASCII, so bytes too).
-_CHUNK_SIZE = 1 << 16
 _INT_ONLY = frozenset({int})
 
 
@@ -53,23 +49,10 @@ def _write_json(value, stream):
     None, and a final newline, without the pure-Python encoder that indent
     forces on json.dumps.  A generator is written as the list of what it
     yields, so a producer of rows is written as it yields them.  The text
-    is never joined whole: its parts go to stream in chunks of about
-    _CHUNK_SIZE characters.  Any other type raises TypeError."""
-    chunk = []
-    size = 0
-
-    def write(part):
-        nonlocal size
-        chunk.append(part)
-        size += len(part)
-        if size >= _CHUNK_SIZE:
-            stream.write("".join(chunk))
-            chunk.clear()
-            size = 0
-
-    _emit_json(value, "\n", write)
-    chunk.append("\n")
-    stream.write("".join(chunk))
+    is never joined whole: its parts, one per templated row, go straight
+    to stream, which buffers them.  Any other type raises TypeError."""
+    _emit_json(value, "\n", stream.write)
+    stream.write("\n")
 
 
 def _text(value, newline):

@@ -33,7 +33,7 @@ from functools import cached_property
 
 from .errors import (InvalidFrobenius, InvalidOmegaTable, MixedGroups,
                      NotInExtMinSet, NotMinimalRep, _is_int)
-from .weyl import compose, conjugate
+from .weyl import WeylElement, compose, conjugate, invert
 
 
 def _compose_signed(outer, inner):
@@ -78,12 +78,6 @@ def _root_perm(rs, action):
             coords[abs(s) - 1] = -c if s < 0 else c
         perm.append(rs.ordinal(type(r)(tuple(coords))))
     return rs.perm_type(perm)
-
-
-def _conjugate(tables, rp, rpinv, w):
-    """rp * w * rp^{-1} for root permutations rp and rpinv = rp^{-1},
-    as the table's copy."""
-    return tables._intern(conjugate(rp, w.perm, rpinv))
 
 
 class OmegaGroup:
@@ -260,7 +254,8 @@ class ExtWeylGroup:
         index."""
         if isinstance(omega, str):
             omega = self.omega.index(omega)
-        return ExtWeylElement(self, self.tables.canonical(w), omega)
+        self.tables._check(w)
+        return ExtWeylElement(self, w, omega)
 
     @property
     def identity(self):
@@ -272,10 +267,12 @@ class ExtWeylGroup:
     def twist_weyl(self, k, w):
         """Conjugate omega_k * w * omega_k^{-1} of a Weyl element.  The
         identity component permutes no root, so it returns w itself."""
+        self.tables._check(w)
         if k == self.omega.identity_index:
-            return self.tables.canonical(w)
-        return _conjugate(self.tables, self.omega.root_perm(k),
-                          self.omega.root_perm(self.omega.inverse(k)), w)
+            return w
+        return WeylElement(w.rs, conjugate(
+            self.omega.root_perm(k), w.perm,
+            self.omega.root_perm(self.omega.inverse(k))))
 
     def multiply(self, a, b):
         if a.group is not self or b.group is not self:
@@ -416,10 +413,6 @@ class DiagramAutomorphism:
     def root_perm(self):
         return _root_perm(self.ext.rs, self.diagram_perm)
 
-    @cached_property
-    def _root_perm_inv(self):
-        return _root_perm(self.ext.rs, _invert_signed(self.diagram_perm))
-
     def compose(self, other):
         """self after other."""
         assert self.ext is other.ext
@@ -448,8 +441,8 @@ class DiagramAutomorphism:
         return frozenset(self.diagram_perm[i - 1] for i in I)
 
     def apply_weyl(self, w):
-        return _conjugate(self.ext.tables, self.root_perm,
-                          self._root_perm_inv, w)
+        rp = self.root_perm
+        return WeylElement(w.rs, conjugate(rp, w.perm, invert(rp)))
 
     def apply_omega(self, k):
         return self.omega_perm[k]

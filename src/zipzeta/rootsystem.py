@@ -176,8 +176,6 @@ class RootSystem:
         # bytes while every ordinal fits in a byte, else a tuple (the
         # weyl module docstring says why).
         self.perm_type = bytes if 2 * n_positive <= 256 else tuple
-        self._subsystem_ordinals = {}
-        self._positive_outside = {}
 
     @cached_property
     def positive_roots(self):
@@ -238,7 +236,7 @@ class RootSystem:
 
     def reflection_perm(self, i):
         """s_i as a permutation of root ordinals, of perm_type, built
-        afresh: the Weyl tables keep the one copy the library reads."""
+        afresh: the Weyl tables build each once."""
         # A root with pairing 0 is fixed and keeps its ordinal; the
         # negative half is the positive one shifted by m, since
         # s_i(-r) = -s_i(r).
@@ -252,12 +250,8 @@ class RootSystem:
     def subsystem_ordinals(self, subset):
         """Ordinals of the roots supported on the given simple indices."""
         key = frozenset(subset)
-        got = self._subsystem_ordinals.get(key)
-        if got is None:
-            got = frozenset(k for k, r in enumerate(self.roots)
-                            if r.support() <= key)
-            self._subsystem_ordinals[key] = got
-        return got
+        return frozenset(k for k, r in enumerate(self.roots)
+                         if r.support() <= key)
 
     def positive_outside(self, subset):
         """Ordinals of positive roots not supported on the subset, in
@@ -266,13 +260,8 @@ class RootSystem:
         The count is the dimension of the corresponding partial flag
         variety.
         """
-        key = frozenset(subset)
-        got = self._positive_outside.get(key)
-        if got is None:
-            inside = self.subsystem_ordinals(key)
-            got = tuple(k for k in range(self.n_positive) if k not in inside)
-            self._positive_outside[key] = got
-        return got
+        inside = self.subsystem_ordinals(subset)
+        return tuple(k for k in range(self.n_positive) if k not in inside)
 
     def __repr__(self):
         return f"RootSystem(rank={self.rank}, positive={self.n_positive})"

@@ -9,10 +9,12 @@ multiplies two elements with one bytes.translate call in C.  A bytes
 object caches its hash, where a tuple hashes all its items on every
 dict lookup.  And an element takes 273 bytes instead of 1960.  At 240
 roots, on a 2-vCPU VM with Python 3.11, a product takes 0.3 us against
-16 us for a tuple built by map (2.8 us by itemgetter), and a hash
-0.05 us against 1.0 us.  Everything else only indexes, slices, hashes
-and compares, where the two forms behave alike; invert() and
-conjugate() complete the helpers.
+2.8 us for a tuple built by itemgetter (16 us by map, so tuples
+compose by itemgetter too), and a hash 0.05 us against 1.0 us.
+Everything else only indexes, slices, hashes and compares, where the
+two forms behave alike; invert() and conjugate() complete the helpers.
+An element is a plain value: elements are equal, and hash alike, when
+their permutations are, so any copy finds the memos below.
 
 The length of an element is
 its inversion count, the number of positive roots sent negative, which
@@ -22,14 +24,14 @@ stripping the left descent with the least simple index.  Left descents
 are read off the permutation alone: s_i is one exactly when a negative
 root is sent to alpha_i, so no test of minimality builds an inverse.
 
-CosetTables keeps only what it is asked for.  Elements are interned the
-first time they are reached, so each has one shared copy; the group
-order, and the number of minimal left coset representatives of each
-length, come from the degrees, with no root built; the representatives
-themselves, with their words and in word order, come from a search over
-that set alone.  Any other element has its word recorded when it is
-asked for, and only its own: the suffixes stripped on the way are not
-kept, so a request costs at most the element's length.  The tables also
+CosetTables keeps only what it is asked for, keyed by permutation.  The
+group order, and the number of minimal left coset representatives of
+each length, come from the degrees, with no root built; the
+representatives themselves, with their words and in word order, come
+from a search over that set alone.  Any other element has its word
+recorded when it is asked for, and only its own: the suffixes stripped
+on the way are not kept, so a request costs at most the element's
+length.  The tables also
 memoize minimal coset representatives, their Poincare polynomials, the
 longest elements of parabolic subgroups and one descent-stripping
 decomposition: for w minimal in W_I w, the split w = x * w_J with x
@@ -64,7 +66,8 @@ def compose(p, q):
     if type(q) is bytes:
         # translate maps each byte b of q to entry b of a 256-byte table.
         return q.translate(p.ljust(256, b"\0"))
-    return tuple(map(p.__getitem__, q))
+    # itemgetter of one index returns the item itself, not a 1-tuple.
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(map(p.__getitem__, q))
 
 
 _BYTE_IDENTITY = bytes(range(256))
@@ -114,7 +117,7 @@ class WeylElement:
         return WeylElement(self.rs, compose(self.perm, other.perm))
 
     def inverse(self):
-        # Memoized: decompose_left inverts each x once per row it serves.
+        # Memoized: decompose_left inverts each memoized x once.
         if self._inv is None:
             self._inv = invert(self.perm)
         w = WeylElement(self.rs, self._inv)
@@ -161,8 +164,8 @@ def _degree_product(ds):
 
 
 def enumerate_group(tables):
-    """Every element of the group of tables, interned there, found by
-    breadth-first closure under the simple reflections and ordered by
+    """Every element of the group of tables, found by breadth-first
+    closure under the simple reflections and ordered by
     (length, canonical word).
 
     A test oracle: the library never needs all of W.  Raises
@@ -182,8 +185,7 @@ def enumerate_group(tables):
             for s in tables._simples.values():
                 prod = compose(wp, s.perm)
                 if prod not in seen:
-                    u = tables._intern(prod)
-                    seen[prod] = u
+                    u = seen[prod] = WeylElement(tables.rs, prod)
                     next_frontier.append(u)
         frontier = next_frontier
     assert len(seen) == order
@@ -193,13 +195,13 @@ def enumerate_group(tables):
 
 class CosetTables:
     """Memoized words, coset representatives and decompositions of the
-    Weyl group of rs, with elements interned on first use."""
+    Weyl group of rs, keyed by permutation, so an element built by any
+    route finds them."""
 
     def __init__(self, rs):
         self.rs = rs
-        self._by_perm = {}
-        self.identity = self._intern(_identity_perm(rs))
-        self._words = {_identity_perm(rs): ()}
+        self.identity = WeylElement(rs, _identity_perm(rs))
+        self._words = {self.identity.perm: ()}
         self._min_left = {}
         self._poincare = {}
         self._longest = {}
@@ -207,15 +209,8 @@ class CosetTables:
 
     @cached_property
     def _simples(self):
-        return {i: self._intern(self.rs.reflection_perm(i))
+        return {i: WeylElement(self.rs, self.rs.reflection_perm(i))
                 for i in range(1, self.rs.rank + 1)}
-
-    def _intern(self, perm):
-        """The table's one copy of the element with this permutation."""
-        w = self._by_perm.get(perm)
-        if w is None:
-            w = self._by_perm[perm] = WeylElement(self.rs, perm)
-        return w
 
     def __len__(self):
         """|W|, the Poincare polynomial at q = 1; nothing is
@@ -289,11 +284,6 @@ class CosetTables:
         got = self._words[w.perm] = tuple(letters) + self._words[cur]
         return got
 
-    def canonical(self, w):
-        """The table's own copy of w, so caches are shared."""
-        self._check(w)
-        return self._intern(w.perm)
-
     def longest_element(self, K=None):
         """The longest element of the parabolic subgroup W_K (w0 of the
         whole group when K is None), reached from the identity by
@@ -310,7 +300,7 @@ class CosetTables:
                 if step is None:
                     break
                 perm = compose(perm, step)
-            got = self._longest[K] = self._intern(perm)
+            got = self._longest[K] = WeylElement(self.rs, perm)
             assert got.length == sum(
                 1 for k in self.rs.subsystem_ordinals(K) if k < m)
         return got
@@ -375,7 +365,7 @@ class CosetTables:
                         img = wp[a]
                         if img < m and img not in blocked:
                             up.setdefault(name(wp), (wp, letter, step))
-                level = [self._intern(compose(wp, step))
+                level = [WeylElement(self.rs, compose(wp, step))
                          for wp, _, step in up.values()]
                 # Interleaving words with permutations fragmented memory.
                 for u, (wp, letter, _) in zip(level, up.values()):
@@ -413,8 +403,8 @@ class CosetTables:
         with no right descent in J is its own x, with w_J = 1, and
         touches no memo.  Otherwise asserts uniqueness consequences:
         lengths add, x is minimal on both sides, and w_J is minimal in
-        its coset of the induced subset.  w_J is not interned: callers
-        read its word, and the tables keep no element for it.
+        its coset of the induced subset.  The tables keep no element for
+        w_J: callers read its word.
         """
         self._check(w)
         I = frozenset(I)
@@ -439,7 +429,7 @@ class CosetTables:
                 x = got
                 break
             stripped.append(x.perm)
-            x = self.canonical(x * self._simples[j])
+            x = x * self._simples[j]
         if x is w:
             # Nothing was stripped (always when J is empty), so w_J = 1
             # and the asserts below reduce to the test above: w has no

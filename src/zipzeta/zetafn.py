@@ -16,8 +16,9 @@ The series expansion is computed two independent ways and compared:
 once by dividing by the factors in turn, and once through the point
 counts N_v = sum of degree * q^(-a*v) over factors with f dividing v,
 via exp(sum_v N_v t^v / v), with one running sum per factor, so each
-order costs one product per factor.  The t^v / v weighting is the
-normalization used throughout this package.
+order costs one product per factor.  The routes compare their integer
+codes, and one is decoded.  The t^v / v weighting is the normalization
+used throughout this package.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def _decode(code, shift, q, z):
     return QLaurent({i - shift: d for i, d in enumerate(digits) if d})
 
 
+def _decode_series(codes, top, z, q):
+    """The coefficients of t^0..t^order from their codes."""
+    return [_decode(c, top * k, q, z) for k, c in enumerate(codes)]
+
+
 class ZetaProduct:
     """Finite product of factors 1/(1 - (q^-a t)^f) with multiplicities,
     keyed by (a, f).  Point counts and series take q = None (symbolic)
@@ -141,6 +147,10 @@ class ZetaProduct:
     def series_product(self, order, q=None):
         """Coefficients of t^0..t^order, dividing 1 by each factor
         1 - (q^-a t)^f in turn."""
+        return _decode_series(*self._product_codes(order, q), q)
+
+    def _product_codes(self, order, q):
+        """(codes, top, z): series_product before decoding."""
         top, z = self._encoding(order, q)
         series = [1] + [0] * order
         for (a, f), mult in self.factor_items():
@@ -148,7 +158,7 @@ class ZetaProduct:
             for _ in range(mult):
                 for n in range(f, order + 1):
                     series[n] += step * series[n - f]
-        return [_decode(c, top * k, q, z) for k, c in enumerate(series)]
+        return series, top, z
 
     def series_exp(self, order, q=None):
         """Coefficients of t^0..t^order via exp of the weighted point
@@ -156,6 +166,10 @@ class ZetaProduct:
         grouped by factor: a factor (a, f) of multiplicity mult adds
         mult * f * run[k], where run[k] = sum_(m>=1) (q^-a)^(f m) c_(k-f m)
         is kept as the running sum run[k] = step * (c_(k-f) + run[k-f])."""
+        return _decode_series(*self._exp_codes(order, q), q)
+
+    def _exp_codes(self, order, q):
+        """(codes, top, z): series_exp before decoding."""
         top, z = self._encoding(order, q)
         runs = [(mult * f, f, z ** ((top - a) * f), [0] * (order + 1))
                 for (a, f), mult in self.factor_items()]
@@ -168,7 +182,7 @@ class ZetaProduct:
                     acc += weight * run[k]
             series[k], rem = divmod(acc, k)
             assert rem == 0, f"t^{k} coefficient is not integral"
-        return [_decode(c, top * k, q, z) for k, c in enumerate(series)]
+        return series, top, z
 
     def evaluate(self, q, t):
         """Exact value at numeric q and t.  Raises PoleEvaluation when a
@@ -227,8 +241,7 @@ def expand_series(zeta, order, q=None):
     if not (_is_int(order) and order >= 0):
         raise ValueError(f"series order must be a nonnegative int, "
                          f"got {order!r}")
-    by_product = zeta.series_product(order, q)
-    by_exp = zeta.series_exp(order, q)
-    assert by_product == by_exp, "series routes disagree"
-    assert by_product[0] == (1 if q is not None else QLaurent({0: 1}))
-    return SeriesExpansion(tuple(by_product), order, q)
+    codes, top, z = zeta._product_codes(order, q)
+    assert zeta._exp_codes(order, q)[0] == codes, "series routes disagree"
+    assert codes[0] == 1
+    return SeriesExpansion(tuple(_decode_series(codes, top, z, q)), order, q)

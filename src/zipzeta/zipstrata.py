@@ -199,7 +199,7 @@ def compute_twist(datum):
         J.add(neg + 1)
     J = frozenset(J)
     w0_sI = tables.longest_element(sI)
-    w1 = tables.canonical(w0 * w0_sI)
+    w1 = w0 * w0_sI
     assert w1.length == m - w0_sI.length
     assert tables.is_min_left(w1, J) and tables.is_min_right(w1, sI)
     for i in sI:

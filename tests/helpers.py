@@ -49,8 +49,7 @@ def tables(family, rank):
 
 @lru_cache(maxsize=None)
 def group(t):
-    """Every element of the Weyl group of t, interned in t, in (length,
-    word) order."""
+    """Every element of the Weyl group of t, in (length, word) order."""
     return enumerate_group(t)
 
 
@@ -61,11 +60,11 @@ def ext_elements(ext):
 
 
 def from_word(t, word):
-    """The element with this word, as the table's copy."""
+    """The element with this word."""
     w = t.identity
     for i in word:
         w = w * t.simple_reflection(i)
-    return t.canonical(w)
+    return w
 
 
 def min_double(t, I, J):

@@ -501,6 +501,8 @@ def test_streamed_rows_match_json_dumps(rows):
 
 
 def test_streamed_text_goes_out_in_chunks_of_bounded_size():
+    """The text is never joined whole: each templated row goes to the
+    stream as one part, no longer than the longest row's text."""
     writes = []
 
     class Stream:
@@ -509,8 +511,9 @@ def test_streamed_text_goes_out_in_chunks_of_bounded_size():
 
     rows = ({"word": tuple(range(k % 50)), "k": k} for k in range(20000))
     _write_json({"rows": rows}, Stream())
-    assert len(writes) > 10
-    assert max(writes) < 2 * cli._CHUNK_SIZE
+    longest = len(dumped({"word": tuple(range(49)), "k": 19999}))
+    assert len(writes) > 20000
+    assert max(writes) < 2 * longest
 
 
 def _commands(config):

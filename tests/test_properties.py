@@ -2,7 +2,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from zipzeta import (QLaurent, WeylElement, ZetaProduct, ZipDatum, classify,
                      zeta_from_strata)
-from zipzeta.extweyl import _conjugate
+from zipzeta.extweyl import DiagramAutomorphism
 from zipzeta.zipstrata import zeta_function
 from zipzeta.fforacle import (FqField, _verify_admissible, enumerate_gl,
                               mat_mul, twisted_action)
@@ -127,16 +127,19 @@ def test_extended_length_additive_and_nonnegative(pool_entry, data):
     assert back == a
 
 
-def test_identity_component_twist_is_the_table_copy():
+def test_identity_component_twist_equals_the_element():
+    """Elements are values: conjugating a copy of w by the identity
+    component, or by the identity diagram automorphism, gives an element
+    equal to w that hashes alike."""
     for make, _ in EXT_POOL:
         ext = make()
         t = ext.tables
         k = ext.omega.identity_index
-        rp = ext.omega.root_perm(k)
+        same = DiagramAutomorphism.identity(ext)
         for w in group(t):
-            fresh = WeylElement(t.rs, w.perm)
-            assert ext.twist_weyl(k, fresh) is t.canonical(w) is w
-            assert _conjugate(t, rp, rp, fresh) is w
+            fresh = WeylElement(t.rs, t.rs.perm_type(list(w.perm)))
+            for got in (ext.twist_weyl(k, fresh), same.apply_weyl(fresh)):
+                assert got == w and hash(got) == hash(w)
 
 
 FIELDS = [(2, 1), (3, 1), (2, 2)]

@@ -134,11 +134,11 @@ def test_words_do_not_depend_on_request_order():
     rs = system("B", 4)
     elements = list(group(tables("B", 4)))
     canonical = CosetTables(rs)
-    want = [canonical.word(canonical.canonical(w)) for w in elements]
+    want = [canonical.word(w) for w in elements]
     shuffled = CosetTables(rs)
     order = list(range(len(elements)))
     random.Random(20).shuffle(order)
-    got = {k: shuffled.word(shuffled.canonical(elements[k])) for k in order}
+    got = {k: shuffled.word(elements[k]) for k in order}
     assert [got[k] for k in range(len(elements))] == want
 
 
@@ -234,6 +234,27 @@ def test_decompose_left_strips_each_element_once(monkeypatch, family, rank,
     assert sum(products) < len(reps)
 
 
+def test_equal_elements_share_the_memos():
+    """Elements are values, and the memos are keyed by permutation: a
+    product equal to a search result finds the word the search recorded,
+    and the search result finds the J-strips the products recorded."""
+    t = CosetTables(system("A", 4))
+    I, J = {4}, {1, 2}
+    reps = t.min_left(I)[1:]
+    words = len(t._words)
+    built = [from_word(t, t.word(w)) for w in reps]
+    for u, w in zip(built, reps):
+        assert u == w and hash(u) == hash(w) and u is not w
+        assert t.word(u) is t.word(w)
+    assert len(t._words) == words
+    by_product = [t.decompose_left(u, I, J) for u in built]
+    strips = dict(t._strips[frozenset(J)])
+    assert strips
+    by_search = [t.decompose_left(w, I, J) for w in reps]
+    assert t._strips[frozenset(J)] == strips
+    assert by_search == by_product
+
+
 def test_decompose_left_keeps_each_strip_to_its_own_J():
     """Two J interleaved on one table give what fresh tables give, each
     element decomposed with nothing memoized."""
@@ -244,7 +265,7 @@ def test_decompose_left_keeps_each_strip_to_its_own_J():
         for J in Js:
             fresh = CosetTables(rs)
             x, w_J = t.decompose_left(w, {4}, J)
-            want = fresh.decompose_left(fresh.canonical(w), {4}, J)
+            want = fresh.decompose_left(w, {4}, J)
             assert (x.perm, w_J.perm) == tuple(u.perm for u in want)
 
 
@@ -357,7 +378,7 @@ def _search_and_stripped_words(rs, I):
     reps = search.min_left(I)
     strip = CosetTables(rs)
     return ([search.word(w) for w in reps],
-            [strip.word(strip.canonical(w)) for w in reps])
+            [strip.word(w) for w in reps])
 
 
 def _parabolics(family, rank):
@@ -383,7 +404,7 @@ def test_search_words_are_the_stripped_words_in_order(family, rank):
 def test_min_left_checks_words_it_finds_against_stripped_ones():
     t = CosetTables(system("A", 3))
     for w in group(tables("A", 3)):
-        t.word(t.canonical(w))
+        t.word(w)
     assert [len(t.word(w)) for w in t.min_left(())] == \
         [w.length for w in group(tables("A", 3))]
     t = CosetTables(system("A", 2))
@@ -431,7 +452,7 @@ def test_on_demand_tables_do_not_list_the_group():
         lazy.word(tables("B", 2).identity)
     twin = CosetTables(build_root_system([[2, -1], [-1, 2]]))
     with pytest.raises(MixedGroups):
-        lazy.canonical(twin.identity)
+        lazy.word(twin.identity)
 
 
 # Three permutations of one size, on both sides of 256 points: up to 256
