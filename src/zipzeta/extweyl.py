@@ -336,6 +336,11 @@ class ExtWeylGroup:
         The lists are held as permutations are, so compose() reads the
         images of a whole list at once."""
         self._check_min(a, I)
+        return self._extended_length(a, I, J)
+
+    def _extended_length(self, a, I, J):
+        """extended_length for an a already known to lie in the minimal
+        set for I, such as one min_reps produced."""
         key = (frozenset(I), frozenset(J), a.omega)
         sets = self._length_sets.get(key)
         if sets is None:
@@ -440,9 +445,13 @@ class DiagramAutomorphism:
     def apply_subset(self, I):
         return frozenset(self.diagram_perm[i - 1] for i in I)
 
+    @cached_property
+    def _inverse_root_perm(self):
+        return invert(self.root_perm)
+
     def apply_weyl(self, w):
-        rp = self.root_perm
-        return WeylElement(w.rs, conjugate(rp, w.perm, invert(rp)))
+        return WeylElement(w.rs, conjugate(self.root_perm, w.perm,
+                                           self._inverse_root_perm))
 
     def apply_omega(self, k):
         return self.omega_perm[k]

@@ -18,24 +18,30 @@ The pairs are built, not searched for: every A of rank d is a column
 basis times a row basis in reduced echelon form, and the B that pair
 with it come from the kernels read off the two echelon forms.  A row of
 h field codes is stored as one integer, its row code (big-endian base
-q, so integer order is row order), and a pair is a tuple of 2h row
-codes, A's rows then B's, whose order is that of the nested pair.
-Vector sums, scalings, dot products and entrywise p-th roots are
-lookups in tables over the q^h row codes (`RowTables`), as in the
-Meat-Axe (Parker, "The computer calculation of modular characters",
-1984).  The field itself is built the same way: F_(p^k) is F_p^k, with
-sums from the row tables of F_p and a product by Horner's rule in x, and
-its modulus is irreducible exactly when every nonzero element comes out
-with an inverse.  Every pair is still checked against the rank and product
-conditions; a row basis and a column basis of each distinct A, and the
-rank of each distinct B, are computed once.
+q, so integer order is row order), and a matrix as the tuple of its h
+row codes.  Each distinct A and each distinct B is built once, by
+lookups in small span tables, and kept once, in a sorted list; a pair
+is one int, i * n_B + j, with i and j the positions of its A and its B
+in those lists and n_B the number of B, so integer order is the order
+of the nested pairs.  Vector sums, scalings, dot products and entrywise
+p-th roots are lookups in tables over the q^h row codes (`RowTables`),
+as in the Meat-Axe (Parker, "The computer calculation of modular
+characters", 1984).  The field itself is built the same way: F_(p^k) is
+F_p^k, with sums from the row tables of F_p and a product by Horner's
+rule in x, and its modulus is irreducible exactly when every nonzero
+element comes out with an inverse.  Every pair is still checked against
+the rank and product conditions; the row spaces and columns of each
+distinct A and B are computed once, by position.
 
 Orbits are found by breadth-first search under three generators of
-GL_h (the cyclic shift, one transvection and one diagonal matrix), each
-compiled to a position map, one column table per half and at most two
-row steps on the row codes; #Aut is then |GL_h| over the orbit size,
-and each class is represented by the least pair of its orbit.  The test
-suite keeps the scan of all q^(h^2) matrices, the full-group
+GL_h (the cyclic shift, one transvection and one diagonal matrix).  The
+base change moves A and B separately, so each generator is compiled to
+one move per half (a position map, one column table and at most one
+row step on row codes), and each half move is tabulated once over the
+distinct halves: the pair i * n_B + j goes to a_moved[i] + b_moved[j],
+and the search runs over ints.  #Aut is then |GL_h| over the orbit
+size, and each class is represented by the least pair of its orbit.
+The test suite keeps the scan of all q^(h^2) matrices, the full-group
 stabilizer sweep and a nested-matrix admissibility check as oracles
 for these candidates, classes and checks.
 
@@ -367,98 +373,178 @@ def _echelon_forms(F, d, h):
             yield S, K
 
 
+class Candidates:
+    """The admissible pairs, each held as one int.
+
+    `a_halves` and `b_halves` are the distinct A and the distinct B, each
+    a tuple of h row codes, in increasing order; `a_index` and `b_index`
+    give the position of each.  The pair (A, B) has the code
+    a_index[A] * len(b_halves) + b_index[B], so integer order is the
+    order of the nested pairs.  `codes` lists the pairs' codes in
+    increasing order, and len is their number.
+    """
+
+    __slots__ = ("a_halves", "b_halves", "a_index", "b_index", "codes")
+
+    def __init__(self, a_halves, b_halves):
+        self.a_halves = sorted(a_halves)
+        self.b_halves = sorted(b_halves)
+        self.a_index = {A: i for i, A in enumerate(self.a_halves)}
+        self.b_index = {B: j for j, B in enumerate(self.b_halves)}
+        self.codes = []
+
+    def __len__(self):
+        return len(self.codes)
+
+
+def _span(T, rows):
+    """The code of sum_t x_t rows[t] at the code of every x in
+    F_q^len(rows): big-endian, as the row codes of that space are."""
+    add, scale = T.add, T.scale
+    sums = [0]
+    for row in rows:
+        multiples = [scale_x[row] for scale_x in scale]
+        sums = [add[s][m] for s in sums for m in multiples]
+    return sums
+
+
+def _products(F, m, vectors):
+    """For each M in GL_m, the code of v M in F_q^m for each of the
+    vectors v (tuples of m field codes), as a dict keyed by v."""
+    T = F.row_tables(m)
+    out = []
+    for M in enumerate_gl(F, m):
+        rows = [T.encode(row) for row in M]
+        out.append({v: _combine(T.add, T.scale, v, rows) for v in vectors})
+    return out
+
+
 def _candidates(F, h, d):
-    """All admissible pairs, each a tuple of 2h row codes: the rows of
-    A, then those of B.
+    """All admissible pairs, as `Candidates`.
 
     A matrix of rank d is A = C R for exactly one d-by-h echelon form R
     (its row space) and one h-by-d C of full column rank, and C = E G
     for one echelon form E^T (its column space) and one G in GL_d.  Then
     ker A = ker R, the left kernel of A is the kernel of E^T, and the B
     that pair with A are (K Y L)^[1/p] for Y in GL_(h-d), with the
-    columns of K spanning ker A and the rows of L the left kernel.  Row
-    i of A = E (G R) is sum_s E_is (G R)_s, and row i of K (Y L) is
-    sum_t K_it (Y L)_t: a few row-code lookups each.
+    columns of K spanning ker A and the rows of L the left kernel.
+
+    A block is a pair of echelon forms, one giving E and L, the other R
+    and K.  Its A are (E G) R for G in GL_d, its B are ((K Y) L)^[1/p]
+    for Y in GL_(h-d), and its pairs are every A with every B; no A and
+    no B lies in two blocks.  Row i of (E G) R is the sum of the rows of
+    R with the coefficients (E G)_i: one lookup in the span of R, made
+    once per form, at the code of (E G)_i, made once per form and G.  A
+    row of B is likewise one lookup, in the p-th roots of the span of
+    L.  So each A and each B is h lookups, and is made once.
     """
     T = F.row_tables(h)
-    add, scale, frob_inv = T.add, T.scale, T.frob_inv
-    gl_d = enumerate_gl(F, d)
-    gl_c = enumerate_gl(F, h - d)
-    forms = []
-    for S, K in _echelon_forms(F, d, h):
-        R = [T.encode(row) for row in S]
-        L = [T.encode(col) for col in zip(*K)]
-        E = [[row[i] for row in S] for i in range(h)]
-        forms.append((E, K,
-                      [[_combine(add, scale, y, L) for y in Y] for Y in gl_c],
-                      [[_combine(add, scale, g, R) for g in G] for G in gl_d]))
-    out = []
-    for E, _, YLs, _ in forms:
-        for _, K, _, GRs in forms:
-            As = [tuple(_combine(add, scale, e, GR) for e in E) for GR in GRs]
-            Bs = [tuple(frob_inv[_combine(add, scale, k, YL)] for k in K)
-                  for YL in YLs]
-            out.extend(A + B for A in As for B in Bs)
+    forms = [([tuple(row[i] for row in S) for i in range(h)],
+              [tuple(row) for row in K],
+              _span(T, map(T.encode, S)),
+              [T.frob_inv[x] for x in _span(T, map(T.encode, zip(*K)))])
+             for S, K in _echelon_forms(F, d, h)]
+    EG = _products(F, d, {e for E, _, _, _ in forms for e in E})
+    KY = _products(F, h - d, {k for _, K, _, _ in forms for k in K})
+    # Per form: the rows of E G for each G, and of K Y for each Y.
+    sides = [([[eg[e] for e in E] for eg in EG],
+              [[ky[k] for k in K] for ky in KY], R_span, L_span)
+             for E, K, R_span, L_span in forms]
+    blocks = [([tuple(map(R_span.__getitem__, rows)) for rows in EGs],
+               [tuple(map(L_span.__getitem__, rows)) for rows in KYs])
+              for EGs, _, _, L_span in sides for _, KYs, R_span, _ in sides]
+    out = Candidates([A for As, _ in blocks for A in As],
+                     [B for _, Bs in blocks for B in Bs])
+    n_b = len(out.b_halves)
+    for As, Bs in blocks:
+        js = list(map(out.b_index.__getitem__, Bs))
+        for A in As:
+            i = out.a_index[A] * n_b
+            out.codes += [i + j for j in js]
+    out.codes.sort()
     return out
 
 
-def _row_basis(T, rows):
-    """An echelon basis of the span of the row codes, by elimination on
-    codes.  Each basis row has a 1 at its pivot column and a 0 at the
-    pivots of the rows before it."""
+def _row_spaces(T, matrices):
+    """The row space of each matrix, a tuple of row codes, as its
+    reduced echelon basis: row codes in pivot order, each with a 1 at its
+    pivot column (its first nonzero one) and a 0 at the others' pivots.
+
+    The matrices are read a row at a time, all together.  A basis grows
+    by one row through a memo, so each (basis, row) is reduced once
+    however many matrices reach it.
+    """
     digits, add, scale = T.digits, T.add, T.scale
     neg, inv = T.field._neg, T.field._inv
-    basis = []
-    for row in rows:
-        for c, b in basis:
-            x = digits[row][c]
-            if x:
-                row = add[row][scale[neg[x]][b]]
-        if row:
-            for c, x in enumerate(digits[row]):
+    lead = [next((c for c, x in enumerate(row) if x), None) for row in digits]
+    grown = {}
+    bases = [()] * len(matrices)
+    for rows in zip(*matrices):
+        steps = list(zip(bases, rows))
+        for basis, row in set(steps).difference(grown):
+            u = row
+            for b in basis:
+                x = digits[u][lead[b]]
                 if x:
-                    basis.append((c, scale[inv[x]][row]))
-                    break
-    return [b for _, b in basis]
+                    u = add[u][scale[neg[x]][b]]
+            if u:
+                c = lead[u]
+                u = scale[inv[digits[u][c]]][u]
+                grown[basis, row] = tuple(sorted(
+                    [add[b][scale[neg[digits[b][c]]][u]] for b in basis] + [u],
+                    key=lead.__getitem__))
+            else:
+                grown[basis, row] = basis
+        bases = list(map(grown.__getitem__, steps))
+    return bases
 
 
-def _verify_admissible(T, d, pairs):
+def _columns(T, matrices):
+    """The column codes of each matrix, a tuple of h row codes."""
+    digits = T.digits
+    code_of = {row: u for u, row in enumerate(digits)}
+    # One zip per matrix, over its rows' digits, yields its columns; all
+    # are coded in one stream, then cut back into h per matrix.
+    columns = map(code_of.__getitem__, itertools.chain.from_iterable(
+        map(zip, *(map(digits.__getitem__, rows)
+                   for rows in zip(*matrices)))))
+    return list(zip(*[columns] * T.h))
+
+
+def _verify_admissible(T, d, cands):
     """Assert rank A = d, rank B = h - d, A B^[p] = 0 and B A^[1/p] = 0
-    on every row-coded pair.
+    on every pair of the Candidates.
 
     Taking p-th roots, A B^[p] = 0 exactly when A^[1/p] B = 0, that is
-    when R B = 0 for a row basis R of A^[1/p]; and B A^[1/p] = 0 exactly
-    when B C = 0 for a basis C of the column space of A^[1/p].  Both
-    products are taken for every pair: R B by row-code steps, B C by
-    lookups in the dot-product table, dot[c] being the products with c.
-    The memos, local to this call, hold only what depends on one
-    matrix: R, C (so rank A) for each distinct A, and rank B for each
-    distinct B.
+    when R B = 0 for a row basis R of A^[1/p]: r . b = 0 for every r in
+    R and every column b of B.  B A^[1/p] = 0 exactly when B C = 0 for a
+    basis C of the column space of A^[1/p]: r . c = 0 for every row r of
+    B and every c in C.  Both products are taken for every pair, by
+    lookups in the dot-product table, dot[r] being the products with r,
+    for all the pairs of one A at once.  What depends on one matrix
+    alone is made once per position: R and C (so rank A) for each A,
+    and the rank and column codes of each B.
     """
     h = T.h
-    digits, add, scale, dot, frob_inv = (
-        T.digits, T.add, T.scale, T.dot, T.frob_inv)
-    a_memo, b_memo = {}, {}
-    for pair in pairs:
-        A, B = pair[:h], pair[h:]
-        bases = a_memo.get(A)
-        if bases is None:
-            root = [frob_inv[a] for a in A]
-            columns = [T.encode(col)
-                       for col in zip(*(digits[a] for a in root))]
-            bases = a_memo[A] = (
-                [digits[r] for r in _row_basis(T, root)],
-                [dot[c] for c in _row_basis(T, columns)])
-        rows, columns = bases
-        assert len(rows) == d
-        rank_b = b_memo.get(B)
-        if rank_b is None:
-            rank_b = b_memo[B] = len(_row_basis(T, B))
-        assert rank_b == h - d
-        for r in rows:
-            assert not _combine(add, scale, r, B)
-        for products in columns:
-            assert not any(map(products.__getitem__, B))
+    dot, frob_inv = T.dot, T.frob_inv
+    b_halves = cands.b_halves
+    assert all(len(space) == h - d for space in _row_spaces(T, b_halves))
+    b_columns = _columns(T, b_halves)
+    roots = [tuple(map(frob_inv.__getitem__, A)) for A in cands.a_halves]
+    row_bases = _row_spaces(T, roots)
+    column_bases = _row_spaces(T, _columns(T, roots))
+    n_b = len(b_halves)
+    rows_of = itertools.chain.from_iterable
+    # The codes are grouped by code // n_b, the position of their A.
+    for i, pairs in itertools.groupby(cands.codes, n_b.__rfloordiv__):
+        assert len(row_bases[i]) == d
+        js = list(map(n_b.__rmod__, pairs))
+        columns_B = list(rows_of(map(b_columns.__getitem__, js)))
+        rows_B = list(rows_of(map(b_halves.__getitem__, js)))
+        for r in row_bases[i]:
+            assert not any(map(dot[r].__getitem__, columns_B))
+        for c in column_bases[i]:
+            assert not any(map(dot[c].__getitem__, rows_B))
 
 
 def twisted_action(F, g, pair):
@@ -512,37 +598,69 @@ def gl_generators(F, h):
 def generator_move(F, g):
     """The twisted action of g on row-coded pairs, compiled.
 
-    g sends A to g A (g^[p])^-1 and B to g B (g^[1/p])^-1.  The right
-    factor acts on each row alone: a column table over the row codes,
-    one per half.  Row i of g A is sum_j g_ij A_j; its first term
-    becomes the position map (source row j, read through the column
-    table composed with scaling by g_ij), each further term a row step.
-    Returns (sources, steps, add) for `apply_move`: a shift has no row
-    steps, I + e_01 one per half and the diagonal none.
+    g sends A to g A (g^[p])^-1 and B to g B (g^[1/p])^-1, each half
+    alone.  The right factor acts on each row alone: a column table over
+    the row codes, one per half.  Row i of g A is sum_j g_ij A_j; its
+    first term becomes a source (row j, read through the column table
+    composed with scaling by g_ij), each further term a row step.
+    Returns (A half, B half, add), each half (sources, steps) on a tuple
+    of h row codes: a shift has no row steps, I + e_01 one per half and
+    the diagonal none.
     """
     h = len(g)
     T = F.row_tables(h)
-    sources, steps = [], []
-    for base, M in ((0, mat_inv(F, mat_frob(F, g))),
-                    (h, mat_inv(F, mat_frob_inv(F, g)))):
+    halves = []
+    for M in (mat_inv(F, mat_frob(F, g)), mat_inv(F, mat_frob_inv(F, g))):
         M_rows = [T.encode(row) for row in M]
         column = [_combine(T.add, T.scale, row, M_rows) for row in T.digits]
+        sources, steps = [], []
         for i, row in enumerate(g):
-            terms = [(base + j, column if x == 1 else
+            terms = [(j, column if x == 1 else
                       [column[u] for u in T.scale[x]])
                      for j, x in enumerate(row) if x]
             sources.append(terms[0])
-            steps += [(base + i, src, table) for src, table in terms[1:]]
-    return tuple(sources), tuple(steps), T.add
+            steps += [(i, src, table) for src, table in terms[1:]]
+        halves.append((tuple(sources), tuple(steps)))
+    return halves[0], halves[1], T.add
 
 
 def apply_move(move, pair):
-    """Image of a row-coded pair under the generator behind move."""
-    sources, steps, add = move
-    image = [table[pair[s]] for s, table in sources]
-    for dst, src, table in steps:
-        image[dst] = add[image[dst]][table[pair[src]]]
+    """Image of a pair of 2h row codes under the generator behind move."""
+    a_half, b_half, add = move
+    h = len(pair) // 2
+    image = []
+    for (sources, steps), X in ((a_half, pair[:h]), (b_half, pair[h:])):
+        rows = [table[X[s]] for s, table in sources]
+        for dst, src, table in steps:
+            rows[dst] = add[rows[dst]][table[X[src]]]
+        image += rows
     return tuple(image)
+
+
+def _half_table(half, add, halves, index):
+    """The position of the image of each of halves (tuples of h row
+    codes, index giving their positions) under one half of a move.
+    The move is applied a row position at a time to all of them."""
+    sources, steps = half
+    by_row = list(zip(*halves))
+    rows = [list(map(table.__getitem__, by_row[s])) for s, table in sources]
+    for dst, src, table in steps:
+        rows[dst] = [add[x][y] for x, y in
+                     zip(rows[dst], map(table.__getitem__, by_row[src]))]
+    out = list(map(index.get, zip(*rows)))
+    assert None not in out, "a generator image left the candidates"
+    return out
+
+
+def _move_tables(cands, move):
+    """The move on pair codes as two tables over positions: the pair
+    (i, j) goes to a_moved[i] + b_moved[j], a_moved already multiplied
+    by the number of B."""
+    a_half, b_half, add = move
+    n_b = len(cands.b_halves)
+    a_moved = _half_table(a_half, add, cands.a_halves, cands.a_index)
+    return ([i * n_b for i in a_moved],
+            _half_table(b_half, add, cands.b_halves, cands.b_index))
 
 
 def enumerate_census(field, h, d):
@@ -575,50 +693,62 @@ def enumerate_census(field, h, d):
             f"about {cost} candidates and row-table entries exceed the "
             f"bound {DEFAULT_SEARCH_BOUND}")
     T = F.row_tables(h)
-    candidates = _candidates(F, h, d)
-    assert len(candidates) == n_candidates
-    _verify_admissible(T, d, candidates)
+    cands = _candidates(F, h, d)
+    assert len(cands) == n_candidates
+    _verify_admissible(T, d, cands)
 
     group_order = gl_order(q, h)
     moves = [generator_move(F, g) for g in gl_generators(F, h)]
-    candidate_set = set(candidates)
+    tables = [_move_tables(cands, move) for move in moves]
+    codes = cands.codes
+    candidate_set = set(codes)
+    n_b = len(cands.b_halves)
     visited = set()
     classes = []
-    # Row codes are big-endian, so pairs sort as the nested (A, B) do.
     # Each seed is the least unvisited pair, so the least of its orbit:
     # every smaller pair lies in an earlier orbit.  The classes come out
     # sorted by rep.
-    candidates.sort()
     digits = T.digits
-    for seed in candidates:
+    for seed in codes:
         if seed in visited:
             continue
         orbit = {seed}
         frontier = [seed]
         while frontier:
             reached = []
-            for pair in frontier:
-                for move in moves:
-                    image = apply_move(move, pair)
-                    assert image in candidate_set
+            for code in frontier:
+                i, j = divmod(code, n_b)
+                for a_moved, b_moved in tables:
+                    image = a_moved[i] + b_moved[j]
+                    # An image already in the orbit is a candidate, so
+                    # checking the new ones checks every image.
                     if image not in orbit:
+                        assert image in candidate_set, \
+                            "a generator image left the candidates"
                         orbit.add(image)
                         reached.append(image)
             frontier = reached
         assert group_order % len(orbit) == 0
-        rep = tuple(digits[u] for u in seed)
-        classes.append(CensusClass(rep=(rep[:h], rep[h:]),
-                                   orbit_size=len(orbit),
-                                   aut_count=group_order // len(orbit)))
+        i, j = divmod(seed, n_b)
+        A, B = cands.a_halves[i], cands.b_halves[j]
+        # The tables move the rep as the whole-pair move does.
+        for move, (a_moved, b_moved) in zip(moves, tables):
+            image = apply_move(move, A + B)
+            assert (cands.a_index.get(image[:h]), cands.b_index.get(
+                image[h:])) == divmod(a_moved[i] + b_moved[j], n_b)
+        classes.append(CensusClass(
+            rep=(tuple(map(digits.__getitem__, A)),
+                 tuple(map(digits.__getitem__, B))),
+            orbit_size=len(orbit), aut_count=group_order // len(orbit)))
         visited |= orbit
 
     total_orbit = sum(c.orbit_size for c in classes)
-    assert total_orbit == len(candidates)
+    assert total_orbit == len(codes)
     groupoid = sum((Fraction(1, c.aut_count) for c in classes), Fraction(0))
-    assert groupoid == Fraction(len(candidates), group_order)
+    assert groupoid == Fraction(len(codes), group_order)
     return CensusReport(
         p=F.p, k=F.k, q=q, h=h, d=d,
-        candidate_count=len(candidates), group_order=group_order,
+        candidate_count=len(codes), group_order=group_order,
         classes=tuple(classes), groupoid_cardinality=groupoid)
 
 

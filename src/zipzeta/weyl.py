@@ -78,7 +78,10 @@ def invert(p):
     if type(p) is bytes:
         # maketrans(p, identity) sends byte p[k] to k.
         return bytes.maketrans(p, _BYTE_IDENTITY[:len(p)])[:len(p)]
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
+    inverse = [0] * len(p)
+    for k, image in enumerate(p):
+        inverse[image] = k
+    return tuple(inverse)
 
 
 def conjugate(r, p, rinv):

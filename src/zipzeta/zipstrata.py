@@ -255,7 +255,8 @@ def _stratify(datum):
     J = twist.J
     reps = ext.min_reps(I)
     position = {(a.w.perm, a.omega): idx for idx, a in enumerate(reps)}
-    lengths = [ext.extended_length(a, I, J) for a in reps]
+    # min_reps produced every rep, so none is tested for minimality again.
+    lengths = [ext._extended_length(a, I, J) for a in reps]
     n = len(datum.omega)
     rank = [i * n + k for k in range(n) for i in range(len(reps) // n)]
 

@@ -12,9 +12,9 @@ from zipzeta import (CosetTables, NotFiniteType, OmegaGroup, ExtWeylElement,
                      ExtWeylGroup, build_root_system, cartan_matrix,
                      compute_twist, direct_sum, enumerate_group)
 from zipzeta.weyl import _degree_product
-from zipzeta.fforacle import (CensusClass, _rref, enumerate_gl, gl_order,
-                              mat_frob, mat_frob_inv, mat_inv, mat_mul,
-                              mat_rank)
+from zipzeta.fforacle import (CensusClass, Candidates, _rref, enumerate_gl,
+                              gl_order, mat_frob, mat_frob_inv, mat_inv,
+                              mat_mul, mat_rank)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
@@ -337,6 +337,25 @@ def decoded_pair(F, pair):
     h = len(pair) // 2
     rows = tuple(F.row_tables(h).digits[u] for u in pair)
     return rows[:h], rows[h:]
+
+
+def candidate_pairs(cands):
+    """The pairs of census Candidates as tuples of 2h row codes, in the
+    order of their codes."""
+    n_b = len(cands.b_halves)
+    return [cands.a_halves[code // n_b] + cands.b_halves[code % n_b]
+            for code in cands.codes]
+
+
+def candidates_of(h, pairs):
+    """Census Candidates holding exactly the given pairs of 2h row
+    codes; pairs that share a matrix share its position."""
+    cands = Candidates({pair[:h] for pair in pairs},
+                       {pair[h:] for pair in pairs})
+    n_b = len(cands.b_halves)
+    cands.codes = sorted({cands.a_index[pair[:h]] * n_b +
+                          cands.b_index[pair[h:]] for pair in pairs})
+    return cands
 
 
 def reference_admissible(F, h, d, pair):

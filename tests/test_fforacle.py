@@ -7,13 +7,14 @@ import pytest
 from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, ZetaProduct,
                      crosscheck, enumerate_census)
-from zipzeta.fforacle import (_candidates, _verify_admissible, apply_move,
-                              enumerate_gl, generator_move, gl_generators,
-                              gl_order, mat_inv, mat_mul, mat_rank,
-                              primitive_element, twisted_action)
-from helpers import (candidates_by_scan, census_by_sweep, coded_pair,
-                     decoded_pair, mat_identity, reference_admissible,
-                     reference_field)
+from zipzeta import fforacle
+from zipzeta.fforacle import (_candidates, _move_tables, _verify_admissible,
+                              apply_move, enumerate_gl, generator_move,
+                              gl_generators, gl_order, mat_inv, mat_mul,
+                              mat_rank, primitive_element, twisted_action)
+from helpers import (candidate_pairs, candidates_by_scan, candidates_of,
+                     census_by_sweep, coded_pair, decoded_pair, mat_identity,
+                     reference_admissible, reference_field)
 
 
 def test_field_construction_errors():
@@ -211,8 +212,12 @@ def test_census_matches_full_group_sweep(h, d, p, k, modulus):
 def test_direct_candidates_match_the_scan(h, d, p, k, modulus):
     F = FqField(p, k, modulus=modulus)
     built = _candidates(F, h, d)
-    assert all(len(pair) == 2 * h for pair in built)
-    decoded = {decoded_pair(F, pair) for pair in built}
+    pairs = candidate_pairs(built)
+    assert all(len(pair) == 2 * h for pair in pairs)
+    # The codes increase, so the pairs come out in nested order.
+    assert built.codes == sorted(set(built.codes))
+    assert pairs == sorted(pairs)
+    decoded = {decoded_pair(F, pair) for pair in pairs}
     assert len(decoded) == len(built)
     assert decoded == set(candidates_by_scan(F, h, d))
 
@@ -220,13 +225,14 @@ def test_direct_candidates_match_the_scan(h, d, p, k, modulus):
 @pytest.mark.parametrize("h,d,p,k", [(2, 1, 3, 2), (3, 1, 3, 1),
                                      (4, 2, 2, 1)])
 def test_check_rejects_exactly_the_inadmissible_perturbations(h, d, p, k):
-    # Every single-entry change of a sample of candidates, checked after
-    # the unchanged pair so that one of its matrices is already memoized.
+    # Every single-entry change of a sample of candidates, checked
+    # together with the unchanged pair, so that the two pairs share the
+    # position, and so the per-matrix checks, of the matrix not changed.
     # A few changes leave the pair admissible; the check must accept
     # exactly those.
     F = FqField(p, k)
     T = F.row_tables(h)
-    built = sorted(_candidates(F, h, d))
+    built = candidate_pairs(_candidates(F, h, d))
     counts = {True: 0, False: 0}
     for pair in built[::len(built) // 12]:
         A, B = decoded_pair(F, pair)
@@ -239,7 +245,8 @@ def test_check_rejects_exactly_the_inadmissible_perturbations(h, d, p, k):
                     changed = M[:i] + (row,) + M[i + 1:]
                     X = (changed, B) if half == 0 else (A, changed)
                     try:
-                        _verify_admissible(T, d, [pair, coded_pair(F, X)])
+                        _verify_admissible(
+                            T, d, candidates_of(h, [pair, coded_pair(F, X)]))
                         accepted = True
                     except AssertionError:
                         accepted = False
@@ -295,6 +302,60 @@ def test_generator_moves_match_twisted_action(p, k):
             for g, move in moves:
                 assert apply_move(move, coded_pair(F, X)) == \
                     coded_pair(F, twisted_action(F, g, X))
+
+
+@pytest.mark.parametrize("h,d,p,k", [(2, 1, 2, 1), (2, 1, 3, 2),
+                                     (3, 1, 2, 1), (3, 2, 2, 1)])
+def test_half_tables_match_apply_move(h, d, p, k):
+    # Each generator's half tables send every candidate's code where
+    # apply_move sends the whole pair.
+    F = FqField(p, k)
+    cands = _candidates(F, h, d)
+    n_b = len(cands.b_halves)
+    pairs = candidate_pairs(cands)
+    for g in gl_generators(F, h):
+        move = generator_move(F, g)
+        a_moved, b_moved = _move_tables(cands, move)
+        for code, pair in zip(cands.codes, pairs):
+            image = apply_move(move, pair)
+            assert a_moved[code // n_b] + b_moved[code % n_b] == \
+                cands.a_index[image[:h]] * n_b + cands.b_index[image[h:]]
+
+
+def test_a_planted_pair_outside_the_candidates_is_refused(monkeypatch):
+    # Each table sends the B of the least candidate to a B that does not
+    # pair with the image of its A: both halves stay candidates' halves,
+    # the pair does not.
+    real = fforacle._move_tables
+
+    def planted(cands, move):
+        a_moved, b_moved = real(cands, move)
+        codes = set(cands.codes)
+        i, j = divmod(cands.codes[0], len(cands.b_halves))
+        b_moved[j] = next(b for b in range(len(cands.b_halves))
+                          if a_moved[i] + b not in codes)
+        return a_moved, b_moved
+
+    monkeypatch.setattr(fforacle, "_move_tables", planted)
+    with pytest.raises(AssertionError,
+                       match="^a generator image left the candidates$"):
+        enumerate_census(FqField(3), 2, 1)
+
+
+def test_a_planted_half_outside_the_candidates_is_refused(monkeypatch):
+    # Each move sends every row of A to 0, and the zero matrix is no
+    # candidate's A at d = 1.
+    real = fforacle.generator_move
+
+    def planted(F, g):
+        (sources, _), b_half, add = real(F, g)
+        zero = [0] * F.q ** len(g)
+        return ((tuple((s, zero) for s, _ in sources), ()), b_half, add)
+
+    monkeypatch.setattr(fforacle, "generator_move", planted)
+    with pytest.raises(AssertionError,
+                       match="^a generator image left the candidates$"):
+        enumerate_census(FqField(3), 2, 1)
 
 
 def test_gl_enumeration_orders():

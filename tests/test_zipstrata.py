@@ -491,14 +491,15 @@ def test_galois_action_leak_guard():
 
 
 def _plant_length(monkeypatch, stratum):
-    """Make extended_length one too large on the representative of
+    """Make the extended length classify reads (the unchecked one, as
+    min_reps made every element) one too large on the representative of
     stratum, and on nothing else."""
-    original = ExtWeylGroup.extended_length
+    original = ExtWeylGroup._extended_length
 
     def planted(self, a, I, J):
         return original(self, a, I, J) + (a == stratum.rep)
 
-    monkeypatch.setattr(ExtWeylGroup, "extended_length", planted)
+    monkeypatch.setattr(ExtWeylGroup, "_extended_length", planted)
 
 
 def test_length_must_be_constant_on_subgroup_orbits(monkeypatch):
