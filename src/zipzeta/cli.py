@@ -554,19 +554,18 @@ def main(argv=None):
 
 
 def _run(args):
-    """Run the command and write its document; returns the exit code."""
+    """Run the command and write its document, or the mismatch report;
+    returns the exit code."""
     try:
-        doc = args.handler(args)
+        doc, code = args.handler(args), 0
     except MismatchDetected as exc:
-        doc = {
+        doc, code = {
             "schema": 1,
             "kind": "oracle",
             "ok": False,
             "predicted": str(exc.predicted),
             "observed": str(exc.observed),
-        }
-        _write_json(doc, sys.stdout)
-        return 3
+        }, 3
     except (ZipzetaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -574,7 +573,7 @@ def _run(args):
         print(_render_pretty(doc))
     else:
         _write_json(doc, sys.stdout)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

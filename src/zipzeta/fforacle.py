@@ -43,7 +43,9 @@ and the search runs over ints.  #Aut is then |GL_h| over the orbit
 size, and each class is represented by the least pair of its orbit.
 The test suite keeps the scan of all q^(h^2) matrices, the full-group
 stabilizer sweep and a nested-matrix admissibility check as oracles
-for these candidates, classes and checks.
+for these candidates, classes and checks; the nested-tuple matrix
+helpers here serve only them, and the census itself, GL_d and
+GL_(h-d) included, runs on row codes alone.
 
 Everything is exhaustive and exact, and shares no code with the
 stratification; that is the point.
@@ -286,13 +288,6 @@ def _rref(F, rows, ncols):
     return rows, pivots
 
 
-def mat_rank(F, A):
-    if not A:
-        return 0
-    _, pivots = _rref(F, A, len(A[0]))
-    return len(pivots)
-
-
 def mat_inv(F, A):
     h = len(A)
     aug = [list(A[i]) + [1 if j == i else 0 for j in range(h)]
@@ -304,19 +299,10 @@ def mat_inv(F, A):
 
 
 def enumerate_gl(F, h):
-    """All invertible h-by-h matrices, in integer-encoding order."""
-    q = F.q
-    out = []
-    for code in range(q ** (h * h)):
-        x = code
-        entries = []
-        for _ in range(h * h):
-            entries.append(x % q)
-            x //= q
-        A = tuple(tuple(entries[i * h:(i + 1) * h]) for i in range(h))
-        if mat_rank(F, A) == h:
-            out.append(A)
-    return tuple(out)
+    """All invertible h-by-h matrices: `_gl_rows`, decoded."""
+    T = F.row_tables(h)
+    return tuple(tuple(map(T.digits.__getitem__, rows))
+                 for rows in _gl_rows(T))
 
 
 def gl_order(q, h):
@@ -408,15 +394,25 @@ def _span(T, rows):
     return sums
 
 
+def _gl_rows(T):
+    """Every M in GL_m (m = T.h), an ordered basis of F_q^m, as its m
+    row codes in increasing order.  Each row is any code outside the
+    span of the rows before it, so the cost grows with |GL_m|."""
+    codes = range(len(T.digits))
+    bases = [()]
+    for _ in range(T.h):
+        bases = [basis + (u,) for basis in bases
+                 for span in [set(_span(T, basis))]
+                 for u in codes if u not in span]
+    return bases
+
+
 def _products(F, m, vectors):
     """For each M in GL_m, the code of v M in F_q^m for each of the
     vectors v (tuples of m field codes), as a dict keyed by v."""
     T = F.row_tables(m)
-    out = []
-    for M in enumerate_gl(F, m):
-        rows = [T.encode(row) for row in M]
-        out.append({v: _combine(T.add, T.scale, v, rows) for v in vectors})
-    return out
+    return [{v: _combine(T.add, T.scale, v, rows) for v in vectors}
+            for rows in _gl_rows(T)]
 
 
 def _candidates(F, h, d):
@@ -607,12 +603,12 @@ def generator_move(F, g):
     of h row codes: a shift has no row steps, I + e_01 one per half and
     the diagonal none.
     """
-    h = len(g)
-    T = F.row_tables(h)
+    T = F.row_tables(len(g))
     halves = []
-    for M in (mat_inv(F, mat_frob(F, g)), mat_inv(F, mat_frob_inv(F, g))):
-        M_rows = [T.encode(row) for row in M]
-        column = [_combine(T.add, T.scale, row, M_rows) for row in T.digits]
+    for twist in (F._frob, F._frob_inv):
+        # u -> u (g^[p])^-1 inverts u -> u g^[p], the span of g^[p]'s rows.
+        image = _span(T, [T.encode(map(twist.__getitem__, row)) for row in g])
+        column = sorted(range(len(image)), key=image.__getitem__)
         sources, steps = [], []
         for i, row in enumerate(g):
             terms = [(j, column if x == 1 else

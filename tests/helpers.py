@@ -14,7 +14,7 @@ from zipzeta import (CosetTables, NotFiniteType, OmegaGroup, ExtWeylElement,
 from zipzeta.weyl import _degree_product
 from zipzeta.fforacle import (CensusClass, Candidates, _rref, enumerate_gl,
                               gl_order, mat_frob, mat_frob_inv, mat_inv,
-                              mat_mul, mat_rank)
+                              mat_mul)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
@@ -271,6 +271,13 @@ def subsets(indices):
     for i in indices:
         out += [s | {i} for s in out]
     return out
+
+
+def mat_rank(F, A):
+    if not A:
+        return 0
+    _, pivots = _rref(F, A, len(A[0]))
+    return len(pivots)
 
 
 def mat_kernel(F, A, ncols):

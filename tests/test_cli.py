@@ -334,6 +334,13 @@ def test_mismatch_exit_3(monkeypatch, capsys):
     assert doc["predicted"] == "999"
     assert doc["observed"] == "3/2"
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # The mismatch report goes through the same output step as success.
+    code, out, err = run(capsys, ["--pretty", "oracle", "--h", "2", "--d",
+                                  "1", "--p", "2"])
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    for line in ("ok = False", "predicted = 999", "observed = 3/2"):
+        assert line in lines
 
 
 def test_output_is_deterministic(capsys):

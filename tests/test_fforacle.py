@@ -11,10 +11,10 @@ from zipzeta import fforacle
 from zipzeta.fforacle import (_candidates, _move_tables, _verify_admissible,
                               apply_move, enumerate_gl, generator_move,
                               gl_generators, gl_order, mat_inv, mat_mul,
-                              mat_rank, primitive_element, twisted_action)
+                              primitive_element, twisted_action)
 from helpers import (candidate_pairs, candidates_by_scan, candidates_of,
                      census_by_sweep, coded_pair, decoded_pair, mat_identity,
-                     reference_admissible, reference_field)
+                     mat_rank, reference_admissible, reference_field)
 
 
 def test_field_construction_errors():
@@ -361,10 +361,32 @@ def test_a_planted_half_outside_the_candidates_is_refused(monkeypatch):
 def test_gl_enumeration_orders():
     fields = [FqField(2), FqField(3), FqField(2, 2), FqField(5)]
     for F in fields:
-        for h in (1, 2):
+        assert enumerate_gl(F, 0) == ((),)
+        for h in (1, 2, 3) if F.q <= 3 else (1, 2):
             got = enumerate_gl(F, h)
             assert len(got) == gl_order(F.q, h)
+            assert len(set(got)) == len(got)
     assert len(enumerate_gl(fields[0], 1)) == 1
+
+
+def _no_tuple_matrices(*args):
+    raise AssertionError("the census reached tuple-matrix arithmetic")
+
+
+def test_the_census_reaches_no_tuple_matrix_arithmetic(monkeypatch):
+    """The census builds GL_d and GL_(h-d) and its generator moves on
+    row codes alone: with every tuple-matrix helper made to raise, it
+    gives the same reports."""
+    shapes = [(2, 0, 3, 1), (2, 2, 3, 1), (3, 1, 2, 1), (2, 1, 2, 2)]
+    expected = [enumerate_census(FqField(p, k), h, d)
+                for h, d, p, k in shapes]
+    checked = crosscheck(BTParams(2, 1, 3))
+    for name in ("mat_mul", "mat_inv", "mat_frob", "mat_frob_inv", "_rref",
+                 "twisted_action", "enumerate_gl"):
+        monkeypatch.setattr(fforacle, name, _no_tuple_matrices)
+    assert [enumerate_census(FqField(p, k), h, d)
+            for h, d, p, k in shapes] == expected
+    assert crosscheck(BTParams(2, 1, 3)) == checked
 
 
 def test_census_class_structure():
