@@ -64,8 +64,7 @@ def bt_datum(params):
     cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
                for j in range(rank)] for i in range(rank)]
     parabolic = set(range(1, rank + 1))
-    if 0 < d < h:
-        parabolic.discard(d)
+    parabolic.discard(d)
     return ZipDatum(cartan, parabolic, q0=params.p, e=1)
 
 

@@ -23,7 +23,9 @@ row codes.  Each distinct A and each distinct B is built once, by
 lookups in small span tables, and kept once, in a sorted list; a pair
 is one int, i * n_B + j, with i and j the positions of its A and its B
 in those lists and n_B the number of B, so integer order is the order
-of the nested pairs.  Vector sums, scalings, dot products and entrywise
+of the nested pairs.  The pairs are kept as the blocks they are built
+in, every A with every B, each A with its fibre, the sorted positions
+of its B.  Vector sums, scalings, dot products and entrywise
 p-th roots are lookups in tables over the q^h row codes (`RowTables`),
 as in the Meat-Axe (Parker, "The computer calculation of modular
 characters", 1984).  The field itself is built the same way: F_(p^k) is
@@ -360,27 +362,38 @@ def _echelon_forms(F, d, h):
 
 
 class Candidates:
-    """The admissible pairs, each held as one int.
+    """The admissible pairs, kept as the blocks they are built in.
 
     `a_halves` and `b_halves` are the distinct A and the distinct B, each
     a tuple of h row codes, in increasing order; `a_index` and `b_index`
     give the position of each.  The pair (A, B) has the code
     a_index[A] * len(b_halves) + b_index[B], so integer order is the
-    order of the nested pairs.  `codes` lists the pairs' codes in
-    increasing order, and len is their number.
+    order of the nested pairs.  In a block every A pairs with every B,
+    and no A or B is in two blocks.  `fibres[i]` is the sorted list of
+    the B positions that pair with the A at position i, one list per
+    block, and `block_of[j]` is the list that holds j.  So (i, j) is a
+    pair exactly when fibres[i] is block_of[j]; len counts the pairs.
     """
 
-    __slots__ = ("a_halves", "b_halves", "a_index", "b_index", "codes")
+    __slots__ = ("a_halves", "b_halves", "a_index", "b_index", "fibres",
+                 "block_of")
 
-    def __init__(self, a_halves, b_halves):
-        self.a_halves = sorted(a_halves)
-        self.b_halves = sorted(b_halves)
+    def __init__(self, blocks):
+        self.a_halves = sorted(A for As, _ in blocks for A in As)
+        self.b_halves = sorted(B for _, Bs in blocks for B in Bs)
         self.a_index = {A: i for i, A in enumerate(self.a_halves)}
         self.b_index = {B: j for j, B in enumerate(self.b_halves)}
-        self.codes = []
+        self.fibres = [None] * len(self.a_halves)
+        self.block_of = [None] * len(self.b_halves)
+        for As, Bs in blocks:
+            fibre = sorted(map(self.b_index.__getitem__, Bs))
+            for A in As:
+                self.fibres[self.a_index[A]] = fibre
+            for j in fibre:
+                self.block_of[j] = fibre
 
     def __len__(self):
-        return len(self.codes)
+        return sum(map(len, self.fibres))
 
 
 def _span(T, rows):
@@ -449,16 +462,7 @@ def _candidates(F, h, d):
     blocks = [([tuple(map(R_span.__getitem__, rows)) for rows in EGs],
                [tuple(map(L_span.__getitem__, rows)) for rows in KYs])
               for EGs, _, _, L_span in sides for _, KYs, R_span, _ in sides]
-    out = Candidates([A for As, _ in blocks for A in As],
-                     [B for _, Bs in blocks for B in Bs])
-    n_b = len(out.b_halves)
-    for As, Bs in blocks:
-        js = list(map(out.b_index.__getitem__, Bs))
-        for A in As:
-            i = out.a_index[A] * n_b
-            out.codes += [i + j for j in js]
-    out.codes.sort()
-    return out
+    return Candidates(blocks)
 
 
 def _row_spaces(T, matrices):
@@ -529,12 +533,9 @@ def _verify_admissible(T, d, cands):
     roots = [tuple(map(frob_inv.__getitem__, A)) for A in cands.a_halves]
     row_bases = _row_spaces(T, roots)
     column_bases = _row_spaces(T, _columns(T, roots))
-    n_b = len(b_halves)
     rows_of = itertools.chain.from_iterable
-    # The codes are grouped by code // n_b, the position of their A.
-    for i, pairs in itertools.groupby(cands.codes, n_b.__rfloordiv__):
+    for i, js in enumerate(cands.fibres):
         assert len(row_bases[i]) == d
-        js = list(map(n_b.__rmod__, pairs))
         columns_B = list(rows_of(map(b_columns.__getitem__, js)))
         rows_B = list(rows_of(map(b_halves.__getitem__, js)))
         for r in row_bases[i]:
@@ -696,8 +697,7 @@ def enumerate_census(field, h, d):
     group_order = gl_order(q, h)
     moves = [generator_move(F, g) for g in gl_generators(F, h)]
     tables = [_move_tables(cands, move) for move in moves]
-    codes = cands.codes
-    candidate_set = set(codes)
+    fibres, block_of = cands.fibres, cands.block_of
     n_b = len(cands.b_halves)
     visited = set()
     classes = []
@@ -705,7 +705,8 @@ def enumerate_census(field, h, d):
     # every smaller pair lies in an earlier orbit.  The classes come out
     # sorted by rep.
     digits = T.digits
-    for seed in codes:
+    for seed in (i * n_b + j for i, fibre in enumerate(fibres)
+                 for j in fibre):
         if seed in visited:
             continue
         orbit = {seed}
@@ -714,13 +715,12 @@ def enumerate_census(field, h, d):
             reached = []
             for code in frontier:
                 i, j = divmod(code, n_b)
+                # Each orbit member is popped once: every image is checked.
+                assert fibres[i] is block_of[j], \
+                    "a generator image left the candidates"
                 for a_moved, b_moved in tables:
                     image = a_moved[i] + b_moved[j]
-                    # An image already in the orbit is a candidate, so
-                    # checking the new ones checks every image.
                     if image not in orbit:
-                        assert image in candidate_set, \
-                            "a generator image left the candidates"
                         orbit.add(image)
                         reached.append(image)
             frontier = reached
@@ -739,12 +739,12 @@ def enumerate_census(field, h, d):
         visited |= orbit
 
     total_orbit = sum(c.orbit_size for c in classes)
-    assert total_orbit == len(codes)
+    assert total_orbit == n_candidates
     groupoid = sum((Fraction(1, c.aut_count) for c in classes), Fraction(0))
-    assert groupoid == Fraction(len(codes), group_order)
+    assert groupoid == Fraction(n_candidates, group_order)
     return CensusReport(
         p=F.p, k=F.k, q=q, h=h, d=d,
-        candidate_count=len(codes), group_order=group_order,
+        candidate_count=n_candidates, group_order=group_order,
         classes=tuple(classes), groupoid_cardinality=groupoid)
 
 

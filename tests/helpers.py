@@ -346,23 +346,28 @@ def decoded_pair(F, pair):
     return rows[:h], rows[h:]
 
 
+def candidate_codes(cands):
+    """The codes of the pairs of census Candidates, i * n_B + j over
+    their fibres in order, so increasing."""
+    n_b = len(cands.b_halves)
+    return [i * n_b + j for i, fibre in enumerate(cands.fibres)
+            for j in fibre]
+
+
 def candidate_pairs(cands):
     """The pairs of census Candidates as tuples of 2h row codes, in the
     order of their codes."""
-    n_b = len(cands.b_halves)
-    return [cands.a_halves[code // n_b] + cands.b_halves[code % n_b]
-            for code in cands.codes]
+    return [cands.a_halves[i] + cands.b_halves[j]
+            for i, fibre in enumerate(cands.fibres) for j in fibre]
 
 
 def candidates_of(h, pairs):
     """Census Candidates holding exactly the given pairs of 2h row
-    codes; pairs that share a matrix share its position."""
-    cands = Candidates({pair[:h] for pair in pairs},
-                       {pair[h:] for pair in pairs})
-    n_b = len(cands.b_halves)
-    cands.codes = sorted({cands.a_index[pair[:h]] * n_b +
-                          cands.b_index[pair[h:]] for pair in pairs})
-    return cands
+    codes, as one block; the pairs must be every A with every B."""
+    As = {pair[:h] for pair in pairs}
+    Bs = {pair[h:] for pair in pairs}
+    assert {A + B for A in As for B in Bs} == set(pairs)
+    return Candidates([(As, Bs)])
 
 
 def reference_admissible(F, h, d, pair):

@@ -8,13 +8,15 @@ from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, ZetaProduct,
                      crosscheck, enumerate_census)
 from zipzeta import fforacle
-from zipzeta.fforacle import (_candidates, _move_tables, _verify_admissible,
-                              apply_move, enumerate_gl, generator_move,
-                              gl_generators, gl_order, mat_inv, mat_mul,
-                              primitive_element, twisted_action)
-from helpers import (candidate_pairs, candidates_by_scan, candidates_of,
-                     census_by_sweep, coded_pair, decoded_pair, mat_identity,
-                     mat_rank, reference_admissible, reference_field)
+from zipzeta.fforacle import (_candidates, _move_tables, _rank_count,
+                              _verify_admissible, apply_move, enumerate_gl,
+                              generator_move, gl_generators, gl_order,
+                              mat_inv, mat_mul, primitive_element,
+                              twisted_action)
+from helpers import (candidate_codes, candidate_pairs, candidates_by_scan,
+                     candidates_of, census_by_sweep, coded_pair, decoded_pair,
+                     mat_identity, mat_kernel, mat_rank, mat_transpose,
+                     reference_admissible, reference_field)
 
 
 def test_field_construction_errors():
@@ -204,22 +206,59 @@ def test_census_matches_full_group_sweep(h, d, p, k, modulus):
     assert enumerate_census(F, h, d).classes == census_by_sweep(F, h, d)
 
 
-@pytest.mark.parametrize("h,d,p,k,modulus", [
+CANDIDATE_SHAPES = [
     (2, 1, 2, 1, None), (2, 1, 3, 2, None), (2, 1, 2, 3, (1, 0, 1, 1)),
     (3, 1, 2, 1, None), (3, 2, 2, 1, None), (3, 1, 3, 1, None),
     (2, 0, 2, 1, None), (2, 2, 2, 1, None),
-])
+]
+
+
+@pytest.mark.parametrize("h,d,p,k,modulus", CANDIDATE_SHAPES)
 def test_direct_candidates_match_the_scan(h, d, p, k, modulus):
     F = FqField(p, k, modulus=modulus)
     built = _candidates(F, h, d)
     pairs = candidate_pairs(built)
     assert all(len(pair) == 2 * h for pair in pairs)
     # The codes increase, so the pairs come out in nested order.
-    assert built.codes == sorted(set(built.codes))
+    codes = candidate_codes(built)
+    assert codes == sorted(set(codes))
     assert pairs == sorted(pairs)
     decoded = {decoded_pair(F, pair) for pair in pairs}
     assert len(decoded) == len(built)
     assert decoded == set(candidates_by_scan(F, h, d))
+
+
+@pytest.mark.parametrize("h,d,p,k,modulus", CANDIDATE_SHAPES)
+def test_candidates_are_blocks(h, d, p, k, modulus):
+    # A block is every A with given kernel and left kernel, with every B
+    # with given ones: its A share one fibre list, and its B are held by
+    # that list.  So fibres[i] is block_of[j] exactly for the candidate
+    # pairs (i, j).
+    F = FqField(p, k, modulus=modulus)
+    T = F.row_tables(h)
+    cands = _candidates(F, h, d)
+    fibres, block_of = cands.fibres, cands.block_of
+
+    def kernels(X):
+        M = tuple(map(T.digits.__getitem__, X))
+        return (tuple(mat_kernel(F, M, h)),
+                tuple(mat_kernel(F, mat_transpose(M), h)))
+
+    for halves, lists in ((cands.a_halves, fibres),
+                          (cands.b_halves, block_of)):
+        keys = list(map(kernels, halves))
+        # Kernels and list objects correspond one to one.
+        assert len(set(keys)) == len({id(x) for x in lists}) == \
+            len(set(zip(keys, map(id, lists))))
+    assert {id(x) for x in fibres} == {id(x) for x in block_of}
+    for fibre in fibres:
+        assert fibre == sorted(set(fibre))
+        assert all(block_of[j] is fibre for j in fibre)
+    n_b = len(block_of)
+    assert set(candidate_codes(cands)) == {
+        i * n_b + j for i in range(len(fibres)) for j in range(n_b)
+        if fibres[i] is block_of[j]}
+    assert len(cands) == _rank_count(F.q, h, d) * gl_order(F.q, h - d)
 
 
 @pytest.mark.parametrize("h,d,p,k", [(2, 1, 3, 2), (3, 1, 3, 1),
@@ -316,7 +355,7 @@ def test_half_tables_match_apply_move(h, d, p, k):
     for g in gl_generators(F, h):
         move = generator_move(F, g)
         a_moved, b_moved = _move_tables(cands, move)
-        for code, pair in zip(cands.codes, pairs):
+        for code, pair in zip(candidate_codes(cands), pairs):
             image = apply_move(move, pair)
             assert a_moved[code // n_b] + b_moved[code % n_b] == \
                 cands.a_index[image[:h]] * n_b + cands.b_index[image[h:]]
@@ -330,8 +369,8 @@ def test_a_planted_pair_outside_the_candidates_is_refused(monkeypatch):
 
     def planted(cands, move):
         a_moved, b_moved = real(cands, move)
-        codes = set(cands.codes)
-        i, j = divmod(cands.codes[0], len(cands.b_halves))
+        codes = candidate_codes(cands)
+        i, j = divmod(codes[0], len(cands.b_halves))
         b_moved[j] = next(b for b in range(len(cands.b_halves))
                           if a_moved[i] + b not in codes)
         return a_moved, b_moved
