@@ -9,45 +9,48 @@ its inverse, and the pair must satisfy
 where ^[p] is the entrywise p-power.  These conditions say the image of
 each semilinear map is exactly the kernel of the other.  A base change
 g sends (A, B) to (g A (g^[p])^-1, g B (g^[1/p])^-1); the census
-enumerates all pairs, partitions them into orbits under the full
-invertible group, and reports per-class automorphism counts plus the
-groupoid cardinality (sum of 1/#Aut), the quantity the stratification
-predicts.
+partitions all pairs into orbits under the full invertible group, and
+reports per-class automorphism counts plus the groupoid cardinality
+(sum of 1/#Aut), the quantity the stratification predicts.
 
 The pairs are built, not searched for: every A of rank d is a column
 basis times a row basis in reduced echelon form, and the B that pair
 with it come from the kernels read off the two echelon forms.  A row of
 h field codes is stored as one integer, its row code (big-endian base
 q, so integer order is row order), and a matrix as the tuple of its h
-row codes.  Each distinct A and each distinct B is built once, by
-lookups in small span tables, and kept once, in a sorted list; a pair
-is one int, i * n_B + j, with i and j the positions of its A and its B
-in those lists and n_B the number of B, so integer order is the order
-of the nested pairs.  The pairs are kept as the blocks they are built
-in, every A with every B, each A with its fibre, the sorted positions
-of its B.  Vector sums, scalings, dot products and entrywise
-p-th roots are lookups in tables over the q^h row codes (`RowTables`),
-as in the Meat-Axe (Parker, "The computer calculation of modular
-characters", 1984).  The field itself is built the same way: F_(p^k) is
-F_p^k, with sums from the row tables of F_p and a product by Horner's
-rule in x, and its modulus is irreducible exactly when every nonzero
-element comes out with an inverse.  Every pair is still checked against
-the rank and product conditions; the row spaces and columns of each
-distinct A and B are computed once, by position.
+row codes.  Every distinct A is built, by lookups in small span tables,
+and kept once, in a sorted list; the pairs come in blocks, every A of a
+block with every B of it, and the B of a block, the fibre of each of its
+A, are built only when asked for.  Vector sums, scalings, dot products,
+entrywise p-th powers and roots and the growth of row spaces are
+lookups in tables over the q^h row codes (`RowTables`), as in the
+Meat-Axe (Parker, "The computer calculation of modular characters",
+1984).  The field itself is built the same way: F_(p^k) is F_p^k, with
+sums from the row tables of F_p and a product by Horner's rule in x,
+and its modulus is irreducible exactly when every nonzero element comes
+out with an inverse.
 
-Orbits are found by breadth-first search under three generators of
-GL_h (the cyclic shift, one transvection and one diagonal matrix).  The
-base change moves A and B separately, so each generator is compiled to
-one move per half (a position map, one column table and at most one
-row step on row codes), and each half move is tabulated once over the
-distinct halves: the pair i * n_B + j goes to a_moved[i] + b_moved[j],
-and the search runs over ints.  #Aut is then |GL_h| over the orbit
-size, and each class is represented by the least pair of its orbit.
-The test suite keeps the scan of all q^(h^2) matrices, the full-group
-stabilizer sweep and a nested-matrix admissibility check as oracles
-for these candidates, classes and checks; the nested-tuple matrix
-helpers here serve only them, and the census itself, GL_d and
-GL_(h-d) included, runs on row codes alone.
+The classes are found by orbit and stabilizer (Holt, Eick and O'Brien,
+"Handbook of Computational Group Theory", 2005, ch. 4).  The base change
+moves A and B separately, so each of three generators of GL_h (the
+cyclic shift, one transvection and one diagonal matrix) is compiled to
+one move per half (a position map, one column table and at most one row
+step on row codes), and a breadth-first search over the A, each
+generator moving every A once by a table, gives the A-orbits.  A class
+is an A-orbit with an orbit of Stab(A0) on the fibre of its least A,
+A0; Stab(A0) acts through Schreier generators of that search.  A
+stabilizer is the unit group of an F_p-subspace of M_h(F_q), since
+x -> x^p is additive, so #Stab comes from linear algebra over F_p, and
+every class is checked by |orbit| * #Aut = |GL_h|; the fibre orbits
+are complete exactly when that identity holds for each of them.  Only
+the fibres of the A0 are built and checked against the rank and product
+conditions; the fibre of g A0 is g times the fibre of A0, so the rest
+follow.  The test suite keeps the scan of all q^(h^2) matrices, the
+full-group stabilizer sweep, the pair-level orbit search and a
+nested-matrix admissibility check as oracles for these candidates,
+classes and checks; the nested-tuple matrix helpers here serve only
+them, and the census itself, GL_d and GL_(h-d) included, runs on row
+codes alone.
 
 Everything is exhaustive and exact, and shares no code with the
 stratification; that is the point.
@@ -56,7 +59,7 @@ stratification; that is the point.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import (FieldTooLarge, MismatchDetected, SearchSpaceTooLarge,
@@ -203,10 +206,17 @@ class RowTables:
     order is row-lexicographic order.  With Q = q^h, the tables are:
     `digits[u]`, the row of code u; `add[u][v]`, the code of the sum;
     `scale[c][u]`, the code of c times the row; `dot[u][v]`, the field
-    code of the dot product; and `frob_inv[u]`, the code of the
-    entrywise p-th root.  `add` and `dot` have Q^2 entries each.  Every
-    table for h is built from the one for h - 1 by appending a last
-    digit.
+    code of the dot product; and `frob[u]` and `frob_inv[u]`, the codes
+    of the entrywise p-th power and p-th root.  `add` and `dot` have
+    Q^2 entries each.  Every table for h is built from the one for
+    h - 1 by appending a last digit.
+
+    The subspaces of F_q^h are numbered as they are met, each held as
+    its reduced echelon basis in `spaces`: row codes in pivot order,
+    each with a 1 at its pivot column (its first nonzero one) and a 0 at
+    the others' pivots; 0 is the zero space.  `grow[s][u]` is the number
+    of the span of space s and the row u, a table built on first use by
+    `grow_table`.
     """
 
     def __init__(self, field, h):
@@ -214,7 +224,7 @@ class RowTables:
         fadd, fmul = field._add, field._mul
         digits, add, dot = [()], [[0]], [[0]]
         scale = [[0] for _ in range(q)]
-        frob_inv = [0]
+        frob, frob_inv = [0], [0]
         for _ in range(h):
             digits = [row + (x,) for row in digits for x in range(q)]
             add = [[v * q + s for v in a_row for s in x_row]
@@ -223,6 +233,7 @@ class RowTables:
                    for a_row in dot for x_row in fmul]
             scale = [[v * q + m for v in c_row for m in fmul[c]]
                      for c, c_row in enumerate(scale)]
+            frob = [v * q + x for v in frob for x in field._frob]
             frob_inv = [v * q + x for v in frob_inv for x in field._frob_inv]
         self.field = field
         self.h = h
@@ -230,7 +241,16 @@ class RowTables:
         self.add = add
         self.dot = dot
         self.scale = scale
+        self.frob = frob
         self.frob_inv = frob_inv
+        self.lead = [next((c for c, x in enumerate(row) if x), None)
+                     for row in digits]
+        # The identity matrix; its rows are also the echelon basis of
+        # all of F_q^h.
+        self.identity = tuple(q ** (h - 1 - t) for t in range(h))
+        self.spaces = [()]
+        self.space_number = {(): 0}
+        self.grow = [None]
 
     def encode(self, row):
         """The code of a row of h field codes."""
@@ -238,6 +258,35 @@ class RowTables:
         for x in row:
             code = code * self.field.q + x
         return code
+
+    def grow_table(self, s):
+        """Build grow[s]: each row is reduced against the basis of space
+        s, and a row left nonzero, scaled to a 1 at its pivot, clears
+        that column from the basis and joins it."""
+        digits, add, scale, lead = self.digits, self.add, self.scale, self.lead
+        neg, inv = self.field._neg, self.field._inv
+        basis = self.spaces[s]
+        table = []
+        for u in range(len(digits)):
+            for b in basis:
+                x = digits[u][lead[b]]
+                if x:
+                    u = add[u][scale[neg[x]][b]]
+            if not u:
+                table.append(s)
+                continue
+            c = lead[u]
+            u = scale[inv[digits[u][c]]][u]
+            grown = tuple(sorted(
+                [add[b][scale[neg[digits[b][c]]][u]] for b in basis] + [u],
+                key=lead.__getitem__))
+            number = self.space_number.get(grown)
+            if number is None:
+                number = self.space_number[grown] = len(self.spaces)
+                self.spaces.append(grown)
+                self.grow.append(None)
+            table.append(number)
+        self.grow[s] = table
 
 
 def mat_mul(F, A, B):
@@ -362,44 +411,45 @@ def _echelon_forms(F, d, h):
 
 
 class Candidates:
-    """The admissible pairs, kept as the blocks they are built in.
+    """The admissible pairs, as the blocks they are built in: every A,
+    and the B that pair with a given A, built on request.
 
-    `a_halves` and `b_halves` are the distinct A and the distinct B, each
-    a tuple of h row codes, in increasing order; `a_index` and `b_index`
-    give the position of each.  The pair (A, B) has the code
-    a_index[A] * len(b_halves) + b_index[B], so integer order is the
-    order of the nested pairs.  In a block every A pairs with every B,
-    and no A or B is in two blocks.  `fibres[i]` is the sorted list of
-    the B positions that pair with the A at position i, one list per
-    block, and `block_of[j]` is the list that holds j.  So (i, j) is a
-    pair exactly when fibres[i] is block_of[j]; len counts the pairs.
+    `a_halves` is the distinct A, each a tuple of h row codes, in
+    increasing order, and `a_index` gives the position of each.  A block
+    is every A with one kernel and one left kernel, with every B that
+    pairs with them: in a block every A pairs with every B, and no A and
+    no B lies in two blocks.  `block_of[i]` is the number of the block
+    of the A at position i, and `fibre(i)` builds that block's B, in
+    increasing order.  Every block has `n_b` of them, so len, the number
+    of pairs, is len(a_halves) * n_b.
     """
 
-    __slots__ = ("a_halves", "b_halves", "a_index", "b_index", "fibres",
-                 "block_of")
+    __slots__ = ("a_halves", "a_index", "block_of", "n_b", "_recipes")
 
     def __init__(self, blocks):
-        self.a_halves = sorted(A for As, _ in blocks for A in As)
-        self.b_halves = sorted(B for _, Bs in blocks for B in Bs)
+        # A block is (its A, its B recipe); the recipe (rows, span) makes
+        # one B, the tuple of span[u] over the u in r, from each r in rows.
+        owner = {A: t for t, (As, _) in enumerate(blocks) for A in As}
+        self.a_halves = sorted(owner)
         self.a_index = {A: i for i, A in enumerate(self.a_halves)}
-        self.b_index = {B: j for j, B in enumerate(self.b_halves)}
-        self.fibres = [None] * len(self.a_halves)
-        self.block_of = [None] * len(self.b_halves)
-        for As, Bs in blocks:
-            fibre = sorted(map(self.b_index.__getitem__, Bs))
-            for A in As:
-                self.fibres[self.a_index[A]] = fibre
-            for j in fibre:
-                self.block_of[j] = fibre
+        self.block_of = list(map(owner.__getitem__, self.a_halves))
+        self._recipes = [recipe for _, recipe in blocks]
+        self.n_b = len(blocks[0][1][0])
+
+    def fibre(self, i):
+        rows, span = self._recipes[self.block_of[i]]
+        return sorted(tuple(map(span.__getitem__, r)) for r in rows)
 
     def __len__(self):
-        return sum(map(len, self.fibres))
+        return len(self.a_halves) * self.n_b
 
 
-def _span(T, rows):
+def _span(T, rows, scalars=None):
     """The code of sum_t x_t rows[t] at the code of every x in
-    F_q^len(rows): big-endian, as the row codes of that space are."""
-    add, scale = T.add, T.scale
+    K^len(rows): big-endian, as the row codes of that space are.  K is
+    F_q, or, with scalars = p, the prime field, whose elements are the
+    codes below p."""
+    add, scale = T.add, T.scale[:scalars]
     sums = [0]
     for row in rows:
         multiples = [scale_x[row] for scale_x in scale]
@@ -421,11 +471,20 @@ def _gl_rows(T):
 
 
 def _products(F, m, vectors):
-    """For each M in GL_m, the code of v M in F_q^m for each of the
-    vectors v (tuples of m field codes), as a dict keyed by v."""
+    """For each of the vectors v (tuples of m field codes), the code of
+    v M in F_q^m for every M in GL_m, in `_gl_rows` order, as a dict of
+    lists keyed by v.  Each term of v M is added for all M at once."""
     T = F.row_tables(m)
-    return [{v: _combine(T.add, T.scale, v, rows) for v in vectors}
-            for rows in _gl_rows(T)]
+    gl = _gl_rows(T)
+    out = {}
+    for v in vectors:
+        codes = [0] * len(gl)
+        for t, x in enumerate(v):
+            if x:
+                add, scaled = T.add, T.scale[x]
+                codes = [add[u][scaled[rows[t]]] for u, rows in zip(codes, gl)]
+        out[v] = codes
+    return out
 
 
 def _candidates(F, h, d):
@@ -445,7 +504,8 @@ def _candidates(F, h, d):
     R with the coefficients (E G)_i: one lookup in the span of R, made
     once per form, at the code of (E G)_i, made once per form and G.  A
     row of B is likewise one lookup, in the p-th roots of the span of
-    L.  So each A and each B is h lookups, and is made once.
+    L.  So each A and each B is h lookups.  Every A is made here, and
+    the B of a block only when its fibre is asked for.
     """
     T = F.row_tables(h)
     forms = [([tuple(row[i] for row in S) for i in range(h)],
@@ -456,47 +516,34 @@ def _candidates(F, h, d):
     EG = _products(F, d, {e for E, _, _, _ in forms for e in E})
     KY = _products(F, h - d, {k for _, K, _, _ in forms for k in K})
     # Per form: the rows of E G for each G, and of K Y for each Y.
-    sides = [([[eg[e] for e in E] for eg in EG],
-              [[ky[k] for k in K] for ky in KY], R_span, L_span)
+    sides = [(list(zip(*map(EG.__getitem__, E))),
+              list(zip(*map(KY.__getitem__, K))), R_span, L_span)
              for E, K, R_span, L_span in forms]
     blocks = [([tuple(map(R_span.__getitem__, rows)) for rows in EGs],
-               [tuple(map(L_span.__getitem__, rows)) for rows in KYs])
+               (KYs, L_span))
               for EGs, _, _, L_span in sides for _, KYs, R_span, _ in sides]
     return Candidates(blocks)
 
 
+def _space_numbers(T, rows_by_position, n):
+    """The number, in T.spaces, of the row space of each of n matrices
+    given a row position at a time: rows_by_position[t][m] is row t of
+    matrix m.  All are read together, one grow-table lookup a row."""
+    grow = T.grow
+    states = [0] * n
+    for rows in rows_by_position:
+        for s in set(states):
+            if grow[s] is None:
+                T.grow_table(s)
+        states = [grow[s][u] for s, u in zip(states, rows)]
+    return states
+
+
 def _row_spaces(T, matrices):
     """The row space of each matrix, a tuple of row codes, as its
-    reduced echelon basis: row codes in pivot order, each with a 1 at its
-    pivot column (its first nonzero one) and a 0 at the others' pivots.
-
-    The matrices are read a row at a time, all together.  A basis grows
-    by one row through a memo, so each (basis, row) is reduced once
-    however many matrices reach it.
-    """
-    digits, add, scale = T.digits, T.add, T.scale
-    neg, inv = T.field._neg, T.field._inv
-    lead = [next((c for c, x in enumerate(row) if x), None) for row in digits]
-    grown = {}
-    bases = [()] * len(matrices)
-    for rows in zip(*matrices):
-        steps = list(zip(bases, rows))
-        for basis, row in set(steps).difference(grown):
-            u = row
-            for b in basis:
-                x = digits[u][lead[b]]
-                if x:
-                    u = add[u][scale[neg[x]][b]]
-            if u:
-                c = lead[u]
-                u = scale[inv[digits[u][c]]][u]
-                grown[basis, row] = tuple(sorted(
-                    [add[b][scale[neg[digits[b][c]]][u]] for b in basis] + [u],
-                    key=lead.__getitem__))
-            else:
-                grown[basis, row] = basis
-        bases = list(map(grown.__getitem__, steps))
-    return bases
+    reduced echelon basis (see RowTables)."""
+    return list(map(T.spaces.__getitem__,
+                    _space_numbers(T, zip(*matrices), len(matrices))))
 
 
 def _columns(T, matrices):
@@ -511,9 +558,9 @@ def _columns(T, matrices):
     return list(zip(*[columns] * T.h))
 
 
-def _verify_admissible(T, d, cands):
+def _verify_admissible(T, d, A, Bs):
     """Assert rank A = d, rank B = h - d, A B^[p] = 0 and B A^[1/p] = 0
-    on every pair of the Candidates.
+    for every B in Bs.
 
     Taking p-th roots, A B^[p] = 0 exactly when A^[1/p] B = 0, that is
     when R B = 0 for a row basis R of A^[1/p]: r . b = 0 for every r in
@@ -521,27 +568,22 @@ def _verify_admissible(T, d, cands):
     basis C of the column space of A^[1/p]: r . c = 0 for every row r of
     B and every c in C.  Both products are taken for every pair, by
     lookups in the dot-product table, dot[r] being the products with r,
-    for all the pairs of one A at once.  What depends on one matrix
-    alone is made once per position: R and C (so rank A) for each A,
-    and the rank and column codes of each B.
+    for all the B at once.  R and C (so rank A) are made once, and the
+    rank and column codes of each B.
     """
-    h = T.h
-    dot, frob_inv = T.dot, T.frob_inv
-    b_halves = cands.b_halves
-    assert all(len(space) == h - d for space in _row_spaces(T, b_halves))
-    b_columns = _columns(T, b_halves)
-    roots = [tuple(map(frob_inv.__getitem__, A)) for A in cands.a_halves]
-    row_bases = _row_spaces(T, roots)
-    column_bases = _row_spaces(T, _columns(T, roots))
+    dot = T.dot
+    assert all(len(space) == T.h - d for space in _row_spaces(T, Bs))
+    root = tuple(map(T.frob_inv.__getitem__, A))
+    (row_basis,) = _row_spaces(T, [root])
+    (column_basis,) = _row_spaces(T, _columns(T, [root]))
+    assert len(row_basis) == d
     rows_of = itertools.chain.from_iterable
-    for i, js in enumerate(cands.fibres):
-        assert len(row_bases[i]) == d
-        columns_B = list(rows_of(map(b_columns.__getitem__, js)))
-        rows_B = list(rows_of(map(b_halves.__getitem__, js)))
-        for r in row_bases[i]:
-            assert not any(map(dot[r].__getitem__, columns_B))
-        for c in column_bases[i]:
-            assert not any(map(dot[c].__getitem__, rows_B))
+    columns_B = list(rows_of(_columns(T, Bs)))
+    rows_B = list(rows_of(Bs))
+    for r in row_basis:
+        assert not any(map(dot[r].__getitem__, columns_B))
+    for c in column_basis:
+        assert not any(map(dot[c].__getitem__, rows_B))
 
 
 def twisted_action(F, g, pair):
@@ -596,29 +638,32 @@ def generator_move(F, g):
     """The twisted action of g on row-coded pairs, compiled.
 
     g sends A to g A (g^[p])^-1 and B to g B (g^[1/p])^-1, each half
-    alone.  The right factor acts on each row alone: a column table over
-    the row codes, one per half.  Row i of g A is sum_j g_ij A_j; its
-    first term becomes a source (row j, read through the column table
-    composed with scaling by g_ij), each further term a row step.
-    Returns (A half, B half, add), each half (sources, steps) on a tuple
-    of h row codes: a shift has no row steps, I + e_01 one per half and
-    the diagonal none.
+    alone.  Returns (A half, B half, add), each half a `_half_move`.
     """
     T = F.row_tables(len(g))
-    halves = []
-    for twist in (F._frob, F._frob_inv):
-        # u -> u (g^[p])^-1 inverts u -> u g^[p], the span of g^[p]'s rows.
-        image = _span(T, [T.encode(map(twist.__getitem__, row)) for row in g])
-        column = sorted(range(len(image)), key=image.__getitem__)
-        sources, steps = [], []
-        for i, row in enumerate(g):
-            terms = [(j, column if x == 1 else
-                      [column[u] for u in T.scale[x]])
-                     for j, x in enumerate(row) if x]
-            sources.append(terms[0])
-            steps += [(i, src, table) for src, table in terms[1:]]
-        halves.append((tuple(sources), tuple(steps)))
-    return halves[0], halves[1], T.add
+    return _half_move(T, g, F._frob), _half_move(T, g, F._frob_inv), T.add
+
+
+def _half_move(T, g, twist):
+    """X -> g X (g^[twist])^-1 on tuples of h row codes, g a matrix of
+    field codes and twist the field's p-th power or p-th root table.
+
+    The right factor acts on each row alone: a column table over the
+    row codes.  Row i of g X is sum_j g_ij X_j; its first term becomes a
+    source (row j, read through the column table composed with scaling
+    by g_ij), each further term a row step.  Returns (sources, steps): a
+    shift has no row steps, I + e_01 one and the diagonal none.
+    """
+    # u -> u (g^[p])^-1 inverts u -> u g^[p], the span of g^[p]'s rows.
+    image = _span(T, [T.encode(map(twist.__getitem__, row)) for row in g])
+    column = sorted(range(len(image)), key=image.__getitem__)
+    sources, steps = [], []
+    for i, row in enumerate(g):
+        terms = [(j, column if x == 1 else [column[u] for u in T.scale[x]])
+                 for j, x in enumerate(row) if x]
+        sources.append(terms[0])
+        steps += [(i, src, table) for src, table in terms[1:]]
+    return tuple(sources), tuple(steps)
 
 
 def apply_move(move, pair):
@@ -649,24 +694,241 @@ def _half_table(half, add, halves, index):
     return out
 
 
-def _move_tables(cands, move):
-    """The move on pair codes as two tables over positions: the pair
-    (i, j) goes to a_moved[i] + b_moved[j], a_moved already multiplied
-    by the number of B."""
-    a_half, b_half, add = move
-    n_b = len(cands.b_halves)
-    a_moved = _half_table(a_half, add, cands.a_halves, cands.a_index)
-    return ([i * n_b for i in a_moved],
-            _half_table(b_half, add, cands.b_halves, cands.b_index))
+def _times(T, X, Y):
+    """The product of two matrices, each a tuple of h row codes."""
+    add, scale, digits = T.add, T.scale, T.digits
+    return tuple(_combine(add, scale, digits[x], Y) for x in X)
+
+
+def _inverse(T, g):
+    """g^-1, a tuple of h row codes: the power of g just before the
+    identity."""
+    previous, power = T.identity, g
+    while power != T.identity:
+        previous, power = power, _times(T, power, g)
+    return previous
+
+
+def _fp_kernel(p, vectors):
+    """A basis of the relations sum_t c_t vectors[t] = 0 over F_p, each
+    vector a list of F_p coordinates: the rows (v_t | e_t) are reduced,
+    and each whose v part comes out zero keeps a relation in its e
+    part."""
+    n = len(vectors)
+    width = len(vectors[0]) if vectors else 0
+    rows = [list(v) + [int(s == t) for s in range(n)]
+            for t, v in enumerate(vectors)]
+    r = 0
+    for c in range(width):
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inverse = pow(rows[r][c], p - 2, p)
+        top = rows[r] = [x * inverse % p for x in rows[r]]
+        for i in range(r + 1, n):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        r += 1
+    return [row[width:] for row in rows[r:]]
+
+
+class _Stabilizers:
+    """Stabilizers, by linear algebra over F_p on row codes.
+
+    X fixes A exactly when X A = A X^[p], and fixes B exactly when
+    X B = B X^[1/p].  x -> x^p is additive, so each is an F_p-linear
+    condition on X: the stabilizer is the unit group of an F_p-subspace
+    of M_h(F_q), found as a kernel whose unknowns are the h^2 k
+    F_p-coordinates of X, the base-p digits of its row codes.  The
+    subspace for (A, B) is solved inside the coordinates of the one for
+    A.  #Stab is the number of invertible elements of the subspace: all
+    of M_h(F_q) has |GL_h| of them, and any smaller one has its p^dim
+    elements enumerated, their number charged to the search bound.
+    """
+
+    def __init__(self, T):
+        F = T.field
+        self.T = T
+        self.p = p = F.p
+        width = T.h * F.k
+        self.coords = [[u // p ** e % p for e in range(width)]
+                       for u in range(len(T.digits))]
+        self.minus_one = F._neg[1]
+        self.unknowns = [tuple(p ** e if r == i else 0 for r in range(T.h))
+                         for i in range(T.h) for e in range(width)]
+        self.spent = 0
+
+    def _solve(self, basis, M, twist):
+        """A basis of the X in the span of basis with X M = M X^[twist],
+        twist a row table: the F_p-relations among the residuals
+        X M - M X^[twist] of the basis, combined."""
+        T = self.T
+        add, negate, coords = T.add, T.scale[self.minus_one], self.coords
+        vectors = []
+        for X in basis:
+            right = _times(T, M, tuple(map(twist.__getitem__, X)))
+            vectors.append([x for u, v in zip(_times(T, X, M), right)
+                            for x in coords[add[u][negate[v]]]])
+        return [tuple(_combine(add, T.scale, c, rows) for rows in zip(*basis))
+                for c in _fp_kernel(self.p, vectors)]
+
+    def units(self, basis):
+        """The number of invertible elements of the span of basis."""
+        T = self.T
+        n = len(basis)
+        if n == len(self.unknowns):
+            return gl_order(T.field.q, T.h)
+        self.spent += self.p ** n
+        if self.spent > DEFAULT_SEARCH_BOUND:
+            raise SearchSpaceTooLarge(
+                f"about {self.spent} stabilizer elements exceed the bound "
+                f"{DEFAULT_SEARCH_BOUND}")
+        rows = [_span(T, column, self.p) for column in zip(*basis)]
+        spaces = _space_numbers(T, rows, self.p ** n)
+        return spaces.count(T.space_number.get(T.identity))
+
+    def of_half(self, A):
+        """(basis, #Stab) of A: the units of {X : X A = A X^[p]}."""
+        basis = self._solve(self.unknowns, A, self.T.frob)
+        return basis, self.units(basis)
+
+    def of_pair(self, basis, count, B):
+        """#Stab of (A, B), from the basis and #Stab of A."""
+        inner = self._solve(basis, B, self.T.frob_inv)
+        return count if len(inner) == len(basis) else self.units(inner)
+
+
+def _schreier(T, A, order, parent, tables, gens, inverses):
+    """Schreier generators of the stabilizer of A, the A at order[0], as
+    tuples of h row codes, in a fixed order: for each A' of its orbit in
+    search order and each generator g, t(gA')^-1 g t(A'), where t(A')
+    is the product of the generators along the search tree from A to
+    A'.  Tree edges give the identity and are skipped.  Each t and t^-1
+    is built on first use, from its parent's, and each generator made
+    is checked to fix A: X A = A X^[p]."""
+    forward = {order[0]: T.identity}
+    backward = {order[0]: T.identity}
+
+    def transversal(memo, j, step):
+        path = []
+        while j not in memo:
+            i, k = parent[j]
+            path.append((j, k))
+            j = i
+        X = memo[j]
+        for j, k in reversed(path):
+            X = memo[j] = step(X, k)
+        return X
+
+    def down(X, k):
+        return _times(T, gens[k], X)
+
+    def up(X, k):
+        return _times(T, X, inverses[k])
+
+    for i in order:
+        for k, table in enumerate(tables):
+            j = table[i]
+            if parent[j] != (i, k):
+                X = _times(T, _times(T, transversal(backward, j, up),
+                                     gens[k]), transversal(forward, i, down))
+                assert _times(T, X, A) == _times(
+                    T, A, tuple(map(T.frob.__getitem__, X))), \
+                    "a generator image left the candidates"
+                yield X
+
+
+def _fibre_orbits(stabs, basis, n_stab, Bs, elements):
+    """The orbits of Stab(A) on the fibre Bs of A (sorted B halves):
+    (orbits, failure).
+
+    Each element of Stab(A) that elements yields, in turn, is applied to
+    every B, and the orbits are the classes of a union-find that keeps
+    each orbit's least position as its root.  They stop once every
+    orbit O satisfies |O| * #Stab(A, B) = #Stab(A), with #Stab(A, B)
+    from linear algebra at the least B of O: the orbits are then
+    (least position, size, #Stab(A, B)) in order, and failure is None.
+    The identity holds only for true orbits, since the elements found
+    so far give sub-orbits, so the result is exact wherever it stops.
+    It is tested after each element that merges two orbits, in order
+    of least B, up to the first that fails, and #Stab(A, B) is kept
+    for each least B tried.  When the elements run out first, orbits
+    is None and failure is the first failing (position, size, #Stab).
+    """
+    T = stabs.T
+    index = {B: j for j, B in enumerate(Bs)}
+    root = list(range(len(Bs)))
+    counts = {}
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    def verdict():
+        sizes = Counter(map(find, range(len(Bs))))
+        orbits = []
+        for j in sorted(sizes):
+            count = counts.get(j)
+            if count is None:
+                count = counts[j] = stabs.of_pair(basis, n_stab, Bs[j])
+            orbits.append((j, sizes[j], count))
+            if sizes[j] * count != n_stab:
+                return None, orbits[-1]
+        return orbits, None
+
+    orbits, failure = verdict()
+    elements = iter(elements)
+    while orbits is None:
+        X = next(elements, None)
+        if X is None:
+            break
+        moved = _half_table(
+            _half_move(T, tuple(map(T.digits.__getitem__, X)),
+                       T.field._frob_inv), T.add, Bs, index)
+        merged = False
+        for j, i in enumerate(moved):
+            j, i = find(j), find(i)
+            if j != i:
+                root[max(i, j)] = min(i, j)
+                merged = True
+        if merged:
+            orbits, failure = verdict()
+    return orbits, failure
 
 
 def enumerate_census(field, h, d):
     """Exhaustive classification for the given height and rank.
 
-    Each orbit is found by breadth-first search from its least
-    unvisited pair under the generators of GL_h; since the group is
-    finite, closure under the generators is the orbit.  Then
-    #Aut = |GL_h| / |orbit|.
+    The classes are found by orbit and stabilizer.  The GL_h-orbits on
+    the distinct A come first, by breadth-first search under the
+    generators of GL_h from each least unvisited A; as the group is
+    finite, closure under the generators is the orbit.  The pairs over
+    an A-orbit with least member A0 are the GL_h-images of the pairs
+    (A0, B), B in the fibre of A0, and two of those lie in one class
+    exactly when Stab(A0) moves one B to the other.  So a class is an
+    A-orbit with a Stab(A0)-orbit O on the fibre: its size is
+    |A-orbit| * |O|, and its least pair, its rep, is (A0, least B in O).
+    Stab(A0) acts through Schreier generators of the A-orbit search
+    (`_fibre_orbits`).
+
+    Every A is built and has its rank checked, and each generator moves
+    every A once, by tables.  Of the B, only the fibres of the A-orbits'
+    least A are built; their pairs pass the four admissibility
+    conditions, and every stabilizer image of one is checked to stay in
+    it.  The pairs never built are covered by equivariance, since the
+    fibre of g A0 is g times the fibre of A0, and by the counts: the A
+    number _rank_count(q, h, d), each fibre |GL_(h-d)|, and the class
+    sizes sum to the candidate count.
+
+    Every class is checked by the identity |orbit| * #Aut = |GL_h|, with
+    #Aut from linear algebra (`_Stabilizers`): |A-orbit| * #Stab(A0)
+    first, then |O| * #Stab(A0, B) = #Stab(A0).  A failure, such as a
+    generator set too small to reach every orbit, raises
+    MismatchDetected naming the class.
     """
     if not _is_int(h) or h < 1:
         raise ValueError("height must be a positive integer")
@@ -692,51 +954,69 @@ def enumerate_census(field, h, d):
     T = F.row_tables(h)
     cands = _candidates(F, h, d)
     assert len(cands) == n_candidates
-    _verify_admissible(T, d, cands)
+    a_halves = cands.a_halves
+    assert len(a_halves) == _rank_count(q, h, d)
+    assert all(len(space) == d for space in _row_spaces(T, a_halves))
 
     group_order = gl_order(q, h)
-    moves = [generator_move(F, g) for g in gl_generators(F, h)]
-    tables = [_move_tables(cands, move) for move in moves]
-    fibres, block_of = cands.fibres, cands.block_of
-    n_b = len(cands.b_halves)
-    visited = set()
-    classes = []
-    # Each seed is the least unvisited pair, so the least of its orbit:
-    # every smaller pair lies in an earlier orbit.  The classes come out
-    # sorted by rep.
+    gens = gl_generators(F, h)
+    moves = [generator_move(F, g) for g in gens]
+    tables = [_half_table(a_half, T.add, a_halves, cands.a_index)
+              for a_half, _, _ in moves]
+    gen_rows = [tuple(map(T.encode, g)) for g in gens]
+    inverses = [_inverse(T, g) for g in gen_rows]
+    stabs = _Stabilizers(T)
     digits = T.digits
-    for seed in (i * n_b + j for i, fibre in enumerate(fibres)
-                 for j in fibre):
-        if seed in visited:
+
+    def rep(A, B):
+        return (tuple(map(digits.__getitem__, A)),
+                tuple(map(digits.__getitem__, B)))
+
+    def mismatch(A, B, observed):
+        return MismatchDetected(
+            group_order, observed,
+            context=f"census h={h} d={d} p={F.p} k={F.k}, |GL_h| against "
+                    f"|orbit| * #Aut for the class of {rep(A, B)}")
+
+    parent = [None] * len(a_halves)
+    seen = bytearray(len(a_halves))
+    classes = []
+    # Each A-orbit is searched from its least unvisited A, so the least
+    # of its orbit: every smaller A lies in an earlier orbit.  Its
+    # classes come out in order of least B, so all of them sorted by rep.
+    for seed in range(len(a_halves)):
+        if seen[seed]:
             continue
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            reached = []
-            for code in frontier:
-                i, j = divmod(code, n_b)
-                # Each orbit member is popped once: every image is checked.
-                assert fibres[i] is block_of[j], \
-                    "a generator image left the candidates"
-                for a_moved, b_moved in tables:
-                    image = a_moved[i] + b_moved[j]
-                    if image not in orbit:
-                        orbit.add(image)
-                        reached.append(image)
-            frontier = reached
-        assert group_order % len(orbit) == 0
-        i, j = divmod(seed, n_b)
-        A, B = cands.a_halves[i], cands.b_halves[j]
-        # The tables move the rep as the whole-pair move does.
-        for move, (a_moved, b_moved) in zip(moves, tables):
-            image = apply_move(move, A + B)
-            assert (cands.a_index.get(image[:h]), cands.b_index.get(
-                image[h:])) == divmod(a_moved[i] + b_moved[j], n_b)
-        classes.append(CensusClass(
-            rep=(tuple(map(digits.__getitem__, A)),
-                 tuple(map(digits.__getitem__, B))),
-            orbit_size=len(orbit), aut_count=group_order // len(orbit)))
-        visited |= orbit
+        seen[seed] = 1
+        order = [seed]
+        for i in order:
+            for k, table in enumerate(tables):
+                j = table[i]
+                if not seen[j]:
+                    seen[j] = 1
+                    parent[j] = (i, k)
+                    order.append(j)
+        A = a_halves[seed]
+        Bs = cands.fibre(seed)
+        assert len(Bs) == gl_order(q, h - d)
+        _verify_admissible(T, d, A, Bs)
+        basis, n_stab = stabs.of_half(A)
+        if len(order) * n_stab != group_order:
+            raise mismatch(A, Bs[0], len(order) * n_stab)
+        orbits, failure = _fibre_orbits(
+            stabs, basis, n_stab, Bs,
+            _schreier(T, A, order, parent, tables, gen_rows, inverses))
+        if failure is not None:
+            j, size, count = failure
+            raise mismatch(A, Bs[j], len(order) * size * count)
+        for j, size, aut in orbits:
+            B = Bs[j]
+            # The tables move the rep's A as the whole-pair move does.
+            for move, table in zip(moves, tables):
+                assert apply_move(move, A + B)[:h] == a_halves[table[seed]]
+            classes.append(CensusClass(rep=rep(A, B),
+                                       orbit_size=len(order) * size,
+                                       aut_count=aut))
 
     total_orbit = sum(c.orbit_size for c in classes)
     assert total_orbit == n_candidates

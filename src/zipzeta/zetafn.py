@@ -118,13 +118,15 @@ class ZetaProduct:
     def __eq__(self, other):
         return isinstance(other, ZetaProduct) and self.factors == other.factors
 
-    def _encoding(self, order, q):
-        """(top, z): the largest aut_dim and the radix for t^0..t^order.
-        Symbolic z is a power of two above bound: at q = 1, c_k <=
-        comb(k + M - 1, k) and N_v <= v M (M = sum of multiplicities)."""
+    def _encoding(self, bound, q):
+        """(top, z): the largest aut_dim and the radix for codes whose
+        q-coefficients are at most bound.  Symbolic z is a power of two
+        above twice bound.  At q = 1, with M the sum of the
+        multiplicities, N_v <= v M and c_k <= comb(k + M - 1, k); the
+        series take order * comb(order + M, order), which bounds both
+        routes up to that order."""
         top = max((a for a, _ in self.factors), default=0)
         if q is None:
-            bound = order * math.comb(order + sum(self.factors.values()), order)
             return top, 1 << bound.bit_length() + 1
         if not (_is_int(q) and q >= 2):
             raise ValueError(f"numeric q must be an int of at least 2, "
@@ -141,8 +143,11 @@ class ZetaProduct:
         if not (_is_int(v) and v >= 1):
             raise ValueError(f"point count degree must be an int of at "
                              f"least 1, got {v!r}")
-        top, z = self._encoding(v, q)
+        top, z = self._encoding(v * sum(self.factors.values()), q)
         return _decode(self._n_code(v, top, z), top * v, q, z)
+
+    def _series_bound(self, order):
+        return order * math.comb(order + sum(self.factors.values()), order)
 
     def series_product(self, order, q=None):
         """Coefficients of t^0..t^order, dividing 1 by each factor
@@ -151,7 +156,7 @@ class ZetaProduct:
 
     def _product_codes(self, order, q):
         """(codes, top, z): series_product before decoding."""
-        top, z = self._encoding(order, q)
+        top, z = self._encoding(self._series_bound(order), q)
         series = [1] + [0] * order
         for (a, f), mult in self.factor_items():
             step = z ** ((top - a) * f)
@@ -170,7 +175,7 @@ class ZetaProduct:
 
     def _exp_codes(self, order, q):
         """(codes, top, z): series_exp before decoding."""
-        top, z = self._encoding(order, q)
+        top, z = self._encoding(self._series_bound(order), q)
         runs = [(mult * f, f, z ** ((top - a) * f), [0] * (order + 1))
                 for (a, f), mult in self.factor_items()]
         series = [1] + [0] * order

@@ -12,9 +12,10 @@ from zipzeta import (CosetTables, NotFiniteType, OmegaGroup, ExtWeylElement,
                      ExtWeylGroup, build_root_system, cartan_matrix,
                      compute_twist, direct_sum, enumerate_group)
 from zipzeta.weyl import _degree_product
-from zipzeta.fforacle import (CensusClass, Candidates, _rref, enumerate_gl,
-                              gl_order, mat_frob, mat_frob_inv, mat_inv,
-                              mat_mul)
+from zipzeta.fforacle import (CensusClass, _candidates, _half_table, _rref,
+                              _verify_admissible, enumerate_gl,
+                              generator_move, gl_generators, gl_order,
+                              mat_frob, mat_frob_inv, mat_inv, mat_mul)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
@@ -346,28 +347,78 @@ def decoded_pair(F, pair):
     return rows[:h], rows[h:]
 
 
-def candidate_codes(cands):
-    """The codes of the pairs of census Candidates, i * n_B + j over
-    their fibres in order, so increasing."""
-    n_b = len(cands.b_halves)
-    return [i * n_b + j for i, fibre in enumerate(cands.fibres)
-            for j in fibre]
-
-
 def candidate_pairs(cands):
-    """The pairs of census Candidates as tuples of 2h row codes, in the
-    order of their codes."""
-    return [cands.a_halves[i] + cands.b_halves[j]
-            for i, fibre in enumerate(cands.fibres) for j in fibre]
+    """The pairs of census Candidates as tuples of 2h row codes, every A
+    with its fibre, so in increasing order."""
+    return [A + B for i, A in enumerate(cands.a_halves)
+            for B in cands.fibre(i)]
 
 
-def candidates_of(h, pairs):
-    """Census Candidates holding exactly the given pairs of 2h row
-    codes, as one block; the pairs must be every A with every B."""
-    As = {pair[:h] for pair in pairs}
-    Bs = {pair[h:] for pair in pairs}
-    assert {A + B for A in As for B in Bs} == set(pairs)
-    return Candidates([(As, Bs)])
+def pair_tables(F, h, d):
+    """The census's candidates as pair codes, and its generators as
+    tables on them: (cands, b_halves, b_index, codes, tables).
+
+    Each pair is one int, i * n_B + j, with i and j the positions of its
+    A and its B in the sorted distinct A and distinct B, so integer
+    order is pair order; codes is the sorted list of them.  Each
+    generator moves each distinct half once: the pair (i, j) goes to
+    a_moved[i] + b_moved[j], a_moved already multiplied by n_B."""
+    cands = _candidates(F, h, d)
+    fibres = [cands.fibre(i) for i in range(len(cands.a_halves))]
+    b_halves = sorted({B for Bs in fibres for B in Bs})
+    b_index = {B: j for j, B in enumerate(b_halves)}
+    n_b = len(b_halves)
+    codes = [i * n_b + b_index[B] for i, Bs in enumerate(fibres) for B in Bs]
+    tables = []
+    for a_half, b_half, add in (generator_move(F, g)
+                                for g in gl_generators(F, h)):
+        a_moved = _half_table(a_half, add, cands.a_halves, cands.a_index)
+        tables.append(([i * n_b for i in a_moved],
+                       _half_table(b_half, add, b_halves, b_index)))
+    return cands, b_halves, b_index, codes, tables
+
+
+def census_by_pairs(F, h, d):
+    """The census classes by the pair-level route: every candidate pair
+    is built and passes the admissibility check, and each class is found
+    by breadth-first search over pair codes from its least unvisited
+    pair, with #Aut = |GL_h| over the orbit size.  It shares the
+    candidates and the generator moves with the census, but not the
+    orbit-stabilizer split or its linear algebra."""
+    T = F.row_tables(h)
+    cands, b_halves, _, codes, tables = pair_tables(F, h, d)
+    for i, A in enumerate(cands.a_halves):
+        _verify_admissible(T, d, A, cands.fibre(i))
+    n_b = len(b_halves)
+    candidates = set(codes)
+    assert len(candidates) == len(cands)
+    group_order = gl_order(F.q, h)
+    visited = set()
+    classes = []
+    for seed in codes:
+        if seed in visited:
+            continue
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            reached = []
+            for code in frontier:
+                assert code in candidates
+                i, j = divmod(code, n_b)
+                for a_moved, b_moved in tables:
+                    image = a_moved[i] + b_moved[j]
+                    if image not in orbit:
+                        orbit.add(image)
+                        reached.append(image)
+            frontier = reached
+        assert group_order % len(orbit) == 0
+        i, j = divmod(seed, n_b)
+        classes.append(CensusClass(
+            rep=decoded_pair(F, cands.a_halves[i] + b_halves[j]),
+            orbit_size=len(orbit), aut_count=group_order // len(orbit)))
+        visited |= orbit
+    assert visited == candidates
+    return tuple(classes)
 
 
 def reference_admissible(F, h, d, pair):

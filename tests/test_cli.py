@@ -343,6 +343,24 @@ def test_mismatch_exit_3(monkeypatch, capsys):
         assert line in lines
 
 
+@pytest.mark.parametrize("shape", [("2", "1", "2", "2"), ("2", "1", "3", "2"),
+                                   ("3", "1", "2", "2")])
+def test_generators_short_of_gl_exit_3(monkeypatch, capsys, shape):
+    # Without the diagonal the generators reach SL_h alone; the census's
+    # per-class verdict refuses the orbits they give.
+    from zipzeta import fforacle
+    real = fforacle.gl_generators
+    monkeypatch.setattr(fforacle, "gl_generators",
+                        lambda F, h: real(F, h)[:2])
+    argv = ["oracle"] + [x for flag, v in zip(("--h", "--d", "--p", "--k"),
+                                             shape) for x in (flag, v)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert int(doc["observed"]) < int(doc["predicted"])
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, ["strata", O4])
     second = run(capsys, ["strata", O4])

@@ -8,14 +8,14 @@ from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, ZetaProduct,
                      crosscheck, enumerate_census)
 from zipzeta import fforacle
-from zipzeta.fforacle import (_candidates, _move_tables, _rank_count,
+from zipzeta.fforacle import (_Stabilizers, _candidates, _rank_count,
                               _verify_admissible, apply_move, enumerate_gl,
                               generator_move, gl_generators, gl_order,
                               mat_inv, mat_mul, primitive_element,
                               twisted_action)
-from helpers import (candidate_codes, candidate_pairs, candidates_by_scan,
-                     candidates_of, census_by_sweep, coded_pair, decoded_pair,
-                     mat_identity, mat_kernel, mat_rank, mat_transpose,
+from helpers import (candidate_pairs, candidates_by_scan, census_by_pairs,
+                     census_by_sweep, coded_pair, decoded_pair, mat_identity,
+                     mat_kernel, mat_rank, mat_transpose, pair_tables,
                      reference_admissible, reference_field)
 
 
@@ -219,10 +219,8 @@ def test_direct_candidates_match_the_scan(h, d, p, k, modulus):
     built = _candidates(F, h, d)
     pairs = candidate_pairs(built)
     assert all(len(pair) == 2 * h for pair in pairs)
-    # The codes increase, so the pairs come out in nested order.
-    codes = candidate_codes(built)
-    assert codes == sorted(set(codes))
-    assert pairs == sorted(pairs)
+    # Every A with its fibre, in order: the pairs come out in nested order.
+    assert pairs == sorted(set(pairs))
     decoded = {decoded_pair(F, pair) for pair in pairs}
     assert len(decoded) == len(built)
     assert decoded == set(candidates_by_scan(F, h, d))
@@ -231,44 +229,44 @@ def test_direct_candidates_match_the_scan(h, d, p, k, modulus):
 @pytest.mark.parametrize("h,d,p,k,modulus", CANDIDATE_SHAPES)
 def test_candidates_are_blocks(h, d, p, k, modulus):
     # A block is every A with given kernel and left kernel, with every B
-    # with given ones: its A share one fibre list, and its B are held by
-    # that list.  So fibres[i] is block_of[j] exactly for the candidate
-    # pairs (i, j).
+    # with given ones: its A share one block number, so one fibre, and
+    # no B lies in the fibres of two blocks.  So (A, B) is a candidate
+    # pair exactly when B is in the fibre of A's block.
     F = FqField(p, k, modulus=modulus)
     T = F.row_tables(h)
     cands = _candidates(F, h, d)
-    fibres, block_of = cands.fibres, cands.block_of
+    block_of = cands.block_of
 
     def kernels(X):
         M = tuple(map(T.digits.__getitem__, X))
         return (tuple(mat_kernel(F, M, h)),
                 tuple(mat_kernel(F, mat_transpose(M), h)))
 
-    for halves, lists in ((cands.a_halves, fibres),
-                          (cands.b_halves, block_of)):
-        keys = list(map(kernels, halves))
-        # Kernels and list objects correspond one to one.
-        assert len(set(keys)) == len({id(x) for x in lists}) == \
-            len(set(zip(keys, map(id, lists))))
-    assert {id(x) for x in fibres} == {id(x) for x in block_of}
-    for fibre in fibres:
-        assert fibre == sorted(set(fibre))
-        assert all(block_of[j] is fibre for j in fibre)
-    n_b = len(block_of)
-    assert set(candidate_codes(cands)) == {
-        i * n_b + j for i in range(len(fibres)) for j in range(n_b)
-        if fibres[i] is block_of[j]}
-    assert len(cands) == _rank_count(F.q, h, d) * gl_order(F.q, h - d)
+    keys = list(map(kernels, cands.a_halves))
+    # Kernels and block numbers correspond one to one.
+    assert len(set(keys)) == len(set(block_of)) == \
+        len(set(zip(keys, block_of)))
+    fibres = {}
+    for i, t in enumerate(block_of):
+        assert fibres.setdefault(t, cands.fibre(i)) == cands.fibre(i)
+    halves = [B for Bs in fibres.values() for B in Bs]
+    assert len(halves) == len(set(halves))
+    for Bs in fibres.values():
+        assert Bs == sorted(set(Bs))
+        assert len(Bs) == cands.n_b == gl_order(F.q, h - d)
+        assert len(set(map(kernels, Bs))) == 1
+    assert len(set(map(kernels, halves))) == len(fibres)
+    assert len(cands) == sum(len(fibres[t]) for t in block_of) == \
+        _rank_count(F.q, h, d) * gl_order(F.q, h - d)
 
 
 @pytest.mark.parametrize("h,d,p,k", [(2, 1, 3, 2), (3, 1, 3, 1),
                                      (4, 2, 2, 1)])
 def test_check_rejects_exactly_the_inadmissible_perturbations(h, d, p, k):
-    # Every single-entry change of a sample of candidates, checked
-    # together with the unchanged pair, so that the two pairs share the
-    # position, and so the per-matrix checks, of the matrix not changed.
-    # A few changes leave the pair admissible; the check must accept
-    # exactly those.
+    # Every single-entry change of a sample of candidates.  A changed B
+    # is checked together with the unchanged one, so that the two pairs
+    # share the per-matrix checks of their A.  A few changes leave the
+    # pair admissible; the check must accept exactly those.
     F = FqField(p, k)
     T = F.row_tables(h)
     built = candidate_pairs(_candidates(F, h, d))
@@ -283,9 +281,10 @@ def test_check_rejects_exactly_the_inadmissible_perturbations(h, d, p, k):
                     row = M[i][:j] + (x,) + M[i][j + 1:]
                     changed = M[:i] + (row,) + M[i + 1:]
                     X = (changed, B) if half == 0 else (A, changed)
+                    coded = coded_pair(F, X)
+                    Bs = [coded[h:]] if half == 0 else [pair[h:], coded[h:]]
                     try:
-                        _verify_admissible(
-                            T, d, candidates_of(h, [pair, coded_pair(F, X)]))
+                        _verify_admissible(T, d, coded[:h], Bs)
                         accepted = True
                     except AssertionError:
                         accepted = False
@@ -349,36 +348,106 @@ def test_half_tables_match_apply_move(h, d, p, k):
     # Each generator's half tables send every candidate's code where
     # apply_move sends the whole pair.
     F = FqField(p, k)
-    cands = _candidates(F, h, d)
-    n_b = len(cands.b_halves)
+    cands, b_halves, b_index, codes, tables = pair_tables(F, h, d)
+    n_b = len(b_halves)
     pairs = candidate_pairs(cands)
-    for g in gl_generators(F, h):
+    for g, (a_moved, b_moved) in zip(gl_generators(F, h), tables):
         move = generator_move(F, g)
-        a_moved, b_moved = _move_tables(cands, move)
-        for code, pair in zip(candidate_codes(cands), pairs):
+        for code, pair in zip(codes, pairs):
             image = apply_move(move, pair)
             assert a_moved[code // n_b] + b_moved[code % n_b] == \
-                cands.a_index[image[:h]] * n_b + cands.b_index[image[h:]]
+                cands.a_index[image[:h]] * n_b + b_index[image[h:]]
 
 
 def test_a_planted_pair_outside_the_candidates_is_refused(monkeypatch):
-    # Each table sends the B of the least candidate to a B that does not
-    # pair with the image of its A: both halves stay candidates' halves,
-    # the pair does not.
-    real = fforacle._move_tables
-
-    def planted(cands, move):
-        a_moved, b_moved = real(cands, move)
-        codes = candidate_codes(cands)
-        i, j = divmod(codes[0], len(cands.b_halves))
-        b_moved[j] = next(b for b in range(len(cands.b_halves))
-                          if a_moved[i] + b not in codes)
-        return a_moved, b_moved
-
-    monkeypatch.setattr(fforacle, "_move_tables", planted)
+    # Every stabilizer element is replaced by the cyclic shift, which
+    # moves the least A.  It sends each B of that A's fibre to a B that
+    # pairs with the shifted A: a candidate's half, but the pair it
+    # makes with the least A is no candidate.
+    # (3,1,2,1) has fibres that split, so the census asks for elements.
+    F = FqField(2)
+    shift = tuple(map(F.row_tables(3).encode, gl_generators(F, 3)[0]))
+    monkeypatch.setattr(fforacle, "_schreier",
+                        lambda *args: iter([shift] * 3))
     with pytest.raises(AssertionError,
                        match="^a generator image left the candidates$"):
-        enumerate_census(FqField(3), 2, 1)
+        enumerate_census(F, 3, 1)
+
+
+def test_a_stabilizer_element_that_moves_the_a_is_refused(monkeypatch):
+    # With every generator's inverse taken to be the identity, a Schreier
+    # generator t(gA)^-1 g t(A) past the first level of the search is
+    # t(gA) g t(A) instead, which moves the A it should fix.
+    monkeypatch.setattr(fforacle, "_inverse", lambda T, g: T.identity)
+    with pytest.raises(AssertionError,
+                       match="^a generator image left the candidates$"):
+        enumerate_census(FqField(3), 3, 1)
+
+
+@pytest.mark.parametrize("h,d,p,k,classes", [
+    (2, 1, 2, 2, 4), (2, 1, 3, 2, 12), (3, 1, 2, 2, 7)])
+def test_generators_short_of_gl_are_a_mismatch(monkeypatch, h, d, p, k,
+                                               classes):
+    # Without the diagonal the generators give SL_h only, whose orbits
+    # are smaller here; the pair-level search still adds up (its total
+    # is the pair count whatever the orbits), but the per-class
+    # identity |orbit| * #Aut = |GL_h| fails, and names the class.
+    assert len(enumerate_census(FqField(p, k), h, d).classes) == classes
+    real = fforacle.gl_generators
+    monkeypatch.setattr(fforacle, "gl_generators",
+                        lambda F, h: real(F, h)[:2])
+    with pytest.raises(MismatchDetected,
+                       match=rf"^census h={h} d={d} p={p} k={k}, \|GL_h\| "
+                             rf"against \|orbit\| \* #Aut for the class of "
+                             rf"\(\(\(") as info:
+        crosscheck(BTParams(h, d, p), k)
+    assert info.value.predicted == gl_order(p ** k, h)
+    assert info.value.observed < info.value.predicted
+
+
+REFERENCE_SHAPES = sorted(set(CANDIDATE_SHAPES) | {
+    (2, 1, 2, 2, None), (2, 1, 3, 1, None), (2, 0, 3, 1, None),
+    (4, 2, 2, 1, None), (4, 1, 2, 1, None), (3, 0, 3, 1, None),
+    (3, 3, 3, 1, None), (2, 1, 2, 3, None)}, key=repr)
+
+
+@pytest.mark.parametrize("h,d,p,k,modulus", REFERENCE_SHAPES)
+def test_census_matches_the_pair_route(h, d, p, k, modulus):
+    F = FqField(p, k, modulus=modulus)
+    assert enumerate_census(F, h, d).classes == census_by_pairs(F, h, d)
+
+
+@pytest.mark.parametrize("h,d,p,k", [(2, 1, 2, 2), (2, 0, 2, 2),
+                                     (2, 2, 2, 3), (2, 1, 3, 1),
+                                     (3, 1, 2, 1)])
+def test_stabilizers_by_linear_algebra_match_the_group(h, d, p, k):
+    # #Stab(A) and #Stab(A, B) by linear algebra against a count of the
+    # g in GL_h that fix A, or the pair, under the twisted action.
+    F = FqField(p, k)
+    stabs = _Stabilizers(F.row_tables(h))
+    gl = enumerate_gl(F, h)
+    pairs = candidates_by_scan(F, h, d)
+    for A, B in pairs[::max(1, len(pairs) // 6)]:
+        basis, count = stabs.of_half(coded_pair(F, (A, B))[:h])
+        fixing = [g for g in gl if twisted_action(F, g, (A, B))[0] == A]
+        assert count == len(fixing)
+        assert stabs.of_pair(basis, count, coded_pair(F, (A, B))[h:]) == \
+            sum(twisted_action(F, g, (A, B)) == (A, B) for g in fixing)
+
+
+def test_stabilizer_enumeration_is_charged_to_the_search_bound(monkeypatch):
+    # The stabilizer of A = E_33 in M_3(F_2) spans 2^5 matrices, 6 of
+    # them invertible; they are enumerated only while the charge fits
+    # the bound.
+    F = FqField(2)
+    T = F.row_tables(3)
+    A = (0, 0, 1)
+    assert _Stabilizers(T).of_half(A)[1] == 6
+    monkeypatch.setattr(fforacle, "DEFAULT_SEARCH_BOUND", 31)
+    with pytest.raises(SearchSpaceTooLarge,
+                       match="^about 32 stabilizer elements exceed the "
+                             "bound 31$"):
+        _Stabilizers(T).of_half(A)
 
 
 def test_a_planted_half_outside_the_candidates_is_refused(monkeypatch):

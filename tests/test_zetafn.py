@@ -149,6 +149,17 @@ def test_expand_series_rejects_negative_order():
     assert expand_series(o4_zeta(), 0).coefficients == (QLaurent({0: 1}),)
 
 
+@pytest.mark.parametrize("v,mult", [(1, 1), (2, 2), (4, 4), (8, 8), (3, 5),
+                                    (7, 9), (20, 5040)])
+def test_point_count_at_its_coefficient_bound(v, mult):
+    # Every factor of degree f = v, with one aut_dim: the one coefficient
+    # of N_v is v M, the bound the symbolic radix is sized from, and at
+    # a power of two (16, 64) a radix one bit short would carry.
+    z = ZetaProduct({(2, v): mult})
+    assert z.n_value(v) == QLaurent({-2 * v: v * mult})
+    assert z.n_value(v, q=3) == Fraction(v * mult, 3 ** (2 * v))
+
+
 def test_point_counts():
     z = ZetaProduct({(1, 2): 1})
     assert z.n_value(1, q=2) == 0
