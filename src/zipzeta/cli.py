@@ -6,11 +6,14 @@ byte-for-byte reproducible.  --pretty switches to an aligned text view
 of the same data.  _write_json writes the document in parts, never
 joined: its bytes are those of json.dumps(doc, indent=2, sort_keys=True),
 without the pure-Python encoder that indent forces; json itself only
-parses input.  The minimal_set and strata rows of strata come from
-generators, run only after the whole stratification has succeeded, so
-each row is decomposed and written as it is made and no list of rows is
-held.  Consecutive dicts that share one set of keys are each written
-from one %-template, and each word in a row is rendered once.
+parses input.  The minimal_set and strata lists of strata are typed
+rows (Rows): tuples in sorted key order, with a column spec naming each
+column a word, a label or an int.  Their tuples come from generators,
+run only after the whole stratification has succeeded, so each row is
+decomposed and written as it is made and no list of rows is held.  Each
+row is written from one %-template with no check of its values' types:
+its words are rendered once per row and its labels encoded once per
+document.  Every other list goes through the generic encoder.
 
 Exit codes: 0 on success, 1 when stdout is closed before the document
 is written, 2 on any parse or validation failure, 3 when the census
@@ -23,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from types import GeneratorType
+from collections import namedtuple
 
 from .btgl import BTParams, bt_zeta
 from .errors import MismatchDetected, ParseError, ZipzetaError, _is_int
@@ -40,26 +43,53 @@ MAX_COUNT_DEGREE = 100
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INT_ONLY = frozenset({int})
+
+# Column kinds of typed rows.
+WORD, LABEL, INT = "word", "label", "int"
+
+
+class Rows(namedtuple("Rows", "columns shown rows")):
+    """A JSON list of objects that all have one key set, held as typed
+    tuples.  columns is ((key, kind), ...) in sorted key order; shown
+    gives the positions of the columns in the order --pretty shows them;
+    rows yields one tuple of values per object, in column order.  A WORD
+    value is a tuple of ints (bool excluded), a LABEL a str and an INT
+    an int: the writer trusts the kinds and checks no value."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, shown, rows):
+        """Typed rows whose columns are the (key, kind) pairs shown, in
+        the order --pretty shows them; rows must still yield its tuples
+        in sorted key order."""
+        columns = tuple(sorted(shown))
+        return cls(columns, tuple(map(columns.index, shown)), rows)
+
+
+class _Memo(dict):
+    """The text of each key, made by make on first use: a hit is one
+    lookup in C, as map() makes it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
 
 
 def _write_json(value, stream):
     """Write to stream the text json.dumps(value, indent=2, sort_keys=True)
-    gives, for dicts with str keys, lists, tuples, str, int, bool and
-    None, and a final newline, without the pure-Python encoder that indent
-    forces on json.dumps.  A generator is written as the list of what it
-    yields, so a producer of rows is written as it yields them.  The text
-    is never joined whole: its parts, one per templated row, go straight
-    to stream, which buffers them.  Any other type raises TypeError."""
+    gives, for Rows, dicts with str keys, lists, tuples, str, int, bool
+    and None, and a final newline, without the pure-Python encoder that
+    indent forces on json.dumps.  The text is never joined whole: its
+    parts, one per typed row, go straight to stream, which buffers them.
+    Any other type raises TypeError."""
     _emit_json(value, "\n", stream.write)
     stream.write("\n")
-
-
-def _text(value, newline):
-    """The text of value, joined, for the line indentation newline."""
-    parts = []
-    _emit_json(value, newline, parts.append)
-    return "".join(parts)
 
 
 def _emit_json(value, newline, write):
@@ -75,8 +105,16 @@ def _emit_json(value, newline, write):
         write("false")
     elif isinstance(value, int):
         write(int.__repr__(value))
-    elif isinstance(value, (list, tuple, GeneratorType)):
-        _emit_array(value, newline, write)
+    elif type(value) is Rows:
+        _emit_rows(value, newline, write)
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _emit_json(item, inner, write)
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else newline + "]")
     elif isinstance(value, dict):
         if not value:
             write("{}")
@@ -95,81 +133,43 @@ def _emit_json(value, newline, write):
                         "is not JSON serializable")
 
 
-def _emit_array(items, newline, write):
-    """Pass to write the text of a list, a tuple or what a generator
-    yields.  Each dict whose keys are the non-empty str keys of the dict
-    before it is written from that dict's row template."""
-    if type(items) is not GeneratorType:
-        text = _ints_text(items, newline)
-        if text is not None:
-            write(text)
-            return
+def _emit_rows(table, newline, write):
+    """Pass to write the text of typed rows, one part per row, each from
+    one %-template.  An INT goes to the template as it is (%s writes an
+    int as repr does), a LABEL is encoded once per document, and a WORD
+    is rendered once per row however many of its columns hold it, from
+    the text of each letter, made once per document."""
     inner = newline + "  "
-    keys = template = None
-    sep = "[" + inner
-    for item in items:
-        if type(item) is dict and item.keys() != keys:
-            keys = item.keys()
-            template = _row_template(keys, inner)
-        if type(item) is dict and template is not None:
-            write(sep + _fill_row(item, *template))
-        else:
-            write(sep)
-            _emit_json(item, inner, write)
-        sep = "," + inner
-    write("[]" if sep[0] == "[" else newline + "]")
-
-
-def _ints_text(items, newline):
-    """The text of a list or tuple of ints alone, bool excluded; None
-    when another type is in it.  The type check runs in C."""
-    if not items:
-        return "[]"
-    if not _INT_ONLY.issuperset(map(type, items)):
-        return None
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(repr, items)) + newline + "]"
-
-
-def _row_template(keys, inner):
-    """(names, %-template, deeper) for dicts with these keys, written
-    at the indentation inner: names are the keys in sorted order, the
-    template takes the text of each value in that order, and deeper is
-    the line break and indentation of a value.  None when the keys are
-    not all str or there are none."""
-    if not keys or not all(isinstance(k, str) for k in keys):
-        return None
-    names = sorted(keys)
     deeper = inner + "  "
-    heads = ["," + deeper + _encode_str(k).replace("%", "%%") + ": %s"
-             for k in names]
-    return names, "{" + "".join(heads)[1:] + inner + "}", deeper
-
-
-def _fill_row(row, names, template, deeper):
-    """The text of one row from its template.  Ints go to the template
-    as they are (%s writes an int as repr does), strings are escaped,
-    and each list or tuple object is rendered once for the row, however
-    many of its keys share it."""
-    texts = []
-    rendered = {}
-    for v in map(row.__getitem__, names):
-        t = type(v)
-        if t is int:
-            texts.append(v)
-        elif t is str:
-            texts.append(_encode_str(v))
-        elif t is tuple or t is list:
-            text = rendered.get(id(v))
+    body = "{" + ",".join(
+        deeper + _encode_str(key).replace("%", "%%") + ": %s"
+        for key, _ in table.columns) + inner + "}"
+    words = [i for i, (_, kind) in enumerate(table.columns) if kind == WORD]
+    labels = [i for i, (_, kind) in enumerate(table.columns)
+              if kind == LABEL]
+    encoded = _Memo(_encode_str)
+    letters = _Memo(repr)
+    opening = "[" + deeper + "  "
+    letter_sep = "," + deeper + "  "
+    closing = deeper + "]"
+    template = "[" + inner + body
+    later = "," + inner + body
+    for row in table.rows:
+        texts = list(row)
+        rendered = {}
+        for i in words:
+            word = row[i]
+            text = rendered.get(id(word))
             if text is None:
-                text = _ints_text(v, deeper)
-                if text is None:
-                    text = _text(v, deeper)
-                rendered[id(v)] = text
-            texts.append(text)
-        else:
-            texts.append(_text(v, deeper))
-    return template % tuple(texts)
+                text = rendered[id(word)] = (
+                    opening + letter_sep.join(map(letters.__getitem__, word))
+                    + closing if word else "[]")
+            texts[i] = text
+        for i in labels:
+            texts[i] = encoded[row[i]]
+        write(template % tuple(texts))
+        template = later
+    write("[]" if template[0] == "[" else newline + "]")
 
 
 def _load_json(path):
@@ -288,23 +288,30 @@ def _echo(datum):
     }
 
 
+# The columns of the strata rows and the minimal_set rows, in the
+# order --pretty shows them.
+STRATA_COLUMNS = (("rep_word", WORD), ("rep_omega", LABEL),
+                  ("orbit_size", INT), ("length", INT), ("aut_dim", INT),
+                  ("degree", INT))
+MINIMAL_COLUMNS = (("weyl_word", WORD), ("omega", LABEL),
+                   ("conjugated_word", WORD), ("double_min_word", WORD),
+                   ("parabolic_word", WORD), ("length", INT))
+
+
 def _strata_rows(datum, strata):
-    tables = datum.tables
-    omega = datum.omega
+    """The strata rows, in sorted key order: aut_dim, degree, length,
+    orbit_size, rep_omega, rep_word."""
+    word = datum.tables.word
+    label = datum.omega.label
     for s in strata:
-        yield {
-            "rep_word": tables.word(s.rep.w),
-            "rep_omega": omega.label(s.rep.omega),
-            "orbit_size": s.size,
-            "length": s.length,
-            "aut_dim": s.aut_dim,
-            "degree": s.degree,
-        }
+        yield (s.aut_dim, s.degree, s.length, s.size,
+               label(s.rep.omega), word(s.rep.w))
 
 
 def _minimal_rows(datum, found):
     """The minimal_set rows, one per element, decomposed as they are
-    written."""
+    written, in sorted key order: conjugated_word, double_min_word,
+    length, omega, parabolic_word, weyl_word."""
     word = datum.tables.word
     label = datum.omega.label
     decompose = datum.ext.canonical_decomposition
@@ -312,14 +319,8 @@ def _minimal_rows(datum, found):
     J = found.twist.J
     for a, length in zip(found.reps, found.lengths):
         dec = decompose(a, I, J)
-        yield {
-            "weyl_word": word(a.w),
-            "omega": label(a.omega),
-            "conjugated_word": word(dec.wpp),
-            "double_min_word": word(dec.y),
-            "parabolic_word": word(dec.w_J),
-            "length": length,
-        }
+        yield (word(dec.wpp), word(dec.y), length, label(a.omega),
+               word(dec.w_J), word(a.w))
 
 
 def _check_range(flag, value, low, high):
@@ -366,8 +367,8 @@ def _cmd_strata(args):
             "w1_word": tables.word(twist.w1),
             "w2_word": tables.word(twist.w2),
         },
-        "minimal_set": _minimal_rows(datum, found),
-        "strata": _strata_rows(datum, found.strata),
+        "minimal_set": Rows.of(MINIMAL_COLUMNS, _minimal_rows(datum, found)),
+        "strata": Rows.of(STRATA_COLUMNS, _strata_rows(datum, found.strata)),
     }
 
 
@@ -473,14 +474,21 @@ def _render_pretty(doc):
         lines.append(f"J = {doc['twist']['J']}, "
                      f"w1 = {_cell(doc['twist']['w1_word'])}")
     for key in ("minimal_set", "strata", "classes", "values", "factors"):
-        rows = list(doc.get(key, ()))
+        table = doc.get(key)
+        if type(table) is Rows:
+            headers = [table.columns[i][0] for i in table.shown]
+            rows = [[row[i] for i in table.shown] for row in table.rows]
+        elif table:
+            headers = list(table[0])
+            rows = [[row[hdr] for hdr in headers] for row in table]
+        else:
+            continue
         if not rows:
             continue
         lines.append(f"{key}:")
-        headers = list(rows[0])
         lines.append("  " + " | ".join(headers))
         for row in rows:
-            lines.append("  " + " | ".join(_cell(row[hdr]) for hdr in headers))
+            lines.append("  " + " | ".join(map(_cell, row)))
     if "display" in doc:
         lines.append(f"zeta = {doc['display']}")
     if "series" in doc:

@@ -154,6 +154,7 @@ class OmegaGroup:
         self.labels = labels
         self.table = rows
         self.actions = acts
+        self.unsigned = tuple(all(s > 0 for s in act) for act in acts)
         self.identity_index = identity
         self._inverse = tuple(inverse)
         self._index = {lab: k for k, lab in enumerate(labels)}
@@ -246,8 +247,11 @@ class ExtWeylGroup:
         self.tables = tables
         self.omega = omega
         self.rs = tables.rs
-        # Root sets of the length per (I, J, component), built on first use.
+        # Root sets of the length per (I, J, component), and the inverse
+        # component and conjugated type of a decomposition per (I,
+        # component), built on first use.
         self._length_sets = {}
+        self._conjugated_types = {}
 
     def element(self, w, omega):
         """Build an element from a Weyl part and a component label or
@@ -313,9 +317,15 @@ class ExtWeylGroup:
         minimal set for I.
         """
         self._check_group(a)
-        kinv = self.omega.inverse(a.omega)
+        I = frozenset(I)
+        key = (I, a.omega)
+        got = self._conjugated_types.get(key)
+        if got is None:
+            kinv = self.omega.inverse(a.omega)
+            got = self._conjugated_types[key] = (
+                kinv, self.omega.conjugate_subset(kinv, I))
+        kinv, Ipp = got
         wpp = self.twist_weyl(kinv, a.w)
-        Ipp = self.omega.conjugate_subset(kinv, I)
         # A signed map that preserves the pairing keeps one sign on each
         # component of the diagram, so on the roots it is a diagram
         # automorphism times -1 on some components.  The sign commutes
@@ -332,15 +342,25 @@ class ExtWeylGroup:
 
     def extended_length(self, a, I, J):
         """The extended length of a, counted on (w, omega) as the module
-        docstring describes, over root lists moved by omega once per key.
-        The lists are held as permutations are, so compose() reads the
-        images of a whole list at once."""
+        docstring describes."""
         self._check_min(a, I)
         return self._extended_length(a, I, J)
 
     def _extended_length(self, a, I, J):
         """extended_length for an a already known to lie in the minimal
-        set for I, such as one min_reps produced."""
+        set for I, such as one min_reps produced.  When the component
+        acts without signs this is the length of the Weyl part (module
+        docstring), which min_left records as the level it found the
+        part on; a signed component is counted on its root sets."""
+        if self.omega.unsigned[a.omega]:
+            return a.w.length
+        return self._root_set_length(a, I, J)
+
+    def _root_set_length(self, a, I, J):
+        """The count of the module docstring on (w, omega), for any
+        component, over root lists moved by omega once per key.  The
+        lists are held as permutations are, so compose() reads the
+        images of a whole list at once."""
         key = (frozenset(I), frozenset(J), a.omega)
         sets = self._length_sets.get(key)
         if sets is None:
@@ -456,6 +476,15 @@ class DiagramAutomorphism:
     def apply_omega(self, k):
         return self.omega_perm[k]
 
+    def apply_key(self, perm, k):
+        """The image of the extended element whose Weyl part has the
+        permutation perm and whose component has index k, as the pair
+        (permutation, component index) that keys it: what apply_ext
+        gives, with no element built."""
+        return (conjugate(self.root_perm, perm, self._inverse_root_perm),
+                self.omega_perm[k])
+
     def apply_ext(self, a):
-        return self.ext.element(self.apply_weyl(a.w), self.omega_perm[a.omega])
+        perm, k = self.apply_key(a.w.perm, a.omega)
+        return self.ext.element(WeylElement(a.w.rs, perm), k)
 

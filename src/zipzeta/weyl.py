@@ -209,6 +209,7 @@ class CosetTables:
         self._poincare = {}
         self._longest = {}
         self._strips = {}
+        self._descents = {}
 
     @cached_property
     def _simples(self):
@@ -267,10 +268,10 @@ class CosetTables:
         and only the word of w itself is recorded, so a request costs at
         most the length of w and adds at most one entry.
         """
-        self._check(w)
         got = self._words.get(w.perm)
-        if got is not None:
+        if got is not None and w.rs is self.rs:
             return got
+        self._check(w)
         m = self.rs.n_positive
         rank = self.rs.rank
         letters = []
@@ -310,9 +311,15 @@ class CosetTables:
 
     def is_min_left(self, w, I):
         """True when w is the shortest element of W_I * w: no left
-        descent inside I, that is no negative root sent to alpha_i."""
-        return not I or {i - 1 for i in I}.isdisjoint(
-            w.perm[self.rs.n_positive:])
+        descent inside I, that is no negative root sent to alpha_i.
+        The ordinals of the alpha_i are kept per I."""
+        if not I:
+            return True
+        I = frozenset(I)
+        blocked = self._descents.get(I)
+        if blocked is None:
+            blocked = self._descents[I] = frozenset(i - 1 for i in I)
+        return blocked.isdisjoint(w.perm[self.rs.n_positive:])
 
     def is_min_right(self, w, J):
         """True when w is the shortest element of w * W_J."""
@@ -403,8 +410,9 @@ class CosetTables:
         right descents in J, least index first, until it meets an
         element whose x is memoized; x depends on the permutation and J
         alone, and is recorded for every element stripped.  An element
-        with no right descent in J is its own x, with w_J = 1, and
-        touches no memo.  Otherwise asserts uniqueness consequences:
+        with no right descent in J, as every element is when J is
+        empty, is its own x, with w_J = 1, and touches no memo.
+        Otherwise asserts uniqueness consequences:
         lengths add, x is minimal on both sides, and w_J is minimal in
         its coset of the induced subset.  The tables keep no element for
         w_J: callers read its word.
@@ -416,6 +424,8 @@ class CosetTables:
             raise NotMinimalRep(
                 "element has a left descent in I, so it is not the "
                 "shortest element of its coset")
+        if not J:
+            return w, self.identity
         m = self.rs.n_positive
         x = w
         sweep = sorted(J)
@@ -434,9 +444,9 @@ class CosetTables:
             stripped.append(x.perm)
             x = x * self._simples[j]
         if x is w:
-            # Nothing was stripped (always when J is empty), so w_J = 1
-            # and the asserts below reduce to the test above: w has no
-            # left descent in I and, by the loop, no right one in J.
+            # Nothing was stripped, so w_J = 1 and the asserts below
+            # reduce to the test above: w has no left descent in I and,
+            # by the loop, no right one in J.
             return w, self.identity
         for perm in stripped:
             memo[perm] = x

@@ -158,6 +158,14 @@ class ZipDatum:
     def theta_labels(self):
         return tuple(self.omega.label(k) for k in self.theta_indices)
 
+    @property
+    def split(self):
+        """True when the Galois generator tau is the identity and Theta
+        is {1}: every element of the minimal set is then a stratum of
+        degree 1 on its own."""
+        return (self.tau.is_identity()
+                and self.theta_indices == (self.omega.identity_index,))
+
 
 class Twist(namedtuple("Twist", "datum J w1 w2")):
     """Twisting data derived from a datum."""
@@ -239,14 +247,21 @@ def _stratify(datum):
     """The stratification of classify, with the data it passes through,
     in one walk over the minimal set.
 
-    Each element's extended length is read off it once.
-    The Theta-orbit of a is its direct image {t * a * psi(t)^{-1}},
-    since that map is a group action.  A stratum is the cycle tau walks
+    Each element's extended length is read off it once.  Members and
+    strata are ordered by (length, word, component), a rank read off
+    the index, since min_reps lists components in word order.
+
+    For split data (tau the identity, Theta = {1}) every element is a
+    stratum of degree 1 on its own, so the strata are the elements,
+    sorted by (aut_dim, rank), with no orbit walked.  Otherwise the
+    Theta-orbit of a is its direct image {t * a * psi(t)^{-1}}, since
+    that map is a group action.  A stratum is the cycle tau walks
     through Theta-orbits from the first unvisited element, and its
-    degree is the length of the cycle.  Should Theta or tau fail to act
-    on the minimal set as the theory says, ThetaActionLeaks is raised.
-    Members and strata are ordered by (length, word, component), a rank
-    read off the index, since min_reps lists components in word order.
+    degree is the length of the cycle; tau moves an element's key
+    (permutation, component index) by DiagramAutomorphism.apply_key,
+    and the key's position names the image.  Should Theta or tau fail
+    to act on the minimal set as the theory says, ThetaActionLeaks is
+    raised.
     """
     twist = compute_twist(datum)
     ext = datum.ext
@@ -254,14 +269,29 @@ def _stratify(datum):
     I = datum.parabolic_type
     J = twist.J
     reps = ext.min_reps(I)
-    position = {(a.w.perm, a.omega): idx for idx, a in enumerate(reps)}
     # min_reps produced every rep, so none is tested for minimality again.
     lengths = [ext._extended_length(a, I, J) for a in reps]
+    flag_dim = datum.flag_dim
+    assert max(lengths) <= flag_dim
     n = len(datum.omega)
     rank = [i * n + k for k in range(n) for i in range(len(reps) // n)]
 
-    def locate(b, action):
-        idx = position.get((b.w.perm, b.omega))
+    if datum.split:
+        # aut_dim falls as the length rises; the sort is stable.
+        order = sorted(range(len(reps)), key=rank.__getitem__)
+        order.sort(key=lengths.__getitem__, reverse=True)
+        strata = [Stratum(reps[i], (reps[i],), lengths[i],
+                          flag_dim - lengths[i], 1) for i in order]
+        return _Stratification(twist, reps, lengths, strata)
+
+    def key_of(a):
+        return a.w.perm, a.omega
+
+    keys = list(map(key_of, reps))
+    position = {k: idx for idx, k in enumerate(keys)}
+
+    def locate(key, action):
+        idx = position.get(key)
         if idx is None:
             raise ThetaActionLeaks(f"{action} left the minimal set")
         return idx
@@ -281,7 +311,7 @@ def _stratify(datum):
             # Theta = {1}: every orbit is a single element.
             return {idx}
         a = reps[idx]
-        orbit = {idx} | {locate(t * a * pinv, "subgroup action")
+        orbit = {idx} | {locate(key_of(t * a * pinv), "subgroup action")
                          for t, pinv in moves}
         if len({lengths[j] for j in orbit}) != 1:
             raise ThetaActionLeaks(
@@ -289,6 +319,7 @@ def _stratify(datum):
         return orbit
 
     split = tau.is_identity()
+    apply_key = tau.apply_key
     seen = set()
     strata = []
     for start in range(len(reps)):
@@ -303,7 +334,7 @@ def _stratify(datum):
             degree += 1
             if split:
                 break
-            image = {locate(tau.apply_ext(reps[idx]), "Galois action")
+            image = {locate(apply_key(*keys[idx]), "Galois action")
                      for idx in orbit}
             if image == first and len(image) == len(orbit):
                 break
@@ -319,8 +350,7 @@ def _stratify(datum):
             raise ThetaActionLeaks(
                 "extended length is not constant on a Galois orbit")
         length = ell.pop()
-        aut_dim = datum.flag_dim - length
-        assert aut_dim >= 0
+        aut_dim = flag_dim - length
         members.sort(key=rank.__getitem__)
         strata.append((aut_dim, degree, rank[members[0]], Stratum(
             rep=reps[members[0]],
@@ -349,8 +379,7 @@ def zeta_function(datum):
     Poincare polynomial W^I(q) = W(q) / W_I(q) without building W^I.
     Any other datum is classified.
     """
-    if (datum.tau.is_identity()
-            and datum.theta_indices == (datum.omega.identity_index,)):
+    if datum.split:
         poincare = datum.tables.min_left_poincare(datum.parabolic_type)
         n = len(datum.omega)
         return ZetaProduct({(datum.flag_dim - length, 1): n * count

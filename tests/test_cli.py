@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from zipzeta import (CosetTables, DiagramAutomorphism, ExtWeylGroup,
                      ZetaProduct, ZipDatum, classify, cli, weyl,
                      zeta_from_strata)
-from zipzeta.cli import (MAX_COUNT_DEGREE, MAX_SERIES_ORDER, _write_json,
+from zipzeta.cli import (INT, LABEL, MAX_COUNT_DEGREE, MAX_SERIES_ORDER,
+                         WORD, Rows, _render_pretty, _write_json,
                          build_parser, main, parse_config)
 from zipzeta.zipstrata import FACTOR_LIMIT
 
@@ -444,7 +445,7 @@ def test_json_text_rejects_other_types(value):
         written(value)
 
 
-# Row lists as the strata command writes them: dicts with one key set,
+# Lists of dicts that share one key set, written by the generic path,
 # whose words are shared objects.  The pool mixes lists and tuples whose
 # values compare equal across types, (1, 0) and (True, False), so a cache
 # keyed by value would mix them up.
@@ -506,6 +507,57 @@ def test_row_templates_reject_floats(rows):
         written([{"a": shared}, {"a": shared}] + rows)
 
 
+# Typed rows as the strata command writes them.  Words are tuples of
+# ints, some of them one object shared by several columns and rows, and
+# labels, which come from user configs, need escapes.
+TYPED_WORDS = st.lists(st.one_of(st.integers(-3, 16),
+                                 st.integers(min_value=2 ** 64)),
+                       max_size=5).map(tuple)
+TYPED_LABELS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "%", "%s", "%%(k)d", "\u00e9\u03c9",
+                     "\U0001f600", ""]))
+TYPED_VALUES = {
+    WORD: TYPED_WORDS,
+    LABEL: TYPED_LABELS,
+    INT: st.one_of(st.integers(-300, 300), st.integers(min_value=2 ** 64)),
+}
+
+
+@st.composite
+def typed_rows(draw):
+    """(Rows over a list of tuples, the same rows as dicts)."""
+    keys = draw(st.lists(JSON_KEYS, min_size=1, max_size=6, unique=True))
+    shown = [(key, draw(st.sampled_from([WORD, LABEL, INT])))
+             for key in keys]
+    columns = sorted(shown)
+    pool = draw(st.lists(TYPED_WORDS, min_size=1, max_size=3))
+    values = {kind: st.one_of(st.sampled_from(pool), strategy)
+              if kind == WORD else strategy
+              for kind, strategy in TYPED_VALUES.items()}
+    rows = [tuple(draw(values[kind]) for _, kind in columns)
+            for _ in range(draw(st.integers(0, 6)))]
+    dicts = [{key: value for (key, _), value in zip(columns, row)}
+             for row in rows]
+    return Rows.of(shown, rows), dicts
+
+
+@settings(deadline=None)
+@given(typed_rows())
+@example((Rows.of([("a", WORD)], []), []))
+@example((Rows.of([("w", WORD), ("%s", LABEL)], [('"\\%\u00e9', ())]),
+          [{"w": (), "%s": '"\\%\u00e9'}]))
+@example((Rows.of([("b", WORD), ("a", WORD), ("n", INT)],
+                  [((1, 2), (1, 2), 0), ((), (3,), -1)]),
+          [{"b": (1, 2), "a": (1, 2), "n": 0}, {"b": (3,), "a": (), "n": -1}]))
+def test_typed_rows_match_json_dumps(table_and_dicts):
+    table, dicts = table_and_dicts
+    assert written(table) == dumped(dicts)
+    nested = {"rows": table, "more": [table, {"x": table}]}
+    assert written(nested) == dumped(
+        {"rows": dicts, "more": [dicts, {"x": dicts}]})
+
+
 def _yielded(rows):
     """A generator over rows, as the strata command hands its rows to
     the writer."""
@@ -513,20 +565,21 @@ def _yielded(rows):
 
 
 @settings(deadline=None)
-@given(row_lists())
-@example([])
-@example([{"a%sb": 1, "%": (1, True), "%(x)s": None, "%%": "%d"}] * 2)
-@example([{"a": True, "b": None, "c": {"d": [(1, 2), ()]}, "e": (1, "x")},
-          {"a": False, "b": [None], "c": {}, "e": ("x", 2)}])
-@example([{"a": (1, 2)}, {"a": (1, 2), "b": 0}, {"a": (1, 2)}, 5, {}])
-def test_streamed_rows_match_json_dumps(rows):
-    assert written(_yielded(rows)) == dumped(rows)
-    nested = {"rows": _yielded(rows), "more": [_yielded(rows)]}
-    assert written(nested) == dumped({"rows": rows, "more": [rows]})
+@given(typed_rows())
+@example((Rows.of([("a%sb", INT), ("%", WORD), ("%(x)s", LABEL),
+                   ("%%", LABEL)], [((1, 2), "", "%d", 1)] * 2),
+          [{"a%sb": 1, "%": (1, 2), "%(x)s": "%d", "%%": ""}] * 2))
+def test_streamed_rows_match_json_dumps(table_and_dicts):
+    table, dicts = table_and_dicts
+    rows = list(table.rows)
+    assert written(table._replace(rows=_yielded(rows))) == dumped(dicts)
+    nested = {"rows": table._replace(rows=_yielded(rows)),
+              "more": [table._replace(rows=_yielded(rows))]}
+    assert written(nested) == dumped({"rows": dicts, "more": [dicts]})
 
 
 def test_streamed_text_goes_out_in_chunks_of_bounded_size():
-    """The text is never joined whole: each templated row goes to the
+    """The text is never joined whole: each typed row goes to the
     stream as one part, no longer than the longest row's text."""
     writes = []
 
@@ -534,11 +587,22 @@ def test_streamed_text_goes_out_in_chunks_of_bounded_size():
         def write(self, text):
             writes.append(len(text))
 
-    rows = ({"word": tuple(range(k % 50)), "k": k} for k in range(20000))
-    _write_json({"rows": rows}, Stream())
+    rows = ((k, tuple(range(k % 50))) for k in range(20000))
+    _write_json({"rows": Rows.of([("word", WORD), ("k", INT)], rows)},
+                Stream())
     longest = len(dumped({"word": tuple(range(49)), "k": 19999}))
     assert len(writes) > 20000
     assert max(writes) < 2 * longest
+
+
+def test_typed_rows_are_shown_in_their_given_order():
+    table = Rows.of([("weyl_word", WORD), ("omega", LABEL), ("length", INT)],
+                    [(3, "w", (1, 2)), (0, "1", ())])
+    assert table.columns == (("length", INT), ("omega", LABEL),
+                             ("weyl_word", WORD))
+    assert _render_pretty({"kind": "strata", "strata": table}) == (
+        "kind: strata\nstrata:\n  weyl_word | omega | length\n"
+        "  [1, 2] | w | 3\n  [] | 1 | 0")
 
 
 def _commands(config):
@@ -684,17 +748,16 @@ def test_strata_rows_are_decomposed_as_they_are_written(monkeypatch):
 def test_a_failed_stratification_writes_nothing(monkeypatch, capsys):
     """A ZipzetaError in the middle of the Galois walk: every check runs
     before the first row is written, so stdout stays empty."""
-    original = DiagramAutomorphism.apply_ext
+    original = DiagramAutomorphism.apply_key
     calls = []
 
-    def leaking(self, a):
-        calls.append(a)
+    def leaking(self, perm, k):
+        calls.append(perm)
         if len(calls) < 10:
-            return original(self, a)
-        ext = self.ext
-        return ext.element(ext.tables.longest_element(), a.omega)
+            return original(self, perm, k)
+        return self.ext.tables.longest_element().perm, k
 
-    monkeypatch.setattr(DiagramAutomorphism, "apply_ext", leaking)
+    monkeypatch.setattr(DiagramAutomorphism, "apply_key", leaking)
     code, out, err = run(capsys, ["strata",
                                   str(CONFIGS / "a3a3-swap-flip.json")])
     assert len(calls) == 10

@@ -215,6 +215,51 @@ def test_extended_length_additivity(make_ext, I_pool):
                 assert xdec.w_J.is_identity()
 
 
+@pytest.mark.parametrize("make_ext,I_pool,unsigned", [
+    (swap_ext, ({1}, {1, 2}, set()), (True, True)),
+    (flip_ext, (set(), {1, 2}), (True, True)),
+    (minus_one_ext, (set(), {1}), (True, False)),
+])
+def test_unsigned_components_read_the_length_off_the_search(make_ext,
+                                                            I_pool,
+                                                            unsigned):
+    """For a component acting without signs the extended length is the
+    level min_left found the Weyl part on, and equals the root-set
+    count; a signed component keeps the count."""
+    ext = make_ext()
+    assert ext.omega.unsigned == unsigned
+    rank = ext.rs.rank
+    for I in I_pool:
+        for a in ext.min_reps(I):
+            for J in subsets(range(1, rank + 1)):
+                count = ext._root_set_length(a, I, J)
+                assert ext._extended_length(a, I, J) == count
+                if unsigned[a.omega]:
+                    assert a.w.length == count
+
+
+@pytest.mark.parametrize("make_ext", [minus_one_ext, signed_flip_ext])
+def test_signed_components_take_the_root_set_count(make_ext, monkeypatch):
+    ext = make_ext()
+    rank = ext.rs.rank
+    assert ext.omega.unsigned == (True, False)
+    counted = []
+    root_set_length = ExtWeylGroup._root_set_length
+
+    def recorded(self, a, I, J):
+        counted.append(a)
+        return root_set_length(self, a, I, J)
+
+    monkeypatch.setattr(ExtWeylGroup, "_root_set_length", recorded)
+    for I in subsets(range(1, rank + 1)):
+        for J in subsets(range(1, rank + 1)):
+            for a in ext.min_reps(I):
+                counted.clear()
+                length = ext._extended_length(a, I, J)
+                assert counted == ([a] if a.omega else [])
+                assert length == reference_extended_length(ext, a, I, J)
+
+
 def test_factorization_is_unique():
     ext = swap_ext()
     t = ext.tables

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 from fractions import Fraction
@@ -433,6 +434,61 @@ def test_stabilizers_by_linear_algebra_match_the_group(h, d, p, k):
         assert count == len(fixing)
         assert stabs.of_pair(basis, count, coded_pair(F, (A, B))[h:]) == \
             sum(twisted_action(F, g, (A, B)) == (A, B) for g in fixing)
+
+
+def _span_units(F, basis):
+    """Every invertible F_p-combination of basis, each a tuple of h row
+    codes, as a matrix of field codes: the enumerated units of the
+    stabilizer that basis spans."""
+    h = len(basis[0])
+    digits = F.row_tables(h).digits
+    mats = [[digits[u] for u in X] for X in basis]
+    for coeffs in itertools.product(range(F.p), repeat=len(mats)):
+        X = tuple(tuple(functools.reduce(F.add, (
+            F.mul(c, M[i][j]) for c, M in zip(coeffs, mats)), 0)
+            for j in range(h)) for i in range(h))
+        if mat_rank(F, X) == h:
+            yield X
+
+
+@pytest.mark.parametrize("h,d,p,k", [(2, 1, 2, 2), (2, 1, 3, 2),
+                                     (2, 1, 2, 3)])
+def test_stabilizer_units_fix_their_rep_under_the_half_moves(h, d, p, k,
+                                                             monkeypatch):
+    # For each class rep (A0, B): every unit of the subspace linear
+    # algebra solves for Stab(A0) fixes A0, and every unit of the one
+    # for Stab(A0, B) fixes the pair, under the half moves the orbit
+    # search applies (generator_move).  Equal counts alone cannot see a
+    # p-th power swapped for a p-th root where both subspaces have as
+    # many units.
+    F = FqField(p, k)
+    stabs = _Stabilizers(F.row_tables(h))
+    solved = []
+    solve = _Stabilizers._solve
+
+    def recorded(self, basis, M, twist):
+        solved.append(solve(self, basis, M, twist))
+        return solved[-1]
+
+    classes = enumerate_census(F, h, d).classes
+    monkeypatch.setattr(_Stabilizers, "_solve", recorded)
+    for c in classes:
+        pair = coded_pair(F, c.rep)
+        solved.clear()
+        basis, count = stabs.of_half(pair[:h])
+        aut = stabs.of_pair(basis, count, pair[h:])
+        assert aut == c.aut_count
+        half, inner = solved
+        fixing_a = 0
+        for X in _span_units(F, half):
+            assert apply_move(generator_move(F, X), pair)[:h] == pair[:h]
+            fixing_a += 1
+        assert fixing_a == count
+        fixing_pair = 0
+        for X in _span_units(F, inner):
+            assert apply_move(generator_move(F, X), pair) == pair
+            fixing_pair += 1
+        assert fixing_pair == aut
 
 
 def test_stabilizer_enumeration_is_charged_to_the_search_bound(monkeypatch):

@@ -224,19 +224,44 @@ def test_maximal_parabolic_of_a_group_too_large_to_enumerate():
 
 
 def test_identity_galois_step_applies_nothing(monkeypatch):
+    """The Galois walk moves elements by apply_key, which apply_ext (the
+    one call psi makes) goes through too.  Split data build no psi and
+    walk no orbit, so they move nothing."""
     calls = []
-    apply_ext = DiagramAutomorphism.apply_ext
+    apply_key = DiagramAutomorphism.apply_key
 
-    def counted(self, a):
-        calls.append(a)
-        return apply_ext(self, a)
+    def counted(self, perm, k):
+        calls.append((perm, k))
+        return apply_key(self, perm, k)
 
-    monkeypatch.setattr(DiagramAutomorphism, "apply_ext", counted)
+    monkeypatch.setattr(DiagramAutomorphism, "apply_key", counted)
     classify(ZipDatum(A2, []))
-    assert len(calls) == 1
-    calls.clear()
+    assert calls == []
     classify(ZipDatum(A2, [], phi0={"diagram_perm": [2, 1]}))
     assert len(calls) == 1 + 6
+    calls.clear()
+    # The flip squared is the identity, so these data are split too.
+    classify(ZipDatum(A2, [], phi0={"diagram_perm": [2, 1]}, e=2))
+    assert calls == []
+
+
+def test_sl2_omega_lengths_take_the_signed_branch(monkeypatch):
+    """The component w of sl2-omega acts as -1, so its elements' lengths
+    are counted on root sets; the identity component's are read off the
+    search."""
+    d = parse_config(str(CONFIGS / "sl2-omega.json"))
+    assert d.omega.unsigned == (True, False)
+    counted = []
+    root_set_length = ExtWeylGroup._root_set_length
+
+    def recorded(self, a, I, J):
+        counted.append(a)
+        return root_set_length(self, a, I, J)
+
+    monkeypatch.setattr(ExtWeylGroup, "_root_set_length", recorded)
+    found = zipstrata._stratify(d)
+    assert counted == [a for a in found.reps if a.omega == 1]
+    assert len(counted) == 2
 
 
 def test_worked_twist():
@@ -474,7 +499,8 @@ def a3_flip_datum():
 def test_collapsing_galois_action_is_refused():
     d = a3_flip_datum()
     assert {s.degree for s in classify(d)} == {1, 2}
-    d.tau.apply_ext = lambda a: d.ext.identity
+    identity = d.ext.identity
+    d.tau.apply_key = lambda perm, k: (identity.w.perm, identity.omega)
     with pytest.raises(ThetaActionLeaks, match="does not permute the "
                        "subgroup orbits"):
         classify(d)
@@ -484,7 +510,7 @@ def test_galois_action_leak_guard():
     d = a3_flip_datum()
     outside = d.ext.element(d.tables.longest_element(),
                             d.omega.identity_index)
-    d.tau.apply_ext = lambda a: outside
+    d.tau.apply_key = lambda perm, k: (outside.w.perm, outside.omega)
     with pytest.raises(ThetaActionLeaks,
                        match="Galois action left the minimal set"):
         classify(d)
