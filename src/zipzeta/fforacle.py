@@ -38,19 +38,19 @@ one move per half (a position map, one column table and at most one row
 step on row codes), and a breadth-first search over the A, each
 generator moving every A once by a table, gives the A-orbits.  A class
 is an A-orbit with an orbit of Stab(A0) on the fibre of its least A,
-A0; Stab(A0) acts through Schreier generators of that search.  A
-stabilizer is the unit group of an F_p-subspace of M_h(F_q), since
-x -> x^p is additive, so #Stab comes from linear algebra over F_p, and
-every class is checked by |orbit| * #Aut = |GL_h|; the fibre orbits
-are complete exactly when that identity holds for each of them.  Only
-the fibres of the A0 are built and checked against the rank and product
-conditions; the fibre of g A0 is g times the fibre of A0, so the rest
-follow.  The test suite keeps the scan of all q^(h^2) matrices, the
-full-group stabilizer sweep, the pair-level orbit search and a
-nested-matrix admissibility check as oracles for these candidates,
-classes and checks; the nested-tuple matrix helpers here serve only
-them, and the census itself, GL_d and GL_(h-d) included, runs on row
-codes alone.
+A0.  A stabilizer is the unit group of an F_p-subspace of M_h(F_q),
+since x -> x^p is additive, so #Stab comes from linear algebra over
+F_p, and the units that count enumerates are the elements that split
+the fibre.  Every class is checked by |orbit| * #Aut = |GL_h|; the
+fibre orbits are complete exactly when that identity holds for each of
+them.  Only the fibres of the A0 are built and checked against the rank
+and product conditions; the fibre of g A0 is g times the fibre of A0,
+so the rest follow.  The test suite keeps the scan of all q^(h^2)
+matrices, the full-group stabilizer sweep, the pair-level orbit search
+and a nested-matrix admissibility check as oracles for these
+candidates, classes and checks; the nested-tuple matrix helpers here
+serve only them, and the census itself, GL_d and GL_(h-d) included,
+runs on row codes alone.
 
 Everything is exhaustive and exact, and shares no code with the
 stratification; that is the point.
@@ -700,15 +700,6 @@ def _times(T, X, Y):
     return tuple(_combine(add, scale, digits[x], Y) for x in X)
 
 
-def _inverse(T, g):
-    """g^-1, a tuple of h row codes: the power of g just before the
-    identity."""
-    previous, power = T.identity, g
-    while power != T.identity:
-        previous, power = power, _times(T, power, g)
-    return previous
-
-
 def _fp_kernel(p, vectors):
     """A basis of the relations sum_t c_t vectors[t] = 0 over F_p, each
     vector a list of F_p coordinates: the rows (v_t | e_t) are reduced,
@@ -746,6 +737,8 @@ class _Stabilizers:
     A.  #Stab is the number of invertible elements of the subspace: all
     of M_h(F_q) has |GL_h| of them, and any smaller one has its p^dim
     elements enumerated, their number charged to the search bound.
+    Those units are also the elements that split a fibre into orbits;
+    for all of M_h(F_q) the generators of GL_h stand in for them.
     """
 
     def __init__(self, T):
@@ -775,11 +768,16 @@ class _Stabilizers:
                 for c in _fp_kernel(self.p, vectors)]
 
     def units(self, basis):
-        """The number of invertible elements of the span of basis."""
+        """(#units, elements): the number of invertible elements of the
+        span of basis, and an iterator over elements that generate
+        them.  For all of M_h(F_q) those are the generators of GL_h;
+        for a smaller span, every unit in span order, each a tuple of h
+        row codes built when asked for."""
         T = self.T
         n = len(basis)
         if n == len(self.unknowns):
-            return gl_order(T.field.q, T.h)
+            return gl_order(T.field.q, T.h), (
+                tuple(map(T.encode, g)) for g in gl_generators(T.field, T.h))
         self.spent += self.p ** n
         if self.spent > DEFAULT_SEARCH_BOUND:
             raise SearchSpaceTooLarge(
@@ -787,75 +785,39 @@ class _Stabilizers:
                 f"{DEFAULT_SEARCH_BOUND}")
         rows = [_span(T, column, self.p) for column in zip(*basis)]
         spaces = _space_numbers(T, rows, self.p ** n)
-        return spaces.count(T.space_number.get(T.identity))
+        full = T.space_number.get(T.identity)
+        return spaces.count(full), (
+            X for X, s in zip(zip(*rows), spaces) if s == full)
 
     def of_half(self, A):
-        """(basis, #Stab) of A: the units of {X : X A = A X^[p]}."""
+        """(basis, #Stab, elements) of A, for the units of
+        {X : X A = A X^[p]}: see `units`."""
         basis = self._solve(self.unknowns, A, self.T.frob)
-        return basis, self.units(basis)
+        return (basis, *self.units(basis))
 
     def of_pair(self, basis, count, B):
         """#Stab of (A, B), from the basis and #Stab of A."""
         inner = self._solve(basis, B, self.T.frob_inv)
-        return count if len(inner) == len(basis) else self.units(inner)
+        return count if len(inner) == len(basis) else self.units(inner)[0]
 
 
-def _schreier(T, A, order, parent, tables, gens, inverses):
-    """Schreier generators of the stabilizer of A, the A at order[0], as
-    tuples of h row codes, in a fixed order: for each A' of its orbit in
-    search order and each generator g, t(gA')^-1 g t(A'), where t(A')
-    is the product of the generators along the search tree from A to
-    A'.  Tree edges give the identity and are skipped.  Each t and t^-1
-    is built on first use, from its parent's, and each generator made
-    is checked to fix A: X A = A X^[p]."""
-    forward = {order[0]: T.identity}
-    backward = {order[0]: T.identity}
-
-    def transversal(memo, j, step):
-        path = []
-        while j not in memo:
-            i, k = parent[j]
-            path.append((j, k))
-            j = i
-        X = memo[j]
-        for j, k in reversed(path):
-            X = memo[j] = step(X, k)
-        return X
-
-    def down(X, k):
-        return _times(T, gens[k], X)
-
-    def up(X, k):
-        return _times(T, X, inverses[k])
-
-    for i in order:
-        for k, table in enumerate(tables):
-            j = table[i]
-            if parent[j] != (i, k):
-                X = _times(T, _times(T, transversal(backward, j, up),
-                                     gens[k]), transversal(forward, i, down))
-                assert _times(T, X, A) == _times(
-                    T, A, tuple(map(T.frob.__getitem__, X))), \
-                    "a generator image left the candidates"
-                yield X
-
-
-def _fibre_orbits(stabs, basis, n_stab, Bs, elements):
+def _fibre_orbits(stabs, A, basis, n_stab, Bs, elements):
     """The orbits of Stab(A) on the fibre Bs of A (sorted B halves):
     (orbits, failure).
 
     Each element of Stab(A) that elements yields, in turn, is applied to
-    every B, and the orbits are the classes of a union-find that keeps
-    each orbit's least position as its root.  They stop once every
-    orbit O satisfies |O| * #Stab(A, B) = #Stab(A), with #Stab(A, B)
-    from linear algebra at the least B of O: the orbits are then
-    (least position, size, #Stab(A, B)) in order, and failure is None.
-    The identity holds only for true orbits, since the elements found
-    so far give sub-orbits, so the result is exact wherever it stops.
-    It is tested after each element that merges two orbits, in order
-    of least B, up to the first that fails, and #Stab(A, B) is kept
-    for each least B tried.  When the elements run out first, orbits
-    is None and failure is the first failing (position, size, #Stab).
+    every B and checked to fix A, X A = A X^[p]; the orbits are the
+    classes of a union-find that keeps each orbit's least position as
+    its root.  They stop once every orbit O satisfies
+    |O| * #Stab(A, B) = #Stab(A), with #Stab(A, B) from linear algebra
+    at the least B of O: the orbits are then (least position, size,
+    #Stab(A, B)) in order, and failure is None.  The identity holds only
+    for true orbits, since the elements found so far give sub-orbits, so
+    the result is exact wherever it stops.  It is tested after each
+    element that merges two orbits, in order of least B, up to the
+    first that fails, and #Stab(A, B) is kept for each least B tried.
+    When the elements run out first, orbits is None and failure is the
+    first failing (position, size, #Stab).
     """
     T = stabs.T
     index = {B: j for j, B in enumerate(Bs)}
@@ -889,6 +851,9 @@ def _fibre_orbits(stabs, basis, n_stab, Bs, elements):
         moved = _half_table(
             _half_move(T, tuple(map(T.digits.__getitem__, X)),
                        T.field._frob_inv), T.add, Bs, index)
+        assert _times(T, X, A) == _times(
+            T, A, tuple(map(T.frob.__getitem__, X))), \
+            "a generator image left the candidates"
         merged = False
         for j, i in enumerate(moved):
             j, i = find(j), find(i)
@@ -912,8 +877,7 @@ def enumerate_census(field, h, d):
     exactly when Stab(A0) moves one B to the other.  So a class is an
     A-orbit with a Stab(A0)-orbit O on the fibre: its size is
     |A-orbit| * |O|, and its least pair, its rep, is (A0, least B in O).
-    Stab(A0) acts through Schreier generators of the A-orbit search
-    (`_fibre_orbits`).
+    Stab(A0) acts through the units that count it (`_fibre_orbits`).
 
     Every A is built and has its rank checked, and each generator moves
     every A once, by tables.  Of the B, only the fibres of the A-orbits'
@@ -963,8 +927,6 @@ def enumerate_census(field, h, d):
     moves = [generator_move(F, g) for g in gens]
     tables = [_half_table(a_half, T.add, a_halves, cands.a_index)
               for a_half, _, _ in moves]
-    gen_rows = [tuple(map(T.encode, g)) for g in gens]
-    inverses = [_inverse(T, g) for g in gen_rows]
     stabs = _Stabilizers(T)
     digits = T.digits
 
@@ -978,7 +940,6 @@ def enumerate_census(field, h, d):
             context=f"census h={h} d={d} p={F.p} k={F.k}, |GL_h| against "
                     f"|orbit| * #Aut for the class of {rep(A, B)}")
 
-    parent = [None] * len(a_halves)
     seen = bytearray(len(a_halves))
     classes = []
     # Each A-orbit is searched from its least unvisited A, so the least
@@ -990,22 +951,20 @@ def enumerate_census(field, h, d):
         seen[seed] = 1
         order = [seed]
         for i in order:
-            for k, table in enumerate(tables):
+            for table in tables:
                 j = table[i]
                 if not seen[j]:
                     seen[j] = 1
-                    parent[j] = (i, k)
                     order.append(j)
         A = a_halves[seed]
         Bs = cands.fibre(seed)
         assert len(Bs) == gl_order(q, h - d)
         _verify_admissible(T, d, A, Bs)
-        basis, n_stab = stabs.of_half(A)
+        basis, n_stab, elements = stabs.of_half(A)
         if len(order) * n_stab != group_order:
             raise mismatch(A, Bs[0], len(order) * n_stab)
-        orbits, failure = _fibre_orbits(
-            stabs, basis, n_stab, Bs,
-            _schreier(T, A, order, parent, tables, gen_rows, inverses))
+        orbits, failure = _fibre_orbits(stabs, A, basis, n_stab, Bs,
+                                        elements)
         if failure is not None:
             j, size, count = failure
             raise mismatch(A, Bs[j], len(order) * size * count)

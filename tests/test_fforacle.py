@@ -360,29 +360,40 @@ def test_half_tables_match_apply_move(h, d, p, k):
                 cands.a_index[image[:h]] * n_b + b_index[image[h:]]
 
 
+def _planted_units(monkeypatch, elements):
+    """Make every stabilizer's units iterator yield elements, keeping
+    the true unit counts."""
+    units = _Stabilizers.units
+    monkeypatch.setattr(_Stabilizers, "units", lambda self, basis: (
+        units(self, basis)[0], iter(elements)))
+
+
 def test_a_planted_pair_outside_the_candidates_is_refused(monkeypatch):
-    # Every stabilizer element is replaced by the cyclic shift, which
-    # moves the least A.  It sends each B of that A's fibre to a B that
-    # pairs with the shifted A: a candidate's half, but the pair it
-    # makes with the least A is no candidate.
+    # Every stabilizer unit is replaced by the cyclic shift, which moves
+    # the least A.  It sends each B of that A's fibre to a B that pairs
+    # with the shifted A: a candidate's half, but the pair it makes with
+    # the least A is no candidate, so the fibre's move table refuses it.
     # (3,1,2,1) has fibres that split, so the census asks for elements.
     F = FqField(2)
     shift = tuple(map(F.row_tables(3).encode, gl_generators(F, 3)[0]))
-    monkeypatch.setattr(fforacle, "_schreier",
-                        lambda *args: iter([shift] * 3))
+    _planted_units(monkeypatch, [shift] * 3)
     with pytest.raises(AssertionError,
                        match="^a generator image left the candidates$"):
         enumerate_census(F, 3, 1)
 
 
 def test_a_stabilizer_element_that_moves_the_a_is_refused(monkeypatch):
-    # With every generator's inverse taken to be the identity, a Schreier
-    # generator t(gA)^-1 g t(A) past the first level of the search is
-    # t(gA) g t(A) instead, which moves the A it should fix.
-    monkeypatch.setattr(fforacle, "_inverse", lambda T, g: T.identity)
+    # The scalar z, z in F_4 outside F_2, sends A to z A z^-2 = z^-1 A,
+    # which has A's kernel and image, so A's fibre is moved onto itself
+    # and every image stays a candidate: only the check X A = A X^[p]
+    # sees that the unit moves the A it should fix.
+    F = FqField(2, 2)
+    T = F.row_tables(2)
+    scalar = tuple(T.scale[primitive_element(F)][u] for u in T.identity)
+    _planted_units(monkeypatch, [scalar])
     with pytest.raises(AssertionError,
                        match="^a generator image left the candidates$"):
-        enumerate_census(FqField(3), 3, 1)
+        enumerate_census(F, 2, 1)
 
 
 @pytest.mark.parametrize("h,d,p,k,classes", [
@@ -409,7 +420,8 @@ def test_generators_short_of_gl_are_a_mismatch(monkeypatch, h, d, p, k,
 REFERENCE_SHAPES = sorted(set(CANDIDATE_SHAPES) | {
     (2, 1, 2, 2, None), (2, 1, 3, 1, None), (2, 0, 3, 1, None),
     (4, 2, 2, 1, None), (4, 1, 2, 1, None), (3, 0, 3, 1, None),
-    (3, 3, 3, 1, None), (2, 1, 2, 3, None)}, key=repr)
+    (3, 3, 3, 1, None), (2, 1, 2, 3, None), (2, 0, 2, 3, None),
+    (2, 2, 2, 3, None)}, key=repr)
 
 
 @pytest.mark.parametrize("h,d,p,k,modulus", REFERENCE_SHAPES)
@@ -423,15 +435,23 @@ def test_census_matches_the_pair_route(h, d, p, k, modulus):
                                      (3, 1, 2, 1)])
 def test_stabilizers_by_linear_algebra_match_the_group(h, d, p, k):
     # #Stab(A) and #Stab(A, B) by linear algebra against a count of the
-    # g in GL_h that fix A, or the pair, under the twisted action.
+    # g in GL_h that fix A, or the pair, under the twisted action.  The
+    # elements that come with #Stab(A) are those g, or, when Stab(A) is
+    # all of GL_h (A = 0 here), the generators of GL_h.
     F = FqField(p, k)
     stabs = _Stabilizers(F.row_tables(h))
+    digits = F.row_tables(h).digits
     gl = enumerate_gl(F, h)
     pairs = candidates_by_scan(F, h, d)
     for A, B in pairs[::max(1, len(pairs) // 6)]:
-        basis, count = stabs.of_half(coded_pair(F, (A, B))[:h])
+        basis, count, elements = stabs.of_half(coded_pair(F, (A, B))[:h])
         fixing = [g for g in gl if twisted_action(F, g, (A, B))[0] == A]
         assert count == len(fixing)
+        elements = [tuple(map(digits.__getitem__, X)) for X in elements]
+        if count == len(gl):
+            assert elements == gl_generators(F, h)
+        else:
+            assert sorted(elements) == sorted(fixing)
         assert stabs.of_pair(basis, count, coded_pair(F, (A, B))[h:]) == \
             sum(twisted_action(F, g, (A, B)) == (A, B) for g in fixing)
 
@@ -460,9 +480,11 @@ def test_stabilizer_units_fix_their_rep_under_the_half_moves(h, d, p, k,
     # for Stab(A0, B) fixes the pair, under the half moves the orbit
     # search applies (generator_move).  Equal counts alone cannot see a
     # p-th power swapped for a p-th root where both subspaces have as
-    # many units.
+    # many units.  The units the census splits fibres with are those of
+    # Stab(A0), in span order.
     F = FqField(p, k)
     stabs = _Stabilizers(F.row_tables(h))
+    digits = F.row_tables(h).digits
     solved = []
     solve = _Stabilizers._solve
 
@@ -475,15 +497,16 @@ def test_stabilizer_units_fix_their_rep_under_the_half_moves(h, d, p, k,
     for c in classes:
         pair = coded_pair(F, c.rep)
         solved.clear()
-        basis, count = stabs.of_half(pair[:h])
+        basis, count, units = stabs.of_half(pair[:h])
         aut = stabs.of_pair(basis, count, pair[h:])
         assert aut == c.aut_count
         half, inner = solved
-        fixing_a = 0
-        for X in _span_units(F, half):
+        units = [tuple(map(digits.__getitem__, X)) for X in units]
+        # The same units in the same order, so as a set and a count.
+        assert units == list(_span_units(F, half))
+        for X in units:
             assert apply_move(generator_move(F, X), pair)[:h] == pair[:h]
-            fixing_a += 1
-        assert fixing_a == count
+        assert len(units) == count
         fixing_pair = 0
         for X in _span_units(F, inner):
             assert apply_move(generator_move(F, X), pair) == pair
@@ -498,7 +521,8 @@ def test_stabilizer_enumeration_is_charged_to_the_search_bound(monkeypatch):
     F = FqField(2)
     T = F.row_tables(3)
     A = (0, 0, 1)
-    assert _Stabilizers(T).of_half(A)[1] == 6
+    _, count, units = _Stabilizers(T).of_half(A)
+    assert count == len(list(units)) == 6
     monkeypatch.setattr(fforacle, "DEFAULT_SEARCH_BOUND", 31)
     with pytest.raises(SearchSpaceTooLarge,
                        match="^about 32 stabilizer elements exceed the "
