@@ -35,22 +35,25 @@ The classes are found by orbit and stabilizer (Holt, Eick and O'Brien,
 moves A and B separately, so each of three generators of GL_h (the
 cyclic shift, one transvection and one diagonal matrix) is compiled to
 one move per half (a position map, one column table and at most one row
-step on row codes), and a breadth-first search over the A, each
-generator moving every A once by a table, gives the A-orbits.  A class
-is an A-orbit with an orbit of Stab(A0) on the fibre of its least A,
-A0.  A stabilizer is the unit group of an F_p-subspace of M_h(F_q),
-since x -> x^p is additive, so #Stab comes from linear algebra over
-F_p, and the units that count enumerates are the elements that split
-the fibre.  Every class is checked by |orbit| * #Aut = |GL_h|; the
-fibre orbits are complete exactly when that identity holds for each of
-them.  Only the fibres of the A0 are built and checked against the rank
-and product conditions; the fibre of g A0 is g times the fibre of A0,
-so the rest follow.  The test suite keeps the scan of all q^(h^2)
-matrices, the full-group stabilizer sweep, the pair-level orbit search
-and a nested-matrix admissibility check as oracles for these
-candidates, classes and checks; the nested-tuple matrix helpers here
-serve only them, and the census itself, GL_d and GL_(h-d) included,
-runs on row codes alone.
+step on row codes), each moving every A once, into a table over
+positions.  A class is an A-orbit with an orbit of Stab(A0) on the
+fibre of its least A, A0.  A stabilizer is the unit group of an
+F_p-subspace of M_h(F_q), since x -> x^p is additive, so #Stab comes
+from linear algebra over F_p, and the units that count enumerates are
+the elements that split the fibre, each compiled to a table over the
+fibre.  One search (`_orbit`) finds the orbits at both levels: it grows
+each orbit from its least unowned point under the tables it has, and
+takes another unit's table only while the orbit is smaller than
+orbit-stabilizer predicts.  So every class is checked by
+|orbit| * #Aut = |GL_h| as it is found, and the orbits are complete
+exactly when that identity holds for each of them.  Only the fibres of
+the A0 are built and checked against the rank and product conditions;
+the fibre of g A0 is g times the fibre of A0, so the rest follow.  The
+test suite keeps the scan of all q^(h^2) matrices, the full-group
+stabilizer sweep, the pair-level orbit search and a nested-matrix
+admissibility check as oracles for these candidates, classes and
+checks; the nested-tuple matrix helpers here serve only them, and the
+census itself, GL_d and GL_(h-d) included, runs on row codes alone.
 
 Everything is exhaustive and exact, and shares no code with the
 stratification; that is the point.
@@ -59,7 +62,7 @@ stratification; that is the point.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (FieldTooLarge, MismatchDetected, SearchSpaceTooLarge,
@@ -801,98 +804,73 @@ class _Stabilizers:
         return count if len(inner) == len(basis) else self.units(inner)[0]
 
 
-def _fibre_orbits(stabs, A, basis, n_stab, Bs, elements):
-    """The orbits of Stab(A) on the fibre Bs of A (sorted B halves):
-    (orbits, failure).
+def _orbit(seed, owner, tables, more, target):
+    """The orbit of position seed under position maps: a list of
+    positions, seed first, or None when it meets an earlier orbit.
 
-    Each element of Stab(A) that elements yields, in turn, is applied to
-    every B and checked to fix A, X A = A X^[p]; the orbits are the
-    classes of a union-find that keeps each orbit's least position as
-    its root.  They stop once every orbit O satisfies
-    |O| * #Stab(A, B) = #Stab(A), with #Stab(A, B) from linear algebra
-    at the least B of O: the orbits are then (least position, size,
-    #Stab(A, B)) in order, and failure is None.  The identity holds only
-    for true orbits, since the elements found so far give sub-orbits, so
-    the result is exact wherever it stops.  It is tested after each
-    element that merges two orbits, in order of least B, up to the
-    first that fails, and #Stab(A, B) is kept for each least B tried.
-    When the elements run out first, orbits is None and failure is the
-    first failing (position, size, #Stab).
+    owner[x] is the seed of the orbit that holds x, or -1; each point
+    found is marked with seed.  The orbit is closed under tables, and
+    while it holds fewer than target points another map is pulled from
+    the iterator more and kept in tables, for the later seeds too.  An
+    image owned by an earlier seed is refused: orbits are disjoint, so
+    that earlier orbit was only part of one.  When more runs dry the
+    orbit comes back short of target.
     """
-    T = stabs.T
-    index = {B: j for j, B in enumerate(Bs)}
-    root = list(range(len(Bs)))
-    counts = {}
-
-    def find(j):
-        while root[j] != j:
-            root[j] = root[root[j]]
-            j = root[j]
-        return j
-
-    def verdict():
-        sizes = Counter(map(find, range(len(Bs))))
-        orbits = []
-        for j in sorted(sizes):
-            count = counts.get(j)
-            if count is None:
-                count = counts[j] = stabs.of_pair(basis, n_stab, Bs[j])
-            orbits.append((j, sizes[j], count))
-            if sizes[j] * count != n_stab:
-                return None, orbits[-1]
-        return orbits, None
-
-    orbits, failure = verdict()
-    elements = iter(elements)
-    while orbits is None:
-        X = next(elements, None)
-        if X is None:
-            break
-        moved = _half_table(
-            _half_move(T, tuple(map(T.digits.__getitem__, X)),
-                       T.field._frob_inv), T.add, Bs, index)
-        assert _times(T, X, A) == _times(
-            T, A, tuple(map(T.frob.__getitem__, X))), \
-            "a generator image left the candidates"
-        merged = False
-        for j, i in enumerate(moved):
-            j, i = find(j), find(i)
-            if j != i:
-                root[max(i, j)] = min(i, j)
-                merged = True
-        if merged:
-            orbits, failure = verdict()
-    return orbits, failure
+    owner[seed] = seed
+    orbit = [seed]
+    # Each round moves a layer of points by some maps: first the seed by
+    # every map, then each new layer by every map, and after a pull the
+    # whole orbit by the pulled map alone.
+    layer, maps = orbit, tables
+    while True:
+        while layer:
+            found = []
+            for table in maps:
+                for y in map(table.__getitem__, layer):
+                    if owner[y] != seed:
+                        if owner[y] != -1:
+                            return None
+                        owner[y] = seed
+                        found.append(y)
+            orbit += found
+            layer, maps = found, tables
+        table = next(more, None) if len(orbit) < target else None
+        if table is None:
+            return orbit
+        tables.append(table)
+        layer, maps = orbit, (table,)
 
 
 def enumerate_census(field, h, d):
     """Exhaustive classification for the given height and rank.
 
-    The classes are found by orbit and stabilizer.  The GL_h-orbits on
-    the distinct A come first, by breadth-first search under the
-    generators of GL_h from each least unvisited A; as the group is
-    finite, closure under the generators is the orbit.  The pairs over
-    an A-orbit with least member A0 are the GL_h-images of the pairs
+    The classes are found by orbit and stabilizer.  The pairs over an
+    A-orbit with least member A0 are the GL_h-images of the pairs
     (A0, B), B in the fibre of A0, and two of those lie in one class
     exactly when Stab(A0) moves one B to the other.  So a class is an
     A-orbit with a Stab(A0)-orbit O on the fibre: its size is
     |A-orbit| * |O|, and its least pair, its rep, is (A0, least B in O).
-    Stab(A0) acts through the units that count it (`_fibre_orbits`).
+    `_orbit` finds both kinds of orbit, each from its least unowned
+    point: an A-orbit under the generators of GL_h, as the group is
+    finite, and O under the units that count Stab(A0), taken one at a
+    time while O is smaller than #Stab(A0) / #Stab(A0, B), with
+    #Stab(A0, B) solved at the least B of O.
 
     Every A is built and has its rank checked, and each generator moves
     every A once, by tables.  Of the B, only the fibres of the A-orbits'
     least A are built; their pairs pass the four admissibility
-    conditions, and every stabilizer image of one is checked to stay in
-    it.  The pairs never built are covered by equivariance, since the
-    fibre of g A0 is g times the fibre of A0, and by the counts: the A
-    number _rank_count(q, h, d), each fibre |GL_(h-d)|, and the class
-    sizes sum to the candidate count.
+    conditions, each unit is checked to fix A0 before it moves the
+    fibre, and every image of a B is checked to stay in it.  The pairs
+    never built are covered by equivariance, since the fibre of g A0 is
+    g times the fibre of A0, and by the counts: the A number
+    _rank_count(q, h, d), each fibre |GL_(h-d)|, and the class sizes sum
+    to the candidate count.
 
     Every class is checked by the identity |orbit| * #Aut = |GL_h|, with
     #Aut from linear algebra (`_Stabilizers`): |A-orbit| * #Stab(A0)
     first, then |O| * #Stab(A0, B) = #Stab(A0).  A failure, such as a
-    generator set too small to reach every orbit, raises
-    MismatchDetected naming the class.
+    generator set too small to reach every orbit, or an orbit that runs
+    into one found before it, raises MismatchDetected naming the class.
     """
     if not _is_int(h) or h < 1:
         raise ValueError("height must be a positive integer")
@@ -934,47 +912,59 @@ def enumerate_census(field, h, d):
         return (tuple(map(digits.__getitem__, A)),
                 tuple(map(digits.__getitem__, B)))
 
-    def mismatch(A, B, observed):
-        return MismatchDetected(
-            group_order, observed,
-            context=f"census h={h} d={d} p={F.p} k={F.k}, |GL_h| against "
-                    f"|orbit| * #Aut for the class of {rep(A, B)}")
+    def verify(orbit, times, A, B):
+        # |orbit| * times must be |GL_h|: |A-orbit| * #Stab(A0), or for
+        # a class |O| * |A-orbit| * #Stab(A0, B).  An orbit that met an
+        # earlier one counts as none.
+        observed = len(orbit or ()) * times
+        if observed != group_order:
+            raise MismatchDetected(
+                group_order, observed,
+                context=f"census h={h} d={d} p={F.p} k={F.k}, |GL_h| "
+                        f"against |orbit| * #Aut for the class of "
+                        f"{rep(A, B)}")
 
-    seen = bytearray(len(a_halves))
+    def unit_tables(A, Bs, elements):
+        # The move table over Bs of each unit, checked to fix A first.
+        index = {B: j for j, B in enumerate(Bs)}
+        for X in elements:
+            assert _times(T, X, A) == _times(
+                T, A, tuple(map(T.frob.__getitem__, X))), \
+                "a generator image left the candidates"
+            yield _half_table(
+                _half_move(T, tuple(map(digits.__getitem__, X)),
+                           F._frob_inv), T.add, Bs, index)
+
+    owner = [-1] * len(a_halves)
     classes = []
-    # Each A-orbit is searched from its least unvisited A, so the least
-    # of its orbit: every smaller A lies in an earlier orbit.  Its
-    # classes come out in order of least B, so all of them sorted by rep.
+    # Every orbit is searched from its least unowned point, so the least
+    # of its orbit: every smaller point lies in an earlier orbit.  The
+    # classes of an A-orbit come out in order of least B, so all of them
+    # sorted by rep.
     for seed in range(len(a_halves)):
-        if seen[seed]:
+        if owner[seed] != -1:
             continue
-        seen[seed] = 1
-        order = [seed]
-        for i in order:
-            for table in tables:
-                j = table[i]
-                if not seen[j]:
-                    seen[j] = 1
-                    order.append(j)
         A = a_halves[seed]
         Bs = cands.fibre(seed)
         assert len(Bs) == gl_order(q, h - d)
         _verify_admissible(T, d, A, Bs)
+        # The tables move A as the whole-pair move does.
+        for move, table in zip(moves, tables):
+            assert apply_move(move, A + Bs[0])[:h] == a_halves[table[seed]]
         basis, n_stab, elements = stabs.of_half(A)
-        if len(order) * n_stab != group_order:
-            raise mismatch(A, Bs[0], len(order) * n_stab)
-        orbits, failure = _fibre_orbits(stabs, A, basis, n_stab, Bs,
-                                        elements)
-        if failure is not None:
-            j, size, count = failure
-            raise mismatch(A, Bs[j], len(order) * size * count)
-        for j, size, aut in orbits:
-            B = Bs[j]
-            # The tables move the rep's A as the whole-pair move does.
-            for move, table in zip(moves, tables):
-                assert apply_move(move, A + B)[:h] == a_halves[table[seed]]
+        a_orbit = _orbit(seed, owner, tables, iter(()), group_order // n_stab)
+        verify(a_orbit, n_stab, A, Bs[0])
+        b_owner = [-1] * len(Bs)
+        b_tables = []
+        units = unit_tables(A, Bs, elements)
+        for j, B in enumerate(Bs):
+            if b_owner[j] != -1:
+                continue
+            aut = stabs.of_pair(basis, n_stab, B)
+            orbit = _orbit(j, b_owner, b_tables, units, n_stab // aut)
+            verify(orbit, len(a_orbit) * aut, A, B)
             classes.append(CensusClass(rep=rep(A, B),
-                                       orbit_size=len(order) * size,
+                                       orbit_size=len(a_orbit) * len(orbit),
                                        aut_count=aut))
 
     total_orbit = sum(c.orbit_size for c in classes)

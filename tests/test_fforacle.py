@@ -9,7 +9,7 @@ from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, ZetaProduct,
                      crosscheck, enumerate_census)
 from zipzeta import fforacle
-from zipzeta.fforacle import (_Stabilizers, _candidates, _rank_count,
+from zipzeta.fforacle import (_Stabilizers, _candidates, _orbit, _rank_count,
                               _verify_admissible, apply_move, enumerate_gl,
                               generator_move, gl_generators, gl_order,
                               mat_inv, mat_mul, primitive_element,
@@ -415,6 +415,86 @@ def test_generators_short_of_gl_are_a_mismatch(monkeypatch, h, d, p, k,
         crosscheck(BTParams(h, d, p), k)
     assert info.value.predicted == gl_order(p ** k, h)
     assert info.value.observed < info.value.predicted
+
+
+def _swap(step):
+    """The position map on 0..7 that swaps x and x ^ step."""
+    return [x ^ step for x in range(8)]
+
+
+def test_orbit_pulls_maps_only_while_short_of_its_target():
+    pulled = []
+
+    def counted(maps):
+        for table in maps:
+            pulled.append(table)
+            yield table
+
+    # Closed under the maps it has, whatever the target.
+    owner = [-1] * 8
+    assert sorted(_orbit(0, owner, [_swap(1), _swap(2)], iter(()), 1)) == \
+        [0, 1, 2, 3]
+    assert owner == [0] * 4 + [-1] * 4
+    # {0, 1} is short of 4 points, so one map is pulled, and it is kept:
+    # the next seed reaches its 4 points with no pull.
+    owner = [-1] * 8
+    tables = [_swap(1)]
+    more = counted([_swap(2), _swap(4)])
+    orbit = _orbit(0, owner, tables, more, 4)
+    assert orbit[0] == 0 and sorted(orbit) == [0, 1, 2, 3]
+    assert pulled == [_swap(2)] and tables == [_swap(1), _swap(2)]
+    assert sorted(_orbit(4, owner, tables, more, 4)) == [4, 5, 6, 7]
+    assert pulled == [_swap(2)]
+    assert owner == [0] * 4 + [4] * 4
+    # The last map is pulled for an orbit still short of 8, and every
+    # point met before it moves by it.
+    owner = [-1] * 8
+    tables = [_swap(1)]
+    assert sorted(_orbit(0, owner, tables, iter([_swap(2), _swap(4)]),
+                         8)) == list(range(8))
+    # When the maps run dry, the orbit comes back short.
+    owner = [-1] * 8
+    assert sorted(_orbit(0, owner, [_swap(1)], iter([_swap(2)]), 8)) == \
+        [0, 1, 2, 3]
+
+
+def test_an_orbit_that_meets_an_earlier_one_is_refused():
+    # {0, 1} is taken as an orbit; the 3-cycle (1 2 3) then moves 2 onto
+    # 3 and 3 onto 1, which the earlier orbit owns.
+    owner = [-1] * 8
+    assert _orbit(0, owner, [_swap(1)], iter(()), 2) == [0, 1]
+    cycle = [0, 2, 3, 1, 4, 5, 6, 7]
+    assert _orbit(2, owner, [cycle], iter(()), 3) is None
+    # So is a map pulled after the start.
+    owner = [-1] * 8
+    assert _orbit(0, owner, [_swap(1)], iter(()), 2) == [0, 1]
+    assert _orbit(2, owner, [], iter([cycle]), 3) is None
+
+
+@pytest.mark.parametrize("factor", [2, "p"])
+@pytest.mark.parametrize("h,d,p,k", [(2, 1, 3, 2), (3, 1, 2, 2),
+                                     (4, 2, 2, 1)])
+def test_a_wrong_pair_stabilizer_count_is_a_mismatch(monkeypatch, h, d, p, k,
+                                                     factor):
+    # #Stab(A0, B) of the first B asked, the least of the first class, is
+    # planted too large: the orbit grown to the size it predicts is then
+    # not the whole orbit, or not an orbit at all, and the census names
+    # a class whose |orbit| * #Aut is not |GL_h|.
+    real = _Stabilizers.of_pair
+    asked = []
+
+    def planted(self, basis, count, B):
+        asked.append(B)
+        aut = real(self, basis, count, B)
+        return aut * (p if factor == "p" else factor) if len(asked) == 1 \
+            else aut
+
+    monkeypatch.setattr(_Stabilizers, "of_pair", planted)
+    with pytest.raises(MismatchDetected,
+                       match=rf"^census h={h} d={d} p={p} k={k}, \|GL_h\| "
+                             rf"against \|orbit\| \* #Aut for the class of "
+                             rf"\(\(\("):
+        enumerate_census(FqField(p, k), h, d)
 
 
 REFERENCE_SHAPES = sorted(set(CANDIDATE_SHAPES) | {
