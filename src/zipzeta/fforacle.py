@@ -31,29 +31,29 @@ and its modulus is irreducible exactly when every nonzero element comes
 out with an inverse.
 
 The classes are found by orbit and stabilizer (Holt, Eick and O'Brien,
-"Handbook of Computational Group Theory", 2005, ch. 4).  The base change
-moves A and B separately, so each of three generators of GL_h (the
-cyclic shift, one transvection and one diagonal matrix) is compiled to
-one move per half (a position map, one column table and at most one row
-step on row codes), each moving every A once, into a table over
-positions.  A class is an A-orbit with an orbit of Stab(A0) on the
-fibre of its least A, A0.  A stabilizer is the unit group of an
-F_p-subspace of M_h(F_q), since x -> x^p is additive, so #Stab comes
-from linear algebra over F_p, and the units that count enumerates are
-the elements that split the fibre, each compiled to a table over the
-fibre.  One search (`_orbit`) finds the orbits at both levels: it grows
-each orbit from its least unowned point under the tables it has, and
-takes another unit's table only while the orbit is smaller than
-orbit-stabilizer predicts.  So every class is checked by
+"Handbook of Computational Group Theory", 2005, ch. 4): a class is an
+A-orbit with an orbit of Stab(A0) on the fibre of its least A, A0.
+`_half_move` compiles the move of one half by an element g, given by its
+row codes, into a table over positions.  Three generators of GL_h (the
+cyclic shift, one transvection and one diagonal matrix) move every A,
+with the p-th power.  A stabilizer is the unit group of an F_p-subspace
+of M_h(F_q), since x -> x^p is additive, so #Stab comes from linear
+algebra over F_p, and the units that count enumerates split the fibre,
+with the p-th root.  Each move is checked where it is used by
+g M = M' g^[p], M' the image of M: a generator at each A0, and a unit
+with M' = M = A0.  One search (`_orbit`) finds the orbits at both
+levels: it grows each orbit from its least unowned point under the
+tables it has, and takes another unit's table only while the orbit is
+smaller than orbit-stabilizer predicts.  So every class is checked by
 |orbit| * #Aut = |GL_h| as it is found, and the orbits are complete
 exactly when that identity holds for each of them.  Only the fibres of
 the A0 are built and checked against the rank and product conditions;
 the fibre of g A0 is g times the fibre of A0, so the rest follow.  The
 test suite keeps the scan of all q^(h^2) matrices, the full-group
-stabilizer sweep, the pair-level orbit search and a nested-matrix
-admissibility check as oracles for these candidates, classes and
-checks; the nested-tuple matrix helpers here serve only them, and the
-census itself, GL_d and GL_(h-d) included, runs on row codes alone.
+stabilizer sweep, the pair-level orbit search with its whole-pair move
+and a nested-matrix admissibility check as oracles; the nested-tuple
+matrix helpers here serve only them, and the census itself, GL_d and
+GL_(h-d) included, runs on row codes alone.
 
 Everything is exhaustive and exact, and shares no code with the
 stratification; that is the point.
@@ -637,19 +637,10 @@ def gl_generators(F, h):
     return out
 
 
-def generator_move(F, g):
-    """The twisted action of g on row-coded pairs, compiled.
-
-    g sends A to g A (g^[p])^-1 and B to g B (g^[1/p])^-1, each half
-    alone.  Returns (A half, B half, add), each half a `_half_move`.
-    """
-    T = F.row_tables(len(g))
-    return _half_move(T, g, F._frob), _half_move(T, g, F._frob_inv), T.add
-
-
 def _half_move(T, g, twist):
-    """X -> g X (g^[twist])^-1 on tuples of h row codes, g a matrix of
-    field codes and twist the field's p-th power or p-th root table.
+    """X -> g X (g^[twist])^-1 on tuples of h row codes, g a tuple of h
+    row codes and twist the row table of the p-th power or the p-th root
+    (T.frob or T.frob_inv).
 
     The right factor acts on each row alone: a column table over the
     row codes.  Row i of g X is sum_j g_ij X_j; its first term becomes a
@@ -658,28 +649,15 @@ def _half_move(T, g, twist):
     shift has no row steps, I + e_01 one and the diagonal none.
     """
     # u -> u (g^[p])^-1 inverts u -> u g^[p], the span of g^[p]'s rows.
-    image = _span(T, [T.encode(map(twist.__getitem__, row)) for row in g])
+    image = _span(T, map(twist.__getitem__, g))
     column = sorted(range(len(image)), key=image.__getitem__)
     sources, steps = [], []
-    for i, row in enumerate(g):
-        terms = [(j, column if x == 1 else [column[u] for u in T.scale[x]])
-                 for j, x in enumerate(row) if x]
+    for i, u in enumerate(g):
+        terms = [(j, column if x == 1 else [column[v] for v in T.scale[x]])
+                 for j, x in enumerate(T.digits[u]) if x]
         sources.append(terms[0])
         steps += [(i, src, table) for src, table in terms[1:]]
     return tuple(sources), tuple(steps)
-
-
-def apply_move(move, pair):
-    """Image of a pair of 2h row codes under the generator behind move."""
-    a_half, b_half, add = move
-    h = len(pair) // 2
-    image = []
-    for (sources, steps), X in ((a_half, pair[:h]), (b_half, pair[h:])):
-        rows = [table[X[s]] for s, table in sources]
-        for dst, src, table in steps:
-            rows[dst] = add[rows[dst]][table[X[src]]]
-        image += rows
-    return tuple(image)
 
 
 def _half_table(half, add, halves, index):
@@ -741,7 +719,8 @@ class _Stabilizers:
     of M_h(F_q) has |GL_h| of them, and any smaller one has its p^dim
     elements enumerated, their number charged to the search bound.
     Those units are also the elements that split a fibre into orbits;
-    for all of M_h(F_q) the generators of GL_h stand in for them.
+    for all of M_h(F_q) the generators of GL_h stand in for them, held
+    as row codes in `generators`.
     """
 
     def __init__(self, T):
@@ -752,6 +731,8 @@ class _Stabilizers:
         self.coords = [[u // p ** e % p for e in range(width)]
                        for u in range(len(T.digits))]
         self.minus_one = F._neg[1]
+        self.generators = [tuple(map(T.encode, g))
+                           for g in gl_generators(F, T.h)]
         self.unknowns = [tuple(p ** e if r == i else 0 for r in range(T.h))
                          for i in range(T.h) for e in range(width)]
         self.spent = 0
@@ -779,8 +760,7 @@ class _Stabilizers:
         T = self.T
         n = len(basis)
         if n == len(self.unknowns):
-            return gl_order(T.field.q, T.h), (
-                tuple(map(T.encode, g)) for g in gl_generators(T.field, T.h))
+            return gl_order(T.field.q, T.h), iter(self.generators)
         self.spent += self.p ** n
         if self.spent > DEFAULT_SEARCH_BOUND:
             raise SearchSpaceTooLarge(
@@ -841,6 +821,14 @@ def _orbit(seed, owner, tables, more, target):
         layer, maps = orbit, (table,)
 
 
+def _met(seed, owner, tables):
+    """The seed of the earlier orbit that the refused orbit of seed ran
+    into: the least owner, other than seed, of an image of a point that
+    orbit had marked."""
+    return min(owner[table[x]] for x, s in enumerate(owner) if s == seed
+               for table in tables if owner[table[x]] not in (-1, seed))
+
+
 def enumerate_census(field, h, d):
     """Exhaustive classification for the given height and rank.
 
@@ -857,20 +845,22 @@ def enumerate_census(field, h, d):
     #Stab(A0, B) solved at the least B of O.
 
     Every A is built and has its rank checked, and each generator moves
-    every A once, by tables.  Of the B, only the fibres of the A-orbits'
-    least A are built; their pairs pass the four admissibility
-    conditions, each unit is checked to fix A0 before it moves the
-    fibre, and every image of a B is checked to stay in it.  The pairs
-    never built are covered by equivariance, since the fibre of g A0 is
-    g times the fibre of A0, and by the counts: the A number
-    _rank_count(q, h, d), each fibre |GL_(h-d)|, and the class sizes sum
-    to the candidate count.
+    every A once, by tables, and is checked at each A0 by
+    g A0 = A' g^[p], A' the image its table gives.  Of the B, only the
+    fibres of the A0 are built; their pairs pass the four admissibility
+    conditions, each unit is checked to fix A0 (X A0 = A0 X^[p]) before
+    it moves the fibre, and every image of a B is checked to stay in
+    it.  The pairs never built are covered by equivariance, since the
+    fibre of g A0 is g times the fibre of A0, and by the counts: the A
+    number _rank_count(q, h, d), each fibre |GL_(h-d)|, and the class
+    sizes sum to the candidate count.
 
     Every class is checked by the identity |orbit| * #Aut = |GL_h|, with
     #Aut from linear algebra (`_Stabilizers`): |A-orbit| * #Stab(A0)
     first, then |O| * #Stab(A0, B) = #Stab(A0).  A failure, such as a
-    generator set too small to reach every orbit, or an orbit that runs
-    into one found before it, raises MismatchDetected naming the class.
+    generator set too small to reach every orbit, raises
+    MismatchDetected naming the class; for a fibre orbit that runs into
+    one found before it, the earlier class, whose orbit was short.
     """
     if not _is_int(h) or h < 1:
         raise ValueError("height must be a positive integer")
@@ -901,11 +891,9 @@ def enumerate_census(field, h, d):
     assert all(len(space) == d for space in _row_spaces(T, a_halves))
 
     group_order = gl_order(q, h)
-    gens = gl_generators(F, h)
-    moves = [generator_move(F, g) for g in gens]
-    tables = [_half_table(a_half, T.add, a_halves, cands.a_index)
-              for a_half, _, _ in moves]
     stabs = _Stabilizers(T)
+    tables = [_half_table(_half_move(T, g, T.frob), T.add, a_halves,
+                          cands.a_index) for g in stabs.generators]
     digits = T.digits
 
     def rep(A, B):
@@ -915,7 +903,7 @@ def enumerate_census(field, h, d):
     def verify(orbit, times, A, B):
         # |orbit| * times must be |GL_h|: |A-orbit| * #Stab(A0), or for
         # a class |O| * |A-orbit| * #Stab(A0, B).  An orbit that met an
-        # earlier one counts as none.
+        # earlier one counts as none, and so does that earlier one.
         observed = len(orbit or ()) * times
         if observed != group_order:
             raise MismatchDetected(
@@ -924,16 +912,18 @@ def enumerate_census(field, h, d):
                         f"against |orbit| * #Aut for the class of "
                         f"{rep(A, B)}")
 
+    def check_move(g, M, image):
+        # g sends M to image = g M (g^[p])^-1 when g M = image g^[p].
+        assert _times(T, g, M) == _times(
+            T, image, tuple(map(T.frob.__getitem__, g))), \
+            "a generator image left the candidates"
+
     def unit_tables(A, Bs, elements):
         # The move table over Bs of each unit, checked to fix A first.
         index = {B: j for j, B in enumerate(Bs)}
         for X in elements:
-            assert _times(T, X, A) == _times(
-                T, A, tuple(map(T.frob.__getitem__, X))), \
-                "a generator image left the candidates"
-            yield _half_table(
-                _half_move(T, tuple(map(digits.__getitem__, X)),
-                           F._frob_inv), T.add, Bs, index)
+            check_move(X, A, A)
+            yield _half_table(_half_move(T, X, T.frob_inv), T.add, Bs, index)
 
     owner = [-1] * len(a_halves)
     classes = []
@@ -948,9 +938,8 @@ def enumerate_census(field, h, d):
         Bs = cands.fibre(seed)
         assert len(Bs) == gl_order(q, h - d)
         _verify_admissible(T, d, A, Bs)
-        # The tables move A as the whole-pair move does.
-        for move, table in zip(moves, tables):
-            assert apply_move(move, A + Bs[0])[:h] == a_halves[table[seed]]
+        for g, table in zip(stabs.generators, tables):
+            check_move(g, A, a_halves[table[seed]])
         basis, n_stab, elements = stabs.of_half(A)
         a_orbit = _orbit(seed, owner, tables, iter(()), group_order // n_stab)
         verify(a_orbit, n_stab, A, Bs[0])
@@ -962,6 +951,10 @@ def enumerate_census(field, h, d):
                 continue
             aut = stabs.of_pair(basis, n_stab, B)
             orbit = _orbit(j, b_owner, b_tables, units, n_stab // aut)
+            if orbit is None:
+                # The earlier orbit it ran into was accepted short of the
+                # units that reach this one, so that class is named.
+                B = Bs[_met(j, b_owner, b_tables)]
             verify(orbit, len(a_orbit) * aut, A, B)
             classes.append(CensusClass(rep=rep(A, B),
                                        orbit_size=len(a_orbit) * len(orbit),

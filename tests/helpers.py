@@ -12,9 +12,9 @@ from zipzeta import (CosetTables, NotFiniteType, OmegaGroup, ExtWeylElement,
                      ExtWeylGroup, build_root_system, cartan_matrix,
                      compute_twist, direct_sum, enumerate_group)
 from zipzeta.weyl import _degree_product
-from zipzeta.fforacle import (CensusClass, _candidates, _half_table, _rref,
-                              _verify_admissible, enumerate_gl,
-                              generator_move, gl_generators, gl_order,
+from zipzeta.fforacle import (CensusClass, _candidates, _half_move,
+                              _half_table, _rref, _verify_admissible,
+                              enumerate_gl, gl_generators, gl_order,
                               mat_frob, mat_frob_inv, mat_inv, mat_mul)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
@@ -345,6 +345,30 @@ def decoded_pair(F, pair):
     h = len(pair) // 2
     rows = tuple(F.row_tables(h).digits[u] for u in pair)
     return rows[:h], rows[h:]
+
+
+def generator_move(F, g):
+    """The twisted action of g, a matrix of field codes, on row-coded
+    pairs, compiled: g sends A to g A (g^[p])^-1 and B to
+    g B (g^[1/p])^-1, each half alone.  Returns (A half, B half, add),
+    each half a `_half_move`."""
+    T = F.row_tables(len(g))
+    coded = tuple(map(T.encode, g))
+    return (_half_move(T, coded, T.frob), _half_move(T, coded, T.frob_inv),
+            T.add)
+
+
+def apply_move(move, pair):
+    """Image of a pair of 2h row codes under the generator behind move."""
+    a_half, b_half, add = move
+    h = len(pair) // 2
+    image = []
+    for (sources, steps), X in ((a_half, pair[:h]), (b_half, pair[h:])):
+        rows = [table[X[s]] for s, table in sources]
+        for dst, src, table in steps:
+            rows[dst] = add[rows[dst]][table[X[src]]]
+        image += rows
+    return tuple(image)
 
 
 def candidate_pairs(cands):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -9,14 +10,14 @@ from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, ZetaProduct,
                      crosscheck, enumerate_census)
 from zipzeta import fforacle
-from zipzeta.fforacle import (_Stabilizers, _candidates, _orbit, _rank_count,
-                              _verify_admissible, apply_move, enumerate_gl,
-                              generator_move, gl_generators, gl_order,
-                              mat_inv, mat_mul, primitive_element,
-                              twisted_action)
-from helpers import (candidate_pairs, candidates_by_scan, census_by_pairs,
-                     census_by_sweep, coded_pair, decoded_pair, mat_identity,
-                     mat_kernel, mat_rank, mat_transpose, pair_tables,
+from zipzeta.fforacle import (_Stabilizers, _candidates, _met, _orbit,
+                              _rank_count, _verify_admissible, enumerate_gl,
+                              gl_generators, gl_order, mat_inv, mat_mul,
+                              primitive_element, twisted_action)
+from helpers import (apply_move, candidate_pairs, candidates_by_scan,
+                     census_by_pairs, census_by_sweep, coded_pair,
+                     decoded_pair, generator_move, mat_identity, mat_kernel,
+                     mat_rank, mat_transpose, pair_tables,
                      reference_admissible, reference_field)
 
 
@@ -471,6 +472,41 @@ def test_an_orbit_that_meets_an_earlier_one_is_refused():
     assert _orbit(2, owner, [], iter([cycle]), 3) is None
 
 
+def test_a_refused_orbit_names_the_orbit_it_ran_into():
+    # After the 3-cycle's orbit from 2 is refused, the points it marked
+    # lead back to the orbit of 0.
+    owner = [-1] * 8
+    assert _orbit(0, owner, [_swap(1)], iter(()), 2) == [0, 1]
+    cycle = [0, 2, 3, 1, 4, 5, 6, 7]
+    assert _orbit(2, owner, [cycle], iter(()), 3) is None
+    assert _met(2, owner, [cycle]) == 0
+
+
+def test_an_orbit_that_runs_into_an_earlier_one_names_the_earlier_class(
+        monkeypatch):
+    # #Stab(A0, B) of the first class of (2,1,3,2) is planted at twice
+    # its count, so its orbit is accepted at half its size, and a later
+    # orbit runs into it.  The class named is that first one, whose
+    # orbit, not closed after all, counts as none.
+    first = enumerate_census(FqField(3, 2), 2, 1).classes[0].rep
+    assert first == (((0, 0), (0, 1)), ((1, 0), (0, 0)))
+    real = _Stabilizers.of_pair
+    asked = []
+
+    def planted(self, basis, count, B):
+        asked.append(B)
+        aut = real(self, basis, count, B)
+        return 2 * aut if len(asked) == 1 else aut
+
+    monkeypatch.setattr(_Stabilizers, "of_pair", planted)
+    with pytest.raises(MismatchDetected,
+                       match="^" + re.escape(
+                           "census h=2 d=1 p=3 k=2, |GL_h| against "
+                           f"|orbit| * #Aut for the class of {first}: "
+                           "predicted 5760, observed 0") + "$"):
+        enumerate_census(FqField(3, 2), 2, 1)
+
+
 @pytest.mark.parametrize("factor", [2, "p"])
 @pytest.mark.parametrize("h,d,p,k", [(2, 1, 3, 2), (3, 1, 2, 2),
                                      (4, 2, 2, 1)])
@@ -611,19 +647,39 @@ def test_stabilizer_enumeration_is_charged_to_the_search_bound(monkeypatch):
 
 
 def test_a_planted_half_outside_the_candidates_is_refused(monkeypatch):
-    # Each move sends every row of A to 0, and the zero matrix is no
+    # Each generator's A-half move (the one compiled with the p-th
+    # power) sends every row of A to 0, and the zero matrix is no
     # candidate's A at d = 1.
-    real = fforacle.generator_move
+    real = fforacle._half_move
 
-    def planted(F, g):
-        (sources, _), b_half, add = real(F, g)
-        zero = [0] * F.q ** len(g)
-        return ((tuple((s, zero) for s, _ in sources), ()), b_half, add)
+    def planted(T, g, twist):
+        sources, steps = real(T, g, twist)
+        if twist is not T.frob:
+            return sources, steps
+        zero = [0] * len(T.digits)
+        return tuple((s, zero) for s, _ in sources), ()
 
-    monkeypatch.setattr(fforacle, "generator_move", planted)
+    monkeypatch.setattr(fforacle, "_half_move", planted)
     with pytest.raises(AssertionError,
                        match="^a generator image left the candidates$"):
         enumerate_census(FqField(3), 2, 1)
+
+
+def test_generator_tables_compiled_with_the_pth_root_are_refused(
+        monkeypatch):
+    # Over F_8 the p-th power and the p-th root differ.  A-level tables
+    # compiled with the root still send every A to a candidate, so the
+    # move tables accept them; g A0 = A' g^[p] at each A-orbit seed
+    # refuses them.
+    real = fforacle._half_move
+
+    def planted(T, g, twist):
+        return real(T, g, T.frob_inv if twist is T.frob else twist)
+
+    monkeypatch.setattr(fforacle, "_half_move", planted)
+    with pytest.raises(AssertionError,
+                       match="^a generator image left the candidates$"):
+        enumerate_census(FqField(2, 3), 2, 1)
 
 
 def test_gl_enumeration_orders():
@@ -735,6 +791,45 @@ def test_search_space_guard_counts_the_row_tables(k, h, d, candidates):
     with pytest.raises(SearchSpaceTooLarge,
                        match=f"^about {candidates + 2 * 2401 ** 2} "):
         enumerate_census(FqField(7, k), h, d)
+
+
+def test_a_height_below_one_is_refused():
+    with pytest.raises(ValueError,
+                       match="^height must be a positive integer$"):
+        enumerate_census(FqField(2), 0, 0)
+
+
+@pytest.mark.parametrize("h", [13, 10 ** 6])
+def test_the_early_guard_refuses_from_the_row_tables_alone(h):
+    # Over F_2 the row tables hold 2 * 2^(2h) entries, past the bound's
+    # bit length, 25, from h = 13 on; no count is formed, whatever h.
+    start = time.monotonic()
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=rf"^the row-code tables alone, 2 \* 2\^{2 * h} "
+                             rf"entries, exceed the bound 16777216$"):
+        enumerate_census(FqField(2), h, 1)
+    assert time.monotonic() - start < 0.5
+
+
+def test_the_early_guard_leaves_h_12_to_the_cost_guard():
+    with pytest.raises(SearchSpaceTooLarge,
+                       match="^about .* candidates and row-table entries "
+                             "exceed the bound 16777216$"):
+        enumerate_census(FqField(2), 12, 1)
+
+
+def test_the_cost_guard_at_its_boundary(monkeypatch):
+    # (2,1) over F_2: 9 A, each with |GL_1| = 1 B, and the two row
+    # tables of 2^4 entries each.
+    cost = _rank_count(2, 2, 1) * gl_order(2, 1) + 2 * 2 ** (2 * 2)
+    assert cost == 41
+    monkeypatch.setattr(fforacle, "DEFAULT_SEARCH_BOUND", cost)
+    assert enumerate_census(FqField(2), 2, 1).candidate_count == 9
+    monkeypatch.setattr(fforacle, "DEFAULT_SEARCH_BOUND", cost - 1)
+    with pytest.raises(SearchSpaceTooLarge,
+                       match="^about 41 candidates and row-table entries "
+                             "exceed the bound 40$"):
+        enumerate_census(FqField(2), 2, 1)
 
 
 def test_action_is_compositional():

@@ -1,7 +1,8 @@
 """Every function in the package has a caller in the package: an AST scan
 that fails on a non-dunder function or method whose name is referenced
 nowhere in src/zipzeta.  A local variable or parameter of the same name
-is not a reference.  Code that only the tests call belongs in
+is not a reference.  Code that only the tests call, such as the
+census's whole-pair move (`generator_move`, `apply_move`), belongs in
 tests/helpers.py."""
 
 import ast

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +19,7 @@ from zipzeta import btgl, zipstrata
 from zipzeta.cli import main, parse_config
 from zipzeta.zipstrata import FACTOR_LIMIT, zeta_function
 from helpers import e_cartan, reference_strata, subsets
+from test_properties import DATA_POOL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -623,3 +625,36 @@ def test_bt_and_oracle_never_classify(argv, monkeypatch, capsys):
     monkeypatch.setattr(zipstrata, "_stratify", _no_classify)
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+ZIP_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.json")
+                     if "cartan" in json.loads(p.read_text()))
+DUALITY_DATA = {
+    **{name: (lambda name=name: config_datum(name)) for name in ZIP_CONFIGS},
+    **{f"DATA_POOL[{i}]": make for i, make in enumerate(DATA_POOL)},
+}
+
+
+@pytest.mark.parametrize("make", DUALITY_DATA.values(), ids=DUALITY_DATA)
+def test_strata_are_dual_under_the_longest_elements(make):
+    # x -> w0,I * x * w0, with the component kept, sends the minimal set
+    # onto itself and each stratum onto a stratum with aut_dim D - a,
+    # the same degree and the same size, D the flag dimension.  Only
+    # Weyl multiplication is shared with the stratification, so this
+    # checks its Theta-orbits, Galois cycles and lengths against any
+    # error the duality does not commute with.
+    datum = make()
+    ext, t, I = datum.ext, datum.tables, datum.parabolic_type
+    w0_I, w0 = t.longest_element(I), t.longest_element()
+
+    def dual(a):
+        return ext.element(w0_I * a.w * w0, a.omega)
+
+    reps = ext.min_reps(I)
+    assert set(map(dual, reps)) == set(reps)
+    strata = classify(datum)
+    by_elements = {frozenset(s.elements): s for s in strata}
+    for s in strata:
+        image = by_elements[frozenset(map(dual, s.elements))]
+        assert (image.aut_dim, image.degree, image.size) == \
+            (datum.flag_dim - s.aut_dim, s.degree, s.size)
