@@ -912,18 +912,20 @@ def enumerate_census(field, h, d):
                         f"against |orbit| * #Aut for the class of "
                         f"{rep(A, B)}")
 
-    def check_move(g, M, image):
+    def check_move(g, M, image, message):
         # g sends M to image = g M (g^[p])^-1 when g M = image g^[p].
         assert _times(T, g, M) == _times(
-            T, image, tuple(map(T.frob.__getitem__, g))), \
-            "a generator image left the candidates"
+            T, image, tuple(map(T.frob.__getitem__, g))), message
 
     def unit_tables(A, Bs, elements):
-        # The move table over Bs of each unit, checked to fix A first.
+        # The move table over Bs of each unit, then the check that the
+        # unit fixes A, before the table is used: an image outside Bs is
+        # reported as such first.
         index = {B: j for j, B in enumerate(Bs)}
         for X in elements:
-            check_move(X, A, A)
-            yield _half_table(_half_move(T, X, T.frob_inv), T.add, Bs, index)
+            table = _half_table(_half_move(T, X, T.frob_inv), T.add, Bs, index)
+            check_move(X, A, A, "a stabilizer unit moves the A it should fix")
+            yield table
 
     owner = [-1] * len(a_halves)
     classes = []
@@ -939,7 +941,9 @@ def enumerate_census(field, h, d):
         assert len(Bs) == gl_order(q, h - d)
         _verify_admissible(T, d, A, Bs)
         for g, table in zip(stabs.generators, tables):
-            check_move(g, A, a_halves[table[seed]])
+            check_move(g, A, a_halves[table[seed]],
+                       "a generator's move table disagrees with "
+                       "g A0 = A' g^[p]")
         basis, n_stab, elements = stabs.of_half(A)
         a_orbit = _orbit(seed, owner, tables, iter(()), group_order // n_stab)
         verify(a_orbit, n_stab, A, Bs[0])

@@ -11,8 +11,9 @@ the double coset of the longest element w0, and psi the inner twist of
 the Frobenius by w1.
 Strata are the orbits of the minimal set under Theta (acting by
 a -> theta * a * psi(theta)^{-1}) grouped further into Galois orbits:
-classify finds them in one walk, taking each Theta-orbit as a direct
-image and each stratum as a cycle of the Galois generator on them.
+classify makes each Theta element and the Galois generator an index
+map on the minimal set, and takes each stratum as an orbit of the group
+they generate.
 Each stratum carries two invariants: aut_dim, the codimension defect
 (flag dimension minus extended length), which is the dimension of the
 automorphism group of the corresponding isomorphism class, and degree,
@@ -249,19 +250,23 @@ def _stratify(datum):
 
     Each element's extended length is read off it once.  Members and
     strata are ordered by (length, word, component), a rank read off
-    the index, since min_reps lists components in word order.
+    the index, since min_reps lists components in word order, and the
+    walk takes the positions by (aut_dim, rank).  For split data (tau
+    the identity, Theta = {1}) each position is a stratum of degree 1.
 
-    For split data (tau the identity, Theta = {1}) every element is a
-    stratum of degree 1 on its own, so the strata are the elements,
-    sorted by (aut_dim, rank), with no orbit walked.  Otherwise the
-    Theta-orbit of a is its direct image {t * a * psi(t)^{-1}}, since
-    that map is a group action.  A stratum is the cycle tau walks
-    through Theta-orbits from the first unvisited element, and its
-    degree is the length of the cycle; tau moves an element's key
-    (permutation, component index) by DiagramAutomorphism.apply_key,
-    and the key's position names the image.  Should Theta or tau fail
-    to act on the minimal set as the theory says, ThetaActionLeaks is
-    raised.
+    Otherwise each Theta element t other than 1, acting by
+    a -> t * a * psi(t)^{-1}, and tau unless it is the identity, moving
+    keys (permutation, component index) by DiagramAutomorphism.apply_key,
+    become index maps on the positions, each checked whole: it must stay
+    in the minimal set and keep the lengths, and tau must be one-to-one
+    and send a and t * a * psi(t)^{-1} into one Theta-orbit (its direct
+    image under the group action, labelled by its least position), or
+    ThetaActionLeaks is raised.  Then tau permutes the Theta-orbits: it
+    is onto the finite set, so the self-map it induces on the orbits is
+    onto, hence one-to-one, and each orbit's image is a whole orbit.  A
+    stratum is an orbit of the group the maps generate, found from its
+    least position.  Its degree, the length of its tau-cycle of
+    Theta-orbits, is its size over that of the rep's Theta-orbit.
     """
     twist = compute_twist(datum)
     ext = datum.ext
@@ -275,28 +280,26 @@ def _stratify(datum):
     assert max(lengths) <= flag_dim
     n = len(datum.omega)
     rank = [i * n + k for k in range(n) for i in range(len(reps) // n)]
+    # aut_dim falls as the length rises; the sort is stable.
+    order = sorted(range(len(reps)), key=rank.__getitem__)
+    order.sort(key=lengths.__getitem__, reverse=True)
 
     if datum.split:
-        # aut_dim falls as the length rises; the sort is stable.
-        order = sorted(range(len(reps)), key=rank.__getitem__)
-        order.sort(key=lengths.__getitem__, reverse=True)
         strata = [Stratum(reps[i], (reps[i],), lengths[i],
                           flag_dim - lengths[i], 1) for i in order]
         return _Stratification(twist, reps, lengths, strata)
 
-    def key_of(a):
-        return a.w.perm, a.omega
-
-    keys = list(map(key_of, reps))
+    keys = [(a.w.perm, a.omega) for a in reps]
     position = {k: idx for idx, k in enumerate(keys)}
 
-    def locate(key, action):
-        idx = position.get(key)
-        if idx is None:
-            raise ThetaActionLeaks(f"{action} left the minimal set")
-        return idx
+    def index_map(images, action):
+        try:
+            return [position[k] for k in images]
+        except KeyError:
+            raise ThetaActionLeaks(f"{action} left the minimal set") from None
 
-    moves = []
+    thetas = []
+    label = list(range(len(reps)))  # least member of each one's Theta-orbit
     for k in datum.theta_indices:
         t = ext.element(datum.tables.identity, k)
         p = twist.psi(t)
@@ -304,64 +307,51 @@ def _stratify(datum):
             # psi(1) = 1, so the identity fixes every representative.
             assert p.is_identity()
             continue
-        moves.append((t, p.inverse()))
-
-    def theta_orbit(idx):
-        if not moves:
-            # Theta = {1}: every orbit is a single element.
-            return {idx}
-        a = reps[idx]
-        orbit = {idx} | {locate(key_of(t * a * pinv), "subgroup action")
-                         for t, pinv in moves}
-        if len({lengths[j] for j in orbit}) != 1:
+        pinv = p.inverse()
+        images = (t * a * pinv for a in reps)
+        theta = index_map(((b.w.perm, b.omega) for b in images),
+                          "subgroup action")
+        if [lengths[i] for i in theta] != lengths:
             raise ThetaActionLeaks(
                 "extended length is not constant on a subgroup orbit")
-        return orbit
+        thetas.append(theta)
+        label = list(map(min, label, theta))
 
-    split = tau.is_identity()
-    apply_key = tau.apply_key
-    seen = set()
-    strata = []
-    for start in range(len(reps)):
-        if start in seen:
-            continue
-        first = orbit = theta_orbit(start)
-        members = []
-        degree = 0
-        while True:
-            seen |= orbit
-            members += orbit
-            degree += 1
-            if split:
-                break
-            image = {locate(apply_key(*keys[idx]), "Galois action")
-                     for idx in orbit}
-            if image == first and len(image) == len(orbit):
-                break
-            # tau must carry each orbit onto a whole orbit not yet seen,
-            # or back onto the first: then it permutes the minimal set.
-            if (len(image) != len(orbit) or not image.isdisjoint(seen)
-                    or image != theta_orbit(min(image))):
-                raise ThetaActionLeaks(
-                    "Galois action does not permute the subgroup orbits")
-            orbit = image
-        ell = {lengths[idx] for idx in members}
-        if len(ell) != 1:
+    maps = thetas
+    if not tau.is_identity():
+        image = index_map((tau.apply_key(*k) for k in keys), "Galois action")
+        moved = [label[i] for i in image]
+        if len(set(image)) < len(image) or any(
+                [moved[i] for i in theta] != moved for theta in thetas):
+            raise ThetaActionLeaks(
+                "Galois action does not permute the subgroup orbits")
+        if [lengths[i] for i in image] != lengths:
             raise ThetaActionLeaks(
                 "extended length is not constant on a Galois orbit")
-        length = ell.pop()
-        aut_dim = flag_dim - length
+        maps = thetas + [image]
+
+    seen = [False] * len(reps)
+    strata = []
+    for first in order:
+        if seen[first]:
+            continue
+        seen[first] = True
+        members = [first]
+        for idx in members:  # members grows as it is read
+            for m in maps:
+                other = m[idx]
+                if not seen[other]:
+                    seen[other] = True
+                    members.append(other)
+        orbit = {first, *(theta[first] for theta in thetas)}
+        degree, rest = divmod(len(members), len(orbit))
+        assert rest == 0
         members.sort(key=rank.__getitem__)
-        strata.append((aut_dim, degree, rank[members[0]], Stratum(
-            rep=reps[members[0]],
-            elements=tuple(map(reps.__getitem__, members)),
-            length=length,
-            aut_dim=aut_dim,
-            degree=degree,
-        )))
-    # Ranks differ between strata, so two Stratum objects are never
-    # compared.
-    strata = [entry[-1] for entry in sorted(strata)]
+        strata.append(Stratum(
+            reps[first], tuple(map(reps.__getitem__, members)),
+            lengths[first], flag_dim - lengths[first], degree))
+    # The sort is stable: ties keep the order of their least members.
+    strata.sort(key=lambda s: (s.aut_dim, s.degree))
     return _Stratification(twist, reps, lengths, strata)
 
 

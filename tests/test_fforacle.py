@@ -393,7 +393,8 @@ def test_a_stabilizer_element_that_moves_the_a_is_refused(monkeypatch):
     scalar = tuple(T.scale[primitive_element(F)][u] for u in T.identity)
     _planted_units(monkeypatch, [scalar])
     with pytest.raises(AssertionError,
-                       match="^a generator image left the candidates$"):
+                       match="^a stabilizer unit moves the A it should "
+                             "fix$"):
         enumerate_census(F, 2, 1)
 
 
@@ -678,7 +679,8 @@ def test_generator_tables_compiled_with_the_pth_root_are_refused(
 
     monkeypatch.setattr(fforacle, "_half_move", planted)
     with pytest.raises(AssertionError,
-                       match="^a generator image left the candidates$"):
+                       match=r"^a generator's move table disagrees with "
+                             r"g A0 = A' g\^\[p\]$"):
         enumerate_census(FqField(2, 3), 2, 1)
 
 

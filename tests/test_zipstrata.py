@@ -518,6 +518,30 @@ def test_galois_action_leak_guard():
         classify(d)
 
 
+def test_galois_action_that_splits_a_subgroup_orbit_is_refused():
+    # tau followed by the swap of two representatives of one length in
+    # different Theta-orbits, one of them an orbit of two: the planted
+    # tau is one-to-one and keeps every length, but it sends the two
+    # members of a Theta-orbit into different Theta-orbits.
+    d = config_datum("a3a3-swap-flip.json")
+    strata = classify(d)
+    pair = next(s for s in strata if s.size == 2 and s.degree == 1)
+    other = next(s for s in strata
+                 if s.length == pair.length and s is not pair)
+    i, j = ((s.rep.w.perm, s.rep.omega) for s in (pair, other))
+    swap = {i: j, j: i}
+    real = d.tau.apply_key
+
+    def swapped(perm, k):
+        image = real(perm, k)
+        return swap.get(image, image)
+
+    d.tau.apply_key = swapped
+    with pytest.raises(ThetaActionLeaks, match="does not permute the "
+                       "subgroup orbits"):
+        classify(d)
+
+
 def _plant_length(monkeypatch, stratum):
     """Make the extended length classify reads (the unchecked one, as
     min_reps made every element) one too large on the representative of
@@ -629,9 +653,22 @@ def test_bt_and_oracle_never_classify(argv, monkeypatch, capsys):
 
 ZIP_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.json")
                      if "cartan" in json.loads(p.read_text()))
+A3xA3 = [list(row) + [0] * 3 for row in A3] + [[0] * 3 + list(row)
+                                                for row in A3]
+A3xA3_SWAP_OMEGA = {
+    "elements": ["1", "sigma"],
+    "table": [[0, 1], [1, 0]],
+    "diagram_action": {"1": [1, 2, 3, 4, 5, 6], "sigma": [4, 5, 6, 1, 2, 3]},
+}
 DUALITY_DATA = {
     **{name: (lambda name=name: config_datum(name)) for name in ZIP_CONFIGS},
     **{f"DATA_POOL[{i}]": make for i, make in enumerate(DATA_POOL)},
+    # Sizes no shipped config reaches: 5040 elements, 2496 strata of
+    # degree 2, and 1152 elements, 552 Theta-orbits of two.
+    "A6, flip": lambda: ZipDatum(cartan_matrix("A", 6).entries, [],
+                                 phi0={"diagram_perm": [6, 5, 4, 3, 2, 1]}),
+    "A3xA3, Theta = {1, sigma}": lambda: ZipDatum(
+        A3xA3, [], omega=A3xA3_SWAP_OMEGA, theta=["1", "sigma"]),
 }
 
 
