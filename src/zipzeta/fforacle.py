@@ -21,14 +21,15 @@ q, so integer order is row order), and a matrix as the tuple of its h
 row codes.  Every distinct A is built, by lookups in small span tables,
 and kept once, in a sorted list; the pairs come in blocks, every A of a
 block with every B of it, and the B of a block, the fibre of each of its
-A, are built only when asked for.  Vector sums, scalings, dot products,
-entrywise p-th powers and roots and the growth of row spaces are
-lookups in tables over the q^h row codes (`RowTables`), as in the
-Meat-Axe (Parker, "The computer calculation of modular characters",
-1984).  The field itself is built the same way: F_(p^k) is F_p^k, with
-sums from the row tables of F_p and a product by Horner's rule in x,
-and its modulus is irreducible exactly when every nonzero element comes
-out with an inverse.
+A, are built only when asked for.  Vector sums, scalings, entrywise
+p-th powers and roots and the growth of row spaces are lookups in
+tables over the q^h row codes (`RowTables`), and a row times a fixed
+matrix is one lookup in the span of that matrix's rows (`_span`), as
+in the Meat-Axe (Parker, "The computer calculation of modular
+characters", 1984).  The field itself is built the same way: F_(p^k)
+is F_p^k, with sums from the row tables of F_p and a product by
+Horner's rule in x, and its modulus is irreducible exactly when every
+nonzero element comes out with an inverse.
 
 The classes are found by orbit and stabilizer (Holt, Eick and O'Brien,
 "Handbook of Computational Group Theory", 2005, ch. 4): a class is an
@@ -207,12 +208,12 @@ class RowTables:
 
     The row (x_0, ..., x_(h-1)) has code sum x_t q^(h-1-t), so integer
     order is row-lexicographic order.  With Q = q^h, the tables are:
-    `digits[u]`, the row of code u; `add[u][v]`, the code of the sum;
-    `scale[c][u]`, the code of c times the row; `dot[u][v]`, the field
-    code of the dot product; and `frob[u]` and `frob_inv[u]`, the codes
-    of the entrywise p-th power and p-th root.  `add` and `dot` have
-    Q^2 entries each.  Every table for h is built from the one for
-    h - 1 by appending a last digit.
+    `digits[u]`, the row of code u; `add[u][v]`, the code of the sum,
+    Q^2 entries; `scale[c][u]`, the code of c times the row; `frob[u]`
+    and `frob_inv[u]`, the codes of the entrywise p-th power and p-th
+    root; and `lead[u]`, the first nonzero column of the row.  Every
+    table for h but `lead` is built from the one for h - 1 by appending
+    a last digit.
 
     The subspaces of F_q^h are numbered as they are met, each held as
     its reduced echelon basis in `spaces`: row codes in pivot order,
@@ -225,15 +226,13 @@ class RowTables:
     def __init__(self, field, h):
         q = field.q
         fadd, fmul = field._add, field._mul
-        digits, add, dot = [()], [[0]], [[0]]
+        digits, add = [()], [[0]]
         scale = [[0] for _ in range(q)]
         frob, frob_inv = [0], [0]
         for _ in range(h):
             digits = [row + (x,) for row in digits for x in range(q)]
             add = [[v * q + s for v in a_row for s in x_row]
                    for a_row in add for x_row in fadd]
-            dot = [[fadd[v][m] for v in a_row for m in x_row]
-                   for a_row in dot for x_row in fmul]
             scale = [[v * q + m for v in c_row for m in fmul[c]]
                      for c, c_row in enumerate(scale)]
             frob = [v * q + x for v in frob for x in field._frob]
@@ -242,7 +241,6 @@ class RowTables:
         self.h = h
         self.digits = digits
         self.add = add
-        self.dot = dot
         self.scale = scale
         self.frob = frob
         self.frob_inv = frob_inv
@@ -565,28 +563,21 @@ def _verify_admissible(T, d, A, Bs):
     """Assert rank A = d, rank B = h - d, A B^[p] = 0 and B A^[1/p] = 0
     for every B in Bs.
 
-    Taking p-th roots, A B^[p] = 0 exactly when A^[1/p] B = 0, that is
-    when R B = 0 for a row basis R of A^[1/p]: r . b = 0 for every r in
-    R and every column b of B.  B A^[1/p] = 0 exactly when B C = 0 for a
-    basis C of the column space of A^[1/p]: r . c = 0 for every row r of
-    B and every c in C.  Both products are taken for every pair, by
-    lookups in the dot-product table, dot[r] being the products with r,
-    for all the B at once.  R and C (so rank A) are made once, and the
-    rank and column codes of each B.
+    With R = A^[1/p], B R = 0 exactly when u R = 0 for every row u of B,
+    and, taking p-th roots, A B^[p] = 0 exactly when R B = 0: R c = 0
+    for every column c of B.  u R is the lookup at u in the span of the
+    rows of R, and R c the lookup at c in the span of its columns; both
+    are taken for every pair.  The two spans and rank A are made once,
+    and the rank and column codes of each B.
     """
-    dot = T.dot
     assert all(len(space) == T.h - d for space in _row_spaces(T, Bs))
-    root = tuple(map(T.frob_inv.__getitem__, A))
-    (row_basis,) = _row_spaces(T, [root])
-    (column_basis,) = _row_spaces(T, _columns(T, [root]))
-    assert len(row_basis) == d
+    R = tuple(map(T.frob_inv.__getitem__, A))
+    assert len(_row_spaces(T, [R])[0]) == d
     rows_of = itertools.chain.from_iterable
-    columns_B = list(rows_of(_columns(T, Bs)))
-    rows_B = list(rows_of(Bs))
-    for r in row_basis:
-        assert not any(map(dot[r].__getitem__, columns_B))
-    for c in column_basis:
-        assert not any(map(dot[c].__getitem__, rows_B))
+    assert not any(map(_span(T, R).__getitem__, rows_of(Bs)))
+    (columns,) = _columns(T, [R])
+    assert not any(map(_span(T, columns).__getitem__,
+                       rows_of(_columns(T, Bs))))
 
 
 def twisted_action(F, g, pair):
@@ -876,8 +867,10 @@ def enumerate_census(field, h, d):
             f"the row-code tables alone, 2 * {q}^{2 * h} entries, exceed "
             f"the bound {DEFAULT_SEARCH_BOUND}")
     n_candidates = _rank_count(q, h, d) * gl_order(q, h - d)
-    # What gets built: the candidates and the row-code tables add and
-    # dot, Q^2 entries each (Q = q^h).
+    # What gets built: the candidates and the row-code tables (Q = q^h).
+    # Only `add` has Q^2 entries, but the tables stay charged 2 Q^2:
+    # a charge of Q^2 would admit (2,1,7,2), whose tables alone peak
+    # near 224 MB.
     cost = n_candidates + 2 * q ** (2 * h)
     if cost > DEFAULT_SEARCH_BOUND:
         raise SearchSpaceTooLarge(

@@ -31,9 +31,9 @@ representatives themselves, with their words and in word order, come
 from a search over that set alone.  Any other element has its word
 recorded when it is asked for, and only its own: the suffixes stripped
 on the way are not kept, so a request costs at most the element's
-length.  The tables also
-memoize minimal coset representatives, their Poincare polynomials, the
-longest elements of parabolic subgroups and one descent-stripping
+length.  Longest elements of parabolic subgroups are not memoized, as
+a twist asks for each one once.  The tables memoize minimal coset
+representatives, their Poincare polynomials and one descent-stripping
 decomposition: for w minimal in W_I w, the split w = x * w_J with x
 minimal in its double coset and w_J inside W_J.  It is unique and
 length-additive; the code asserts this against the definitions on every
@@ -207,7 +207,6 @@ class CosetTables:
         self._words = {self.identity.perm: ()}
         self._min_left = {}
         self._poincare = {}
-        self._longest = {}
         self._strips = {}
         self._descents = {}
 
@@ -294,19 +293,17 @@ class CosetTables:
         climbing right ascents among the simple reflections in K: one
         step per positive root supported on K."""
         K = frozenset(self._simples if K is None else K)
-        got = self._longest.get(K)
-        if got is None:
-            m = self.rs.n_positive
-            perm = _identity_perm(self.rs)
-            ascents = [(j - 1, self._simples[j].perm) for j in sorted(K)]
-            while True:
-                step = next((sp for a, sp in ascents if perm[a] < m), None)
-                if step is None:
-                    break
-                perm = compose(perm, step)
-            got = self._longest[K] = WeylElement(self.rs, perm)
-            assert got.length == sum(
-                1 for k in self.rs.subsystem_ordinals(K) if k < m)
+        m = self.rs.n_positive
+        perm = _identity_perm(self.rs)
+        ascents = [(j - 1, self._simples[j].perm) for j in sorted(K)]
+        while True:
+            step = next((sp for a, sp in ascents if perm[a] < m), None)
+            if step is None:
+                break
+            perm = compose(perm, step)
+        got = WeylElement(self.rs, perm)
+        assert got.length == sum(
+            1 for k in self.rs.subsystem_ordinals(K) if k < m)
         return got
 
     def is_min_left(self, w, I):

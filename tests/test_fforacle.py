@@ -154,15 +154,14 @@ def test_row_tables_match_field_arithmetic(p, k, h):
     assert rows == sorted(itertools.product(range(F.q), repeat=h))
     assert all(T.encode(row) == u for u, row in enumerate(rows))
     for u, x in enumerate(rows):
+        assert rows[T.frob[u]] == tuple(F.frob(a) for a in x)
         assert rows[T.frob_inv[u]] == tuple(F.frob_inv(a) for a in x)
+        nonzero = [c for c, a in enumerate(x) if a != 0]
+        assert T.lead[u] == (nonzero[0] if nonzero else None)
         for c in F.elements():
             assert rows[T.scale[c][u]] == tuple(F.mul(c, a) for a in x)
         for v, y in enumerate(rows):
             assert rows[T.add[u][v]] == tuple(map(F.add, x, y))
-            dot = 0
-            for a, b in zip(x, y):
-                dot = F.add(dot, F.mul(a, b))
-            assert T.dot[u][v] == dot
     assert F.row_tables(h) is T
 
 
@@ -766,7 +765,7 @@ def test_search_space_guard(monkeypatch):
         with pytest.raises(ValueError):
             enumerate_census(FqField(2), h, d)
     # 16769025 candidates alone would fit under 2^24; the guard also
-    # counts the two row-code tables of Q^2 entries each, Q = 64^2.
+    # charges 2 Q^2 row-table entries, Q = 64^2.
     with pytest.raises(SearchSpaceTooLarge,
                        match=f"^about {16769025 + 2 * 4096 ** 2} candidates "
                              f"and row-table entries exceed the bound "
@@ -788,8 +787,8 @@ def test_search_space_guard_refuses_before_counting():
 @pytest.mark.parametrize("k,h,d,candidates", [
     (2, 2, 1, 5760000), (2, 2, 0, 5644800)])
 def test_search_space_guard_counts_the_row_tables(k, h, d, candidates):
-    # Over F_49 the two row tables of 2401^2 entries each tip the total
-    # over 2^24, so nothing is built.
+    # Over F_49 the 2 * 2401^2 row-table entries the guard charges tip
+    # the total over 2^24, so nothing is built.
     with pytest.raises(SearchSpaceTooLarge,
                        match=f"^about {candidates + 2 * 2401 ** 2} "):
         enumerate_census(FqField(7, k), h, d)
@@ -803,8 +802,9 @@ def test_a_height_below_one_is_refused():
 
 @pytest.mark.parametrize("h", [13, 10 ** 6])
 def test_the_early_guard_refuses_from_the_row_tables_alone(h):
-    # Over F_2 the row tables hold 2 * 2^(2h) entries, past the bound's
-    # bit length, 25, from h = 13 on; no count is formed, whatever h.
+    # Over F_2 the guard charges the row tables 2 * 2^(2h) entries, past
+    # the bound's bit length, 25, from h = 13 on; no count is formed,
+    # whatever h.
     start = time.monotonic()
     with pytest.raises(SearchSpaceTooLarge,
                        match=rf"^the row-code tables alone, 2 \* 2\^{2 * h} "
