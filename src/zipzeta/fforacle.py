@@ -15,21 +15,21 @@ reports per-class automorphism counts plus the groupoid cardinality
 
 The pairs are built, not searched for: every A of rank d is a column
 basis times a row basis in reduced echelon form, and the B that pair
-with it come from the kernels read off the two echelon forms.  A row of
-h field codes is stored as one integer, its row code (big-endian base
-q, so integer order is row order), and a matrix as the tuple of its h
-row codes.  Every distinct A is built, by lookups in small span tables,
-and kept once, in a sorted list; the pairs come in blocks, every A of a
-block with every B of it, and the B of a block, the fibre of each of its
-A, are built only when asked for.  Vector sums, scalings, entrywise
-p-th powers and roots and the growth of row spaces are lookups in
-tables over the q^h row codes (`RowTables`), and a row times a fixed
-matrix is one lookup in the span of that matrix's rows (`_span`), as
-in the Meat-Axe (Parker, "The computer calculation of modular
-characters", 1984).  The field itself is built the same way: F_(p^k)
-is F_p^k, with sums from the row tables of F_p and a product by
-Horner's rule in x, and its modulus is irreducible exactly when every
-nonzero element comes out with an inverse.
+with an A, its fibre, come from its kernel and left kernel, read off
+the echelon bases of its row and column spaces.  A row of h field codes
+is stored as one integer, its row code (big-endian base q, so integer
+order is row order), and a matrix as the tuple of its h row codes.
+Every distinct A is built, by lookups in small span tables, and kept
+once, in a sorted list; a fibre is built from its A alone, only when
+asked for.  Vector sums, scalings, entrywise p-th powers and roots and
+the growth of row spaces are lookups in tables over the q^h row codes
+(`RowTables`), and a row times a fixed matrix is one lookup in the span
+of that matrix's rows (`_span`), as in the Meat-Axe (Parker, "The
+computer calculation of modular characters", 1984).  The field itself
+is built the same way: F_(p^k) is F_p^k, with sums from the row tables
+of F_p and a product by Horner's rule in x, and its modulus is
+irreducible exactly when every nonzero element comes out with an
+inverse.
 
 The classes are found by orbit and stabilizer (Holt, Eick and O'Brien,
 "Handbook of Computational Group Theory", 2005, ch. 4): a class is an
@@ -229,9 +229,12 @@ class RowTables:
         digits, add = [()], [[0]]
         scale = [[0] for _ in range(q)]
         frob, frob_inv = [0], [0]
+        # The Q^2 sums share the Q code objects: past 256, v * q + s is
+        # a fresh int each time it is made.
+        codes = list(range(q ** h))
         for _ in range(h):
             digits = [row + (x,) for row in digits for x in range(q)]
-            add = [[v * q + s for v in a_row for s in x_row]
+            add = [[codes[v * q + s] for v in a_row for s in x_row]
                    for a_row in add for x_row in fadd]
             scale = [[v * q + m for v in c_row for m in fmul[c]]
                      for c, c_row in enumerate(scale)]
@@ -389,60 +392,16 @@ def _combine(add, scale, coeffs, rows):
 
 
 def _echelon_forms(F, d, h):
-    """Every d-by-h matrix of rank d in reduced row-echelon form, with
-    the basis of its kernel read off it: the columns of an h-by-(h - d)
-    matrix.  Both are lists of rows."""
-    c = h - d
+    """Every d-by-h matrix of rank d in reduced row-echelon form, as a
+    list of rows."""
     for pivots in itertools.combinations(range(h), d):
-        free_cols = [f for f in range(h) if f not in pivots]
         slots = [(r, f) for r, pc in enumerate(pivots)
-                 for f in free_cols if f > pc]
+                 for f in range(pc + 1, h) if f not in pivots]
         for values in itertools.product(range(F.q), repeat=len(slots)):
-            S = [[0] * h for _ in range(d)]
-            for r, pc in enumerate(pivots):
-                S[r][pc] = 1
+            S = [[int(f == pc) for f in range(h)] for pc in pivots]
             for (r, f), x in zip(slots, values):
                 S[r][f] = x
-            K = [[0] * c for _ in range(h)]
-            for t, f in enumerate(free_cols):
-                K[f][t] = 1
-                for r, pc in enumerate(pivots):
-                    K[pc][t] = F._neg[S[r][f]]
-            yield S, K
-
-
-class Candidates:
-    """The admissible pairs, as the blocks they are built in: every A,
-    and the B that pair with a given A, built on request.
-
-    `a_halves` is the distinct A, each a tuple of h row codes, in
-    increasing order, and `a_index` gives the position of each.  A block
-    is every A with one kernel and one left kernel, with every B that
-    pairs with them: in a block every A pairs with every B, and no A and
-    no B lies in two blocks.  `block_of[i]` is the number of the block
-    of the A at position i, and `fibre(i)` builds that block's B, in
-    increasing order.  Every block has `n_b` of them, so len, the number
-    of pairs, is len(a_halves) * n_b.
-    """
-
-    __slots__ = ("a_halves", "a_index", "block_of", "n_b", "_recipes")
-
-    def __init__(self, blocks):
-        # A block is (its A, its B recipe); the recipe (rows, span) makes
-        # one B, the tuple of span[u] over the u in r, from each r in rows.
-        owner = {A: t for t, (As, _) in enumerate(blocks) for A in As}
-        self.a_halves = sorted(owner)
-        self.a_index = {A: i for i, A in enumerate(self.a_halves)}
-        self.block_of = list(map(owner.__getitem__, self.a_halves))
-        self._recipes = [recipe for _, recipe in blocks]
-        self.n_b = len(blocks[0][1][0])
-
-    def fibre(self, i):
-        rows, span = self._recipes[self.block_of[i]]
-        return sorted(tuple(map(span.__getitem__, r)) for r in rows)
-
-    def __len__(self):
-        return len(self.a_halves) * self.n_b
+            yield S
 
 
 def _span(T, rows, scalars=None):
@@ -489,41 +448,67 @@ def _products(F, m, vectors):
 
 
 def _candidates(F, h, d):
-    """All admissible pairs, as `Candidates`.
+    """Every A of rank d, each a tuple of h row codes, in increasing
+    order.
 
     A matrix of rank d is A = C R for exactly one d-by-h echelon form R
     (its row space) and one h-by-d C of full column rank, and C = E G
-    for one echelon form E^T (its column space) and one G in GL_d.  Then
-    ker A = ker R, the left kernel of A is the kernel of E^T, and the B
-    that pair with A are (K Y L)^[1/p] for Y in GL_(h-d), with the
-    columns of K spanning ker A and the rows of L the left kernel.
-
-    A block is a pair of echelon forms, one giving E and L, the other R
-    and K.  Its A are (E G) R for G in GL_d, its B are ((K Y) L)^[1/p]
-    for Y in GL_(h-d), and its pairs are every A with every B; no A and
-    no B lies in two blocks.  Row i of (E G) R is the sum of the rows of
-    R with the coefficients (E G)_i: one lookup in the span of R, made
-    once per form, at the code of (E G)_i, made once per form and G.  A
-    row of B is likewise one lookup, in the p-th roots of the span of
-    L.  So each A and each B is h lookups.  Every A is made here, and
-    the B of a block only when its fibre is asked for.
+    for one echelon form E^T (its column space) and one G in GL_d.  Row
+    i of (E G) R is the sum of the rows of R with the coefficients
+    (E G)_i: one lookup in the span of R, made once per form, at the
+    code of (E G)_i, made once per form and G.  So each A is h lookups.
     """
     T = F.row_tables(h)
     forms = [([tuple(row[i] for row in S) for i in range(h)],
-              [tuple(row) for row in K],
-              _span(T, map(T.encode, S)),
-              [T.frob_inv[x] for x in _span(T, map(T.encode, zip(*K)))])
-             for S, K in _echelon_forms(F, d, h)]
-    EG = _products(F, d, {e for E, _, _, _ in forms for e in E})
-    KY = _products(F, h - d, {k for _, K, _, _ in forms for k in K})
-    # Per form: the rows of E G for each G, and of K Y for each Y.
-    sides = [(list(zip(*map(EG.__getitem__, E))),
-              list(zip(*map(KY.__getitem__, K))), R_span, L_span)
-             for E, K, R_span, L_span in forms]
-    blocks = [([tuple(map(R_span.__getitem__, rows)) for rows in EGs],
-               (KYs, L_span))
-              for EGs, _, _, L_span in sides for _, KYs, R_span, _ in sides]
-    return Candidates(blocks)
+              _span(T, map(T.encode, S)))
+             for S in _echelon_forms(F, d, h)]
+    EG = _products(F, d, {e for E, _ in forms for e in E})
+    # Per form: the rows of E G for each G.
+    sides = [list(zip(*map(EG.__getitem__, E))) for E, _ in forms]
+    # dict.fromkeys drops repeats but keeps the build order, which is
+    # nearly sorted, so the sort mostly merges runs.
+    return sorted(dict.fromkeys(tuple(map(R_span.__getitem__, rows))
+                                for EGs in sides for _, R_span in forms
+                                for rows in EGs))
+
+
+def _kernel(T, basis):
+    """A basis of the x in F_q^h with u x = 0 for every u in basis, a
+    reduced echelon basis (see RowTables), as row codes: each free
+    column f gives one vector, 1 at f and -u_f at the pivot of each u."""
+    digits, lead, neg = T.digits, T.lead, T.field._neg
+    pivots = [lead[u] for u in basis]
+    out = []
+    for f in range(T.h):
+        if f not in pivots:
+            row = [int(c == f) for c in range(T.h)]
+            for u, c in zip(basis, pivots):
+                row[c] = neg[digits[u][f]]
+            out.append(T.encode(row))
+    return out
+
+
+def _fibre(T, A):
+    """The B that pair with A, each a tuple of h row codes, in
+    increasing order.
+
+    They are ((K Y) L)^[1/p] for Y in GL_(h-d), with the columns of K a
+    basis of ker A, the kernel of A's row space, and the rows of L one
+    of the left kernel of A, the kernel of its column space.  Row i of
+    (K Y) L is one lookup, at the code of (K Y)_i, in the p-th roots of
+    the span of L.
+    """
+    digits = T.digits
+    transposed = tuple(map(T.encode, zip(*map(digits.__getitem__, A))))
+    row_space, column_space = _row_spaces(T, [A, transposed])
+    kernel = [digits[v] for v in _kernel(T, row_space)]
+    # The h rows of K, each of h - d field codes (empty when d = h).
+    K = [tuple(v[i] for v in kernel) for i in range(T.h)]
+    L = _kernel(T, column_space)
+    KY = _products(T.field, len(L), K)
+    span = list(map(T.frob_inv.__getitem__, _span(T, L)))
+    return sorted(tuple(map(span.__getitem__, rows))
+                  for rows in zip(*map(KY.__getitem__, K)))
 
 
 def _space_numbers(T, rows_by_position, n):
@@ -547,37 +532,26 @@ def _row_spaces(T, matrices):
                     _space_numbers(T, zip(*matrices), len(matrices))))
 
 
-def _columns(T, matrices):
-    """The column codes of each matrix, a tuple of h row codes."""
-    digits = T.digits
-    code_of = {row: u for u, row in enumerate(digits)}
-    # One zip per matrix, over its rows' digits, yields its columns; all
-    # are coded in one stream, then cut back into h per matrix.
-    columns = map(code_of.__getitem__, itertools.chain.from_iterable(
-        map(zip, *(map(digits.__getitem__, rows)
-                   for rows in zip(*matrices)))))
-    return list(zip(*[columns] * T.h))
-
-
 def _verify_admissible(T, d, A, Bs):
     """Assert rank A = d, rank B = h - d, A B^[p] = 0 and B A^[1/p] = 0
     for every B in Bs.
 
     With R = A^[1/p], B R = 0 exactly when u R = 0 for every row u of B,
-    and, taking p-th roots, A B^[p] = 0 exactly when R B = 0: R c = 0
-    for every column c of B.  u R is the lookup at u in the span of the
-    rows of R, and R c the lookup at c in the span of its columns; both
-    are taken for every pair.  The two spans and rank A are made once,
-    and the rank and column codes of each B.
+    the lookup at u in the span of the rows of R.  Taking p-th roots,
+    A B^[p] = 0 exactly when R B = 0, that is when r B = 0 for each of
+    the d rows r of the echelon basis of R's row space: one combination
+    of the rows of B per r.  The span and the basis of R are made once,
+    and the rank of each B.
     """
     assert all(len(space) == T.h - d for space in _row_spaces(T, Bs))
     R = tuple(map(T.frob_inv.__getitem__, A))
-    assert len(_row_spaces(T, [R])[0]) == d
-    rows_of = itertools.chain.from_iterable
-    assert not any(map(_span(T, R).__getitem__, rows_of(Bs)))
-    (columns,) = _columns(T, [R])
-    assert not any(map(_span(T, columns).__getitem__,
-                       rows_of(_columns(T, Bs))))
+    (basis,) = _row_spaces(T, [R])
+    assert len(basis) == d
+    assert not any(map(_span(T, R).__getitem__,
+                       itertools.chain.from_iterable(Bs)))
+    add, scale, digits = T.add, T.scale, T.digits
+    assert not any(_combine(add, scale, digits[r], B)
+                   for B in Bs for r in basis)
 
 
 def twisted_action(F, g, pair):
@@ -870,23 +844,22 @@ def enumerate_census(field, h, d):
     # What gets built: the candidates and the row-code tables (Q = q^h).
     # Only `add` has Q^2 entries, but the tables stay charged 2 Q^2:
     # a charge of Q^2 would admit (2,1,7,2), whose tables alone peak
-    # near 224 MB.
+    # near 66 MB.
     cost = n_candidates + 2 * q ** (2 * h)
     if cost > DEFAULT_SEARCH_BOUND:
         raise SearchSpaceTooLarge(
             f"about {cost} candidates and row-table entries exceed the "
             f"bound {DEFAULT_SEARCH_BOUND}")
     T = F.row_tables(h)
-    cands = _candidates(F, h, d)
-    assert len(cands) == n_candidates
-    a_halves = cands.a_halves
+    a_halves = _candidates(F, h, d)
     assert len(a_halves) == _rank_count(q, h, d)
+    a_index = {A: i for i, A in enumerate(a_halves)}
     assert all(len(space) == d for space in _row_spaces(T, a_halves))
 
     group_order = gl_order(q, h)
     stabs = _Stabilizers(T)
     tables = [_half_table(_half_move(T, g, T.frob), T.add, a_halves,
-                          cands.a_index) for g in stabs.generators]
+                          a_index) for g in stabs.generators]
     digits = T.digits
 
     def rep(A, B):
@@ -930,7 +903,7 @@ def enumerate_census(field, h, d):
         if owner[seed] != -1:
             continue
         A = a_halves[seed]
-        Bs = cands.fibre(seed)
+        Bs = _fibre(T, A)
         assert len(Bs) == gl_order(q, h - d)
         _verify_admissible(T, d, A, Bs)
         for g, table in zip(stabs.generators, tables):

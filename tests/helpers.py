@@ -12,9 +12,9 @@ from zipzeta import (CosetTables, NotFiniteType, OmegaGroup, ExtWeylElement,
                      ExtWeylGroup, build_root_system, cartan_matrix,
                      compute_twist, direct_sum, enumerate_group)
 from zipzeta.weyl import _degree_product
-from zipzeta.fforacle import (CensusClass, _candidates, _half_move,
-                              _half_table, _rref, _verify_admissible,
-                              enumerate_gl, gl_generators, gl_order,
+from zipzeta.fforacle import (CensusClass, _candidates, _fibre, _half_move,
+                              _half_table, _rank_count, _rref,
+                              _verify_admissible, enumerate_gl, gl_generators, gl_order,
                               mat_frob, mat_frob_inv, mat_inv, mat_mul)
 
 G2_CARTAN = [[2, -3], [-1, 2]]
@@ -371,35 +371,44 @@ def apply_move(move, pair):
     return tuple(image)
 
 
-def candidate_pairs(cands):
-    """The pairs of census Candidates as tuples of 2h row codes, every A
+def census_fibres(F, h, d):
+    """Every A the census builds, in increasing order, each with its
+    fibre: a list of (A, sorted B)."""
+    T = F.row_tables(h)
+    return [(A, _fibre(T, A)) for A in _candidates(F, h, d)]
+
+
+def candidate_pairs(F, h, d):
+    """The census's candidate pairs as tuples of 2h row codes, every A
     with its fibre, so in increasing order."""
-    return [A + B for i, A in enumerate(cands.a_halves)
-            for B in cands.fibre(i)]
+    return [A + B for A, Bs in census_fibres(F, h, d) for B in Bs]
 
 
 def pair_tables(F, h, d):
     """The census's candidates as pair codes, and its generators as
-    tables on them: (cands, b_halves, b_index, codes, tables).
+    tables on them: (fibres, a_index, b_halves, b_index, codes, tables),
+    fibres as `census_fibres` gives them.
 
     Each pair is one int, i * n_B + j, with i and j the positions of its
     A and its B in the sorted distinct A and distinct B, so integer
     order is pair order; codes is the sorted list of them.  Each
     generator moves each distinct half once: the pair (i, j) goes to
     a_moved[i] + b_moved[j], a_moved already multiplied by n_B."""
-    cands = _candidates(F, h, d)
-    fibres = [cands.fibre(i) for i in range(len(cands.a_halves))]
-    b_halves = sorted({B for Bs in fibres for B in Bs})
+    fibres = census_fibres(F, h, d)
+    a_halves = [A for A, _ in fibres]
+    a_index = {A: i for i, A in enumerate(a_halves)}
+    b_halves = sorted({B for _, Bs in fibres for B in Bs})
     b_index = {B: j for j, B in enumerate(b_halves)}
     n_b = len(b_halves)
-    codes = [i * n_b + b_index[B] for i, Bs in enumerate(fibres) for B in Bs]
+    codes = [i * n_b + b_index[B] for i, (_, Bs) in enumerate(fibres)
+             for B in Bs]
     tables = []
     for a_half, b_half, add in (generator_move(F, g)
                                 for g in gl_generators(F, h)):
-        a_moved = _half_table(a_half, add, cands.a_halves, cands.a_index)
+        a_moved = _half_table(a_half, add, a_halves, a_index)
         tables.append(([i * n_b for i in a_moved],
                        _half_table(b_half, add, b_halves, b_index)))
-    return cands, b_halves, b_index, codes, tables
+    return fibres, a_index, b_halves, b_index, codes, tables
 
 
 def census_by_pairs(F, h, d):
@@ -410,12 +419,12 @@ def census_by_pairs(F, h, d):
     candidates and the generator moves with the census, but not the
     orbit-stabilizer split or its linear algebra."""
     T = F.row_tables(h)
-    cands, b_halves, _, codes, tables = pair_tables(F, h, d)
-    for i, A in enumerate(cands.a_halves):
-        _verify_admissible(T, d, A, cands.fibre(i))
+    fibres, _, b_halves, _, codes, tables = pair_tables(F, h, d)
+    for A, Bs in fibres:
+        _verify_admissible(T, d, A, Bs)
     n_b = len(b_halves)
     candidates = set(codes)
-    assert len(candidates) == len(cands)
+    assert len(candidates) == _rank_count(F.q, h, d) * gl_order(F.q, h - d)
     group_order = gl_order(F.q, h)
     visited = set()
     classes = []
@@ -438,7 +447,7 @@ def census_by_pairs(F, h, d):
         assert group_order % len(orbit) == 0
         i, j = divmod(seed, n_b)
         classes.append(CensusClass(
-            rep=decoded_pair(F, cands.a_halves[i] + b_halves[j]),
+            rep=decoded_pair(F, fibres[i][0] + b_halves[j]),
             orbit_size=len(orbit), aut_count=group_order // len(orbit)))
         visited |= orbit
     assert visited == candidates

@@ -10,15 +10,16 @@ from zipzeta import (BTParams, FieldTooLarge, FqField, MismatchDetected,
                      NotPrime, SearchSpaceTooLarge, ZetaProduct,
                      crosscheck, enumerate_census)
 from zipzeta import fforacle
-from zipzeta.fforacle import (_Stabilizers, _candidates, _met, _orbit,
-                              _rank_count, _verify_admissible, enumerate_gl,
+from zipzeta.fforacle import (_Stabilizers, _candidates, _fibre, _kernel,
+                              _met, _orbit, _rank_count, _row_spaces,
+                              _verify_admissible, enumerate_gl,
                               gl_generators, gl_order, mat_inv, mat_mul,
                               primitive_element, twisted_action)
 from helpers import (apply_move, candidate_pairs, candidates_by_scan,
                      census_by_pairs, census_by_sweep, coded_pair,
                      decoded_pair, generator_move, mat_identity, mat_kernel,
-                     mat_rank, mat_transpose, pair_tables,
-                     reference_admissible, reference_field)
+                     mat_rank, pair_tables, reference_admissible,
+                     reference_field)
 
 
 def test_field_construction_errors():
@@ -217,48 +218,48 @@ CANDIDATE_SHAPES = [
 @pytest.mark.parametrize("h,d,p,k,modulus", CANDIDATE_SHAPES)
 def test_direct_candidates_match_the_scan(h, d, p, k, modulus):
     F = FqField(p, k, modulus=modulus)
-    built = _candidates(F, h, d)
-    pairs = candidate_pairs(built)
+    pairs = candidate_pairs(F, h, d)
     assert all(len(pair) == 2 * h for pair in pairs)
     # Every A with its fibre, in order: the pairs come out in nested order.
     assert pairs == sorted(set(pairs))
     decoded = {decoded_pair(F, pair) for pair in pairs}
-    assert len(decoded) == len(built)
+    assert len(decoded) == len(pairs) == \
+        _rank_count(F.q, h, d) * gl_order(F.q, h - d)
     assert decoded == set(candidates_by_scan(F, h, d))
 
 
 @pytest.mark.parametrize("h,d,p,k,modulus", CANDIDATE_SHAPES)
-def test_candidates_are_blocks(h, d, p, k, modulus):
-    # A block is every A with given kernel and left kernel, with every B
-    # with given ones: its A share one block number, so one fibre, and
-    # no B lies in the fibres of two blocks.  So (A, B) is a candidate
-    # pair exactly when B is in the fibre of A's block.
+def test_every_fibre_matches_the_scan(h, d, p, k, modulus):
+    # The fibre of every A, not only of the least A of each orbit: those
+    # have echelon bases with few free entries, so a kernel that came
+    # out wrong there might still give the right fibre.
     F = FqField(p, k, modulus=modulus)
     T = F.row_tables(h)
-    cands = _candidates(F, h, d)
-    block_of = cands.block_of
-
-    def kernels(X):
-        M = tuple(map(T.digits.__getitem__, X))
-        return (tuple(mat_kernel(F, M, h)),
-                tuple(mat_kernel(F, mat_transpose(M), h)))
-
-    keys = list(map(kernels, cands.a_halves))
-    # Kernels and block numbers correspond one to one.
-    assert len(set(keys)) == len(set(block_of)) == \
-        len(set(zip(keys, block_of)))
     fibres = {}
-    for i, t in enumerate(block_of):
-        assert fibres.setdefault(t, cands.fibre(i)) == cands.fibre(i)
-    halves = [B for Bs in fibres.values() for B in Bs]
-    assert len(halves) == len(set(halves))
-    for Bs in fibres.values():
-        assert Bs == sorted(set(Bs))
-        assert len(Bs) == cands.n_b == gl_order(F.q, h - d)
-        assert len(set(map(kernels, Bs))) == 1
-    assert len(set(map(kernels, halves))) == len(fibres)
-    assert len(cands) == sum(len(fibres[t]) for t in block_of) == \
-        _rank_count(F.q, h, d) * gl_order(F.q, h - d)
+    for pair in map(functools.partial(coded_pair, F),
+                    candidates_by_scan(F, h, d)):
+        fibres.setdefault(pair[:h], []).append(pair[h:])
+    assert sorted(fibres) == _candidates(F, h, d)
+    for A, Bs in fibres.items():
+        assert _fibre(T, A) == sorted(Bs)
+
+
+@pytest.mark.parametrize("h,p,k", [(1, 3, 1), (2, 3, 1), (2, 2, 2),
+                                   (3, 2, 1), (3, 3, 1)])
+def test_kernel_matches_the_nested_kernel(h, p, k):
+    # Every h-by-h matrix, or every 7th past 4096 of them: the kernel of
+    # the echelon basis of its row space is the nested-matrix kernel,
+    # basis vector for basis vector.
+    F = FqField(p, k)
+    T = F.row_tables(h)
+    matrices = itertools.product(range(len(T.digits)), repeat=h)
+    if F.q ** (h * h) > 4096:
+        matrices = itertools.islice(matrices, 0, None, 7)
+    for M in matrices:
+        (basis,) = _row_spaces(T, [M])
+        nested = tuple(map(T.digits.__getitem__, M))
+        assert _kernel(T, basis) == \
+            list(map(T.encode, mat_kernel(F, nested, h)))
 
 
 @pytest.mark.parametrize("h,d,p,k", [(2, 1, 3, 2), (3, 1, 3, 1),
@@ -270,7 +271,7 @@ def test_check_rejects_exactly_the_inadmissible_perturbations(h, d, p, k):
     # pair admissible; the check must accept exactly those.
     F = FqField(p, k)
     T = F.row_tables(h)
-    built = candidate_pairs(_candidates(F, h, d))
+    built = candidate_pairs(F, h, d)
     counts = {True: 0, False: 0}
     for pair in built[::len(built) // 12]:
         A, B = decoded_pair(F, pair)
@@ -349,15 +350,15 @@ def test_half_tables_match_apply_move(h, d, p, k):
     # Each generator's half tables send every candidate's code where
     # apply_move sends the whole pair.
     F = FqField(p, k)
-    cands, b_halves, b_index, codes, tables = pair_tables(F, h, d)
+    _, a_index, b_halves, b_index, codes, tables = pair_tables(F, h, d)
     n_b = len(b_halves)
-    pairs = candidate_pairs(cands)
+    pairs = candidate_pairs(F, h, d)
     for g, (a_moved, b_moved) in zip(gl_generators(F, h), tables):
         move = generator_move(F, g)
         for code, pair in zip(codes, pairs):
             image = apply_move(move, pair)
             assert a_moved[code // n_b] + b_moved[code % n_b] == \
-                cands.a_index[image[:h]] * n_b + b_index[image[h:]]
+                a_index[image[:h]] * n_b + b_index[image[h:]]
 
 
 def _planted_units(monkeypatch, elements):
